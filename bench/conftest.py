@@ -1,0 +1,9 @@
+"""Puts the checkout's src/ and the benchmark's own modules on sys.path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
