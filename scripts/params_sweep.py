@@ -9,7 +9,7 @@ Usage:
 import argparse
 import json
 
-from bclique.intmath import ceil_log2
+from bclique.protocols import sketch_bits_bound
 from bclique.sketch import cached_params
 
 
@@ -18,14 +18,13 @@ def sweep(max_n: int, max_d: int) -> list[dict]:
     for n in range(1, max_n + 1):
         for d in range(0, min(max_d, n) + 1):
             params = cached_params(n, d)
-            bound = 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
             rows.append({
                 "n": n,
                 "d": d,
                 "p": str(params.p),
                 "xbar": params.xbar,
                 "p_bits": params.p_bits,
-                "p_bits_bound": bound,
+                "p_bits_bound": sketch_bits_bound(n, d),
                 "domain_size": params.domain_size,
             })
     return rows

@@ -26,10 +26,12 @@ from .graph import (
     serialize_graph,
     tilde_global,
 )
-from .intmath import ceil_log2, pow_ceil
 from .protocols import (
     connectivity_one_round_r,
+    forest_neighbor_cap,
+    forest_round_budget,
     prune_one_round,
+    sketch_bits_bound,
     spanning_forest_multiround,
     sparsity_parameter,
 )
@@ -106,7 +108,6 @@ def _parse_eps(text: str) -> Fraction:
 
 def _cmd_params(args) -> tuple[dict, int]:
     params = cached_params(args.n, args.d)
-    bound = 2 * args.d * ceil_log2(args.n + 1) + ceil_log2(args.n) + 2
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "params",
@@ -115,7 +116,7 @@ def _cmd_params(args) -> tuple[dict, int]:
         "p": str(params.p),
         "xbar": params.xbar,
         "p_bits": params.p_bits,
-        "p_bits_bound": bound,
+        "p_bits_bound": sketch_bits_bound(args.n, args.d),
         "domain_size": params.domain_size,
     }, 0
 
@@ -157,7 +158,6 @@ def _cmd_components(args) -> tuple[dict, int]:
     wall_ms = (time.perf_counter() - t0) * 1000.0
     oracle_labels, _ = components_and_forest(g)
     agree = labels == oracle_labels and verify.forest_is_valid(g, labels, forest)
-    budget = -(-args.eps.denominator // args.eps.numerator)
     report = RunReport(
         protocol="spanning_forest_multiround",
         n=g.n,
@@ -172,8 +172,8 @@ def _cmd_components(args) -> tuple[dict, int]:
         wall_ms=wall_ms,
         extra={
             "component_count": len(set(labels)),
-            "round_budget": budget,
-            "neighbor_cap": max(1, pow_ceil(g.n, args.eps)),
+            "round_budget": forest_round_budget(args.eps),
+            "neighbor_cap": forest_neighbor_cap(g.n, args.eps),
         },
     )
     return _finish(args, "components", report, transcript)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import OutputDivergence, RoundBudgetExceeded
+from .errors import BadParams, OutputDivergence, RoundBudgetExceeded
 from .graph import Ball, Graph, ball as make_ball
 from .intmath import ceil_log2
 
@@ -156,7 +156,7 @@ def run_protocol(protocol: Protocol, inputs: Sequence,
     """
     n = len(inputs)
     if n < 1:
-        raise ValueError("need at least one node")
+        raise BadParams("need at least one node")
     if protocol.round_budget < 1:
         raise ValueError("round budget must be >= 1")
     order = list(range(n)) if eval_order is None else list(eval_order)

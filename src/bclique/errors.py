@@ -37,8 +37,8 @@ class UnknownKind(BcliqueError):
     """Unrecognized graph generator name."""
 
 
-class BadParams(BcliqueError):
-    """Generator parameters are missing, of the wrong type, or out of range."""
+class BadParams(BcliqueError, ValueError):
+    """Parameters are missing, of the wrong type, or out of range."""
 
 
 class OutputDivergence(BcliqueError):

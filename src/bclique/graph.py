@@ -205,7 +205,7 @@ def ball(g: Graph, v: int, r: int) -> Ball:
     if not 0 <= v < g.n:
         raise IndexOutOfRange(f"node {v} outside 0..{g.n - 1}")
     if r < 1:
-        raise ValueError("radius must be >= 1")
+        raise BadParams("radius must be >= 1")
     dist = {v: 0}
     frontier = [v]
     for depth in range(1, r + 1):
@@ -222,103 +222,69 @@ def ball(g: Graph, v: int, r: int) -> Ball:
     return Ball(center=v, radius=r, nodes=members, adj=adj)
 
 
-def _anchored_cycles(rows, bound: int):
-    """Yield every simple cycle of length 3..bound exactly once.
+def _closes_short_cycle(adj, u: int, w: int, hops: int) -> bool:
+    """Whether edge (u, w) is the largest edge of a simple cycle of length
+    <= hops + 1.
 
-    A cycle is emitted as the vertex tuple starting at its minimum vertex,
-    oriented so the second vertex is smaller than the last.
+    That holds exactly when u reaches w in at most `hops` steps over edges
+    smaller than (u, w): such a walk contains a simple path, which the edge
+    closes into the cycle.  adj maps every node reached to its neighbors.
     """
-    if bound < 3:
-        return
-    n = len(rows)
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def extend(root: int):
-        last = path[-1]
-        for w in rows[last]:
-            if w == root and len(path) >= 3 and path[1] < path[-1]:
-                yield tuple(path)
-            elif w > root and w not in on_path and len(path) < bound:
-                path.append(w)
-                on_path.add(w)
-                yield from extend(root)
-                path.pop()
-                on_path.remove(w)
-
-    for root in range(n):
-        path[:] = [root]
-        on_path = {root}
-        yield from extend(root)
-
-
-def _cycles_through(adj, v: int, bound: int):
-    """Yield every simple cycle of length 3..bound containing v, once each."""
-    if bound < 3:
-        return
-    path = [v]
-    on_path = {v}
-
-    def extend():
-        last = path[-1]
-        for w in adj[last]:
-            if w == v and len(path) >= 3 and path[1] < path[-1]:
-                yield tuple(path)
-            elif w != v and w not in on_path and len(path) < bound:
-                path.append(w)
-                on_path.add(w)
-                yield from extend()
-                path.pop()
-                on_path.remove(w)
-
-    yield from extend()
-
-
-def _cycle_edges(cycle: tuple[int, ...]):
-    for a, b in zip(cycle, cycle[1:]):
-        yield normalize_edge(a, b)
-    yield normalize_edge(cycle[-1], cycle[0])
+    top = normalize_edge(u, w)
+    seen = {u}
+    frontier = [u]
+    for _ in range(hops):
+        nxt = []
+        for a in frontier:
+            for b in adj[a]:
+                if b not in seen and normalize_edge(a, b) < top:
+                    if b == w:
+                        return True
+                    seen.add(b)
+                    nxt.append(b)
+        if not nxt:
+            break
+        frontier = nxt
+    return False
 
 
 def has_short_cycle(g: Graph, length_bound: int) -> bool:
     """True iff g contains a simple cycle of length <= length_bound."""
     if length_bound < 3:
         raise ValueError("length bound must be >= 3")
-    return any(True for _ in _anchored_cycles(g.rows, length_bound))
+    return any(_closes_short_cycle(g.rows, u, w, length_bound - 1) for u, w in g.edges())
 
 
 def tilde_global(g: Graph, r: int) -> TildeResult:
     """Drop, for every simple cycle of length <= 2r, its largest edge.
 
-    The result has no cycle of length <= 2r and the same connected
-    components as g.
+    Edge (u, w) is dropped exactly when u reaches w in at most 2r-1 steps
+    over edges smaller than (u, w).  The result has no cycle of length
+    <= 2r and the same connected components as g.
     """
     if r < 1:
-        raise ValueError("radius must be >= 1")
-    removed = set()
-    for cycle in _anchored_cycles(g.rows, 2 * r):
-        removed.add(max(_cycle_edges(cycle)))
+        raise BadParams("radius must be >= 1")
+    removed = frozenset(e for e in g.edges() if _closes_short_cycle(g.rows, *e, 2 * r - 1))
     tilde = Graph.from_edges(g.n, (e for e in g.edges() if e not in removed))
-    return TildeResult(tilde=tilde, removed=frozenset(removed))
+    return TildeResult(tilde=tilde, removed=removed)
 
 
 def tilde_row_local(ball_of_v: Ball, v: int, r: int) -> tuple[int, ...]:
     """Row of the short-cycle-free subgraph at v, computed from v's ball only.
 
-    Every cycle of length <= 2r through v lies inside the radius-r ball, so
-    this equals the corresponding row of tilde_global without any global
+    Edge (v, u) is dropped exactly when v reaches u in at most 2r-1 steps
+    over edges smaller than (v, u), the rule tilde_global applies.  Such a
+    walk closes a cycle of length <= 2r through v, and every node of that
+    cycle is within distance r of v, so a search confined to the radius-r
+    ball finds it and the row equals tilde_global's without any global
     knowledge.
     """
     if r < 1:
-        raise ValueError("radius must be >= 1")
+        raise BadParams("radius must be >= 1")
     if ball_of_v.center != v:
         raise ValueError(f"ball is centered at {ball_of_v.center}, not {v}")
-    dropped: set[Edge] = set()
-    for cycle in _cycles_through(ball_of_v.adj, v, 2 * r):
-        top = max(_cycle_edges(cycle))
-        if v in top:
-            dropped.add(top)
-    return tuple(u for u in ball_of_v.adj[v] if normalize_edge(v, u) not in dropped)
+    adj = ball_of_v.adj
+    return tuple(u for u in adj[v] if not _closes_short_cycle(adj, v, u, 2 * r - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,41 @@ from .clique import (
     make_message,
     run_protocol,
 )
-from .errors import DegeneracyExceeded, ForeignEdge, InvalidTranscript, NotDecodable, WeightMismatch
+from .errors import (
+    BadParams,
+    DegeneracyExceeded,
+    ForeignEdge,
+    InvalidTranscript,
+    NotDecodable,
+    WeightMismatch,
+)
 from .graph import Edge, Graph, _UnionFind, components_and_forest, normalize_edge, tilde_row_local
-from .intmath import nth_root_ceil, pow_ceil
+from .intmath import ceil_log2, nth_root_ceil, pow_ceil
+
+
+def forest_round_budget(eps: Fraction) -> int:
+    """Rounds the spanning-forest protocol may use: ceil(1/eps)."""
+    return -(-eps.denominator // eps.numerator)
+
+
+def forest_neighbor_cap(n: int, eps: Fraction) -> int:
+    """Most neighbors one node announces per forest round: ceil(n**eps), at least 1."""
+    return max(1, pow_ceil(n, eps))
+
+
+def forest_message_bits(n: int, eps: Fraction) -> int:
+    """Largest forest message: a length field plus one id per capped neighbor."""
+    return ceil_log2(n + 1) + forest_neighbor_cap(n, eps) * ceil_log2(n)
+
+
+def sketch_bits_bound(n: int, d: int) -> int:
+    """Analytic bound on the bits of one sketch element for (n, d)."""
+    return 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
+
+
+def sketch_message_bits(n: int, params: sketch.SketchParams) -> int:
+    """Size of one (degree, sketch) message: a degree plus one field element."""
+    return ceil_log2(n) + params.p_bits
 
 
 @dataclass(frozen=True)
@@ -147,9 +179,7 @@ def spanning_forest_multiround(rows: Sequence[AdjacencyRow], eps):
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     n = len(rows)
-    cap = max(1, pow_ceil(n, eps))
-    budget = -(-eps.denominator // eps.numerator)
-    proto = _SpanningForestProtocol(n, cap, budget)
+    proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
     (labels, forest), transcript = run_protocol(proto, rows)
     return labels, forest, transcript
 
@@ -245,7 +275,7 @@ class _PruneProtocol(Protocol):
 def prune_one_round(rows: Sequence[AdjacencyRow], d: int):
     """One broadcast round of (degree, sketch), then a shared local peel."""
     if d < 0:
-        raise ValueError("degree bound must be >= 0")
+        raise BadParams("degree bound must be >= 0")
     n = len(rows)
     params = sketch.cached_params(n, d)
     result, transcript = run_protocol(_PruneProtocol(n, d, params), rows)
@@ -260,9 +290,9 @@ def sparsity_parameter(n: int, r: int) -> int:
     more than s**r >= n nodes), so peeling at bound s always finishes.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise BadParams("n must be >= 1")
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise BadParams("r must be >= 1")
     return nth_root_ceil(n, r)
 
 
@@ -306,7 +336,7 @@ def connectivity_one_round_r(balls: Sequence[RadiusBall], r: int):
     """Connected components and a spanning forest from radius-r views in a
     single broadcast round of (degree, sketch) messages."""
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise BadParams("r must be >= 1")
     n = len(balls)
     for i, b in enumerate(balls):
         if b.node != i:

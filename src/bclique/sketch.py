@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
+    BadParams,
     CapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
@@ -132,9 +133,9 @@ def build_params(n: int, d: int, table_cap: int = DEFAULT_TABLE_CAP) -> SketchPa
     pairwise difference polynomials times their degree stays below p.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise BadParams("n must be >= 1")
     if not 0 <= d <= n:
-        raise ValueError("d must satisfy 0 <= d <= n")
+        raise BadParams("d must satisfy 0 <= d <= n")
     domain_size = sum(math.comb(n, w) for w in range(d + 1))
     if domain_size > table_cap:
         raise CapExceeded(

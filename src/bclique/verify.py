@@ -23,10 +23,13 @@ from .graph import (
     tilde_row_local,
     ball,
 )
-from .intmath import ceil_log2, pow_ceil
 from .protocols import (
     connectivity_one_round_r,
+    forest_message_bits,
+    forest_round_budget,
     prune_one_round,
+    sketch_bits_bound,
+    sketch_message_bits,
     spanning_forest_multiround,
     sparsity_parameter,
 )
@@ -61,8 +64,8 @@ def protocol_corpus(count: int, sizes, base_seed: int = 0, *,
     return graphs
 
 
-# radius-specific corpora: node counts are capped so the sketch table stays
-# under its cap and short-cycle enumeration stays cheap
+# radius-specific corpora: node counts are capped so the sketch table of the
+# sparsity bound s = ceil(n**(1/r)) stays under its cap
 ONE_ROUND_SIZES = {
     1: (2, 3, 4, 5, 6, 7, 8, 9, 10),
     2: (4, 5, 7, 9, 12, 16, 20, 25, 30, 33, 36),
@@ -104,8 +107,7 @@ def check_sketch_grid(max_n: int, max_d: int):
     for n in range(1, max_n + 1):
         for d in range(0, min(max_d, n) + 1):
             params = sketch.cached_params(n, d)
-            bound = 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
-            if params.p_bits > bound:
+            if params.p_bits > sketch_bits_bound(n, d):
                 size_violations += 1
             seen = {}
             for support in itertools.chain.from_iterable(
@@ -133,8 +135,7 @@ def check_prune(graphs, ds):
             total += 1
             result, transcript = prune_one_round(adjacency_inputs(g), d)
             seq, remaining = core_peel(g, d)
-            params = sketch.cached_params(g.n, d)
-            bits_bound = (ceil_log2(g.n) if g.n > 1 else 0) + params.p_bits
+            bits_bound = sketch_message_bits(g.n, sketch.cached_params(g.n, d))
             ok = (result.sequence == seq
                   and result.remaining == remaining
                   and transcript.rounds_used == 1
@@ -153,14 +154,10 @@ def check_multiround(graphs, eps_values):
         for eps in eps_values:
             eps = Fraction(eps)
             labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
-            budget = -(-eps.denominator // eps.numerator)
-            cap = max(1, pow_ceil(g.n, eps))
-            per_id = ceil_log2(g.n) if g.n > 1 else 0
-            bits_bound = ceil_log2(g.n + 1) + cap * per_id
             ok = (labels == oracle_labels
                   and forest_is_valid(g, labels, forest)
-                  and transcript.rounds_used <= budget
-                  and transcript.per_node_bits <= bits_bound)
+                  and transcript.rounds_used <= forest_round_budget(eps)
+                  and transcript.per_node_bits <= forest_message_bits(g.n, eps))
             if not ok:
                 failures.append(f"{tag} eps={eps}")
     return not failures, _detail(len(graphs) * len(eps_values), failures)
@@ -173,9 +170,7 @@ def check_one_round(r: int, graphs):
         tr = tilde_global(g, r)
         local_rows = tuple(tilde_row_local(ball(g, v, r), v, r) for v in range(g.n))
         labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
-        s = sparsity_parameter(g.n, r)
-        params = sketch.cached_params(g.n, s)
-        bits_bound = (ceil_log2(g.n) if g.n > 1 else 0) + params.p_bits
+        bits_bound = sketch_message_bits(g.n, sketch.cached_params(g.n, sparsity_parameter(g.n, r)))
         ok = (labels == oracle_labels
               and transcript.rounds_used == 1
               and transcript.per_node_bits <= bits_bound

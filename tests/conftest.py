@@ -54,6 +54,33 @@ def girth_leq(g: Graph, bound: int) -> bool:
     return nx.girth(to_nx(g)) <= bound
 
 
+def short_cycles(g: Graph, bound: int):
+    """Yield (cycle, largest edge) for every simple cycle of length 3..bound,
+    once each, by exhaustive path extension.
+
+    A cycle is its vertex tuple starting at its minimum vertex, oriented so
+    the second vertex is smaller than the last.  Exponential in bound, so
+    only for small test graphs.
+    """
+    def extend(path):
+        root, last = path[0], path[-1]
+        for w in g.rows[last]:
+            if w == root and len(path) >= 3 and path[1] < path[-1]:
+                yield tuple(path)
+            elif w > root and w not in path and len(path) < bound:
+                yield from extend(path + [w])
+
+    for root in range(g.n):
+        for cycle in extend([root]):
+            pairs = zip(cycle, cycle[1:] + cycle[:1])
+            yield cycle, max(tuple(sorted(pair)) for pair in pairs)
+
+
+def short_cycle_top_edges(g: Graph, bound: int) -> frozenset:
+    """Largest edge of every simple cycle of length <= bound."""
+    return frozenset(top for _, top in short_cycles(g, bound))
+
+
 def residual_core(g: Graph, d: int) -> tuple[int, ...]:
     """Order-free fixpoint oracle for the set surviving a low-degree peel:
     simultaneously delete every node of degree <= d until stable."""

@@ -31,6 +31,8 @@ from bclique.protocols import (
 from bclique.sketch import cached_params, decode, encode
 from bclique.verify import forest_is_valid, one_round_corpus, protocol_corpus
 
+from conftest import short_cycle_top_edges
+
 GRID = [(n, d) for n in range(1, 17) for d in range(0, min(n, 3) + 1)]
 
 CORPUS_SIZES = (2, 3, 4, 5, 6, 8, 9, 12, 16, 20, 24, 32, 40, 48, 56, 63, 64)
@@ -132,6 +134,7 @@ def test_criterion_7_one_round_connectivity():
     for r, count in split.items():
         for tag, g in one_round_corpus(r, count, base_seed=700):
             result = tilde_global(g, r)
+            assert result.removed == short_cycle_top_edges(g, 2 * r), (tag, r)
             if 2 * r >= 3:
                 assert not has_short_cycle(result.tilde, 2 * r), (tag, r)
             for v in range(g.n):

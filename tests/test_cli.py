@@ -90,6 +90,25 @@ def test_module_error_reported_as_json(capsys, tmp_path):
     assert doc["error"]["type"] == "InvalidEdge"
 
 
+@pytest.mark.parametrize("graph, argv", [
+    ("p4", ["prune", "--d", "9"]),
+    ("p4", ["prune", "--d", "-1"]),
+    ("p4", ["one-round", "--r", "0"]),
+    ("empty", ["components", "--eps", "1/2"]),
+    ("empty", ["prune", "--d", "0"]),
+    ("empty", ["one-round", "--r", "1"]),
+    (None, ["params", "--n", "0", "--d", "0"]),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v) if v else "no-graph")
+def test_bad_params_reported_as_json(capsys, tmp_path, graph, argv):
+    if graph is not None:
+        path = tmp_path / "g.txt"
+        path.write_text({"p4": serialize_graph(gen_graph("path", 4)), "empty": "0\n"}[graph])
+        argv = argv[:1] + ["--graph", str(path)] + argv[1:]
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert doc["error"]["type"] == "BadParams"
+
+
 def test_gen_unknown_kind_is_module_error(capsys):
     code, doc = run_json(capsys, ["gen", "--kind", "moebius", "--n", "8"])
     assert code == 1

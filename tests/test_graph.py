@@ -27,7 +27,15 @@ from bclique.errors import (
 )
 from bclique.protocols import sparsity_parameter
 
-from conftest import bfs_component_labels, forest_ok, girth_leq, relabel, residual_core, to_nx
+from conftest import (
+    bfs_component_labels,
+    forest_ok,
+    girth_leq,
+    relabel,
+    residual_core,
+    short_cycle_top_edges,
+    to_nx,
+)
 
 
 def seeded_graph(idx: int) -> Graph:
@@ -256,6 +264,24 @@ def test_tilde_local_rows_match_global(idx, r):
     res = tilde_global(g, r)
     for v in range(g.n):
         assert tilde_row_local(ball(g, v, r), v, r) == res.tilde.rows[v]
+
+
+@given(graph_indices, st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_tilde_matches_cycle_enumeration(idx, r):
+    g = seeded_graph(idx)
+    dropped = short_cycle_top_edges(g, 2 * r)
+    assert tilde_global(g, r).removed == dropped
+    for v in range(g.n):
+        row = tuple(u for u in g.rows[v] if tuple(sorted((u, v))) not in dropped)
+        assert tilde_row_local(ball(g, v, r), v, r) == row
+
+
+def test_tilde_global_beyond_enumeration_scale():
+    g = gen_graph("gnp", 200, seed=1, q=0.05)
+    tilde = tilde_global(g, 3).tilde
+    assert nx.girth(to_nx(tilde)) > 6
+    assert components_and_forest(tilde)[0] == components_and_forest(g)[0]
 
 
 def test_tilde_local_examples():
