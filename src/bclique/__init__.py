@@ -32,7 +32,6 @@ from .errors import (
     InvalidEdge,
     InvalidTranscript,
     NotDecodable,
-    OutputDivergence,
     ParseError,
     RoundBudgetExceeded,
     UnknownKind,

@@ -1,10 +1,11 @@
 """Synchronous single-broadcast engine with exact bit accounting.
 
-Every round, each node computes one message from its local state; the full
-ordered message vector is then delivered to every node, which updates its
-state.  After the last round all nodes must emit the same output.  Message
-sizes follow fixed encoding rules so protocol budgets can be checked to the
-bit.
+Every round, each node computes one message (Protocol.message) from its own
+input and the public knowledge; the full ordered message vector then goes
+to every node.  Since all nodes receive the same vector, one shared step
+(Protocol.deliver) per round turns it into the next public knowledge, and
+the common output (Protocol.output) is read off that.  Message sizes follow
+fixed encoding rules so protocol budgets can be checked to the bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadParams, OutputDivergence, RoundBudgetExceeded
+from .errors import BadParams, RoundBudgetExceeded
 from .graph import Ball, Graph, ball as make_ball
 from .intmath import ceil_log2
 
@@ -66,15 +67,14 @@ def message_bits(msg, n: int, p: int | None = None) -> int:
     ceil(log2 p) bits for the field element.
     """
     if n < 1:
-        raise ValueError("node count must be >= 1")
+        raise BadParams("node count must be >= 1")
     payload = msg.payload if isinstance(msg, Message) else msg
     if isinstance(payload, NeighborList):
-        per_id = ceil_log2(n) if n > 1 else 0
-        return ceil_log2(n + 1) + len(payload.ids) * per_id
+        return ceil_log2(n + 1) + len(payload.ids) * ceil_log2(n)
     if isinstance(payload, DegreeAndSketch):
         if p is None:
-            raise ValueError("DegreeAndSketch sizing needs the modulus p")
-        return (ceil_log2(n) if n > 1 else 0) + ceil_log2(p)
+            raise BadParams("DegreeAndSketch sizing needs the modulus p")
+        return ceil_log2(n) + ceil_log2(p)
     raise TypeError(f"unknown payload {payload!r}")
 
 
@@ -120,81 +120,70 @@ class Transcript:
 class Protocol:
     """Base class for node-symmetric round protocols run by run_protocol.
 
-    Subclasses set name and round_budget and implement the four hooks.
-    update returns (new_state, halt); the halt flag must be a function of
-    the shared message history so every node reports the same value.
+    A node knows its own input plus the public knowledge `known`, which every
+    node builds identically from the broadcasts.  Only message sees a node;
+    deliver and output see the public knowledge alone, so all nodes agree on
+    the halt flag and the answer by construction.  Subclasses set name and
+    round_budget and implement message.
     """
 
     name = "?"
     round_budget = 1
 
-    def initial_state(self, node: int, node_input):
+    def start(self, n: int):
+        """Public knowledge before round 0."""
+        return None
+
+    def message(self, node: int, node_input, known, rnd: int) -> Message:
         raise NotImplementedError
 
-    def message(self, node: int, state, rnd: int) -> Message:
-        raise NotImplementedError
+    def deliver(self, known, rnd: int, messages: tuple[Message, ...]):
+        """(new public knowledge, halt) after one delivered message vector."""
+        return known, True
 
-    def update(self, node: int, state, rnd: int, messages: tuple[Message, ...]):
-        return state, True
-
-    def node_finished(self, node: int, state) -> bool:
-        """Whether this node's state is terminal; checked when the budget
-        runs out without an early halt."""
+    def node_finished(self, node: int, node_input, known) -> bool:
+        """Whether this node is done; checked when the budget runs out
+        without an early halt."""
         return True
 
-    def output(self, node: int, state):
-        raise NotImplementedError
+    def output(self, known):
+        """The answer every node outputs."""
+        return known
 
 
 def run_protocol(protocol: Protocol, inputs: Sequence,
                  eval_order: Sequence[int] | None = None):
     """Run a protocol to completion and return (common output, transcript).
 
-    eval_order only permutes the order node hooks are invoked in; messages
-    are computed before any delivery, so it must never change the result
-    (tests assert this).
+    eval_order only permutes the order the per-node message hook is invoked
+    in; messages are computed before any delivery, so it must never change
+    the result (tests assert this).
     """
     n = len(inputs)
     if n < 1:
         raise BadParams("need at least one node")
     if protocol.round_budget < 1:
-        raise ValueError("round budget must be >= 1")
+        raise BadParams("round budget must be >= 1")
     order = list(range(n)) if eval_order is None else list(eval_order)
     if sorted(order) != list(range(n)):
-        raise ValueError("eval_order must be a permutation of the nodes")
+        raise BadParams("eval_order must be a permutation of the nodes")
 
-    states = [None] * n
-    for i in order:
-        states[i] = protocol.initial_state(i, inputs[i])
-
+    known = protocol.start(n)
     rounds: list[tuple[Message, ...]] = []
-    halted = False
     for rnd in range(protocol.round_budget):
         msgs: list[Message | None] = [None] * n
         for i in order:
-            msgs[i] = protocol.message(i, states[i], rnd)
+            msgs[i] = protocol.message(i, inputs[i], known, rnd)
         delivered = tuple(msgs)
         rounds.append(delivered)
-        halts = [None] * n
-        for i in order:
-            states[i], halts[i] = protocol.update(i, states[i], rnd, delivered)
-        if any(h != halts[0] for h in halts):
-            raise OutputDivergence(f"{protocol.name}: halt flags diverged in round {rnd}")
-        if halts[0]:
-            halted = True
+        known, halt = protocol.deliver(known, rnd, delivered)
+        if halt:
             break
-
-    if not halted:
-        unfinished = [i for i in range(n) if not protocol.node_finished(i, states[i])]
+    else:
+        unfinished = [i for i in range(n) if not protocol.node_finished(i, inputs[i], known)]
         if unfinished:
             raise RoundBudgetExceeded(
                 f"{protocol.name}: nodes {unfinished} unfinished after "
                 f"{protocol.round_budget} round(s)"
             )
-
-    outputs = [protocol.output(i, states[i]) for i in range(n)]
-    first = outputs[0]
-    for i, out in enumerate(outputs):
-        if out != first:
-            raise OutputDivergence(f"{protocol.name}: node {i} output differs from node 0")
-    return first, Transcript(tuple(rounds))
+    return protocol.output(known), Transcript(tuple(rounds))

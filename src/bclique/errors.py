@@ -41,10 +41,6 @@ class BadParams(BcliqueError, ValueError):
     """Parameters are missing, of the wrong type, or out of range."""
 
 
-class OutputDivergence(BcliqueError):
-    """Two nodes produced different outputs; protocols must agree everywhere."""
-
-
 class RoundBudgetExceeded(BcliqueError):
     """A protocol ran out of rounds before reaching a finished state."""
 

@@ -182,7 +182,7 @@ def core_peel(g: Graph, d: int):
     subgraph of minimum degree > d and does not depend on the peel order.
     """
     if d < 0:
-        raise ValueError("degree bound must be >= 0")
+        raise BadParams("degree bound must be >= 0")
     adj = [set(row) for row in g.rows]
     live = [True] * g.n
     sequence: list[tuple[int, tuple[int, ...]]] = []
@@ -249,10 +249,35 @@ def _closes_short_cycle(adj, u: int, w: int, hops: int) -> bool:
 
 
 def has_short_cycle(g: Graph, length_bound: int) -> bool:
-    """True iff g contains a simple cycle of length <= length_bound."""
+    """True iff g contains a simple cycle of length <= length_bound.
+
+    Girth BFS from every root, sharing no code with the short-cycle search
+    behind tilde_row_local and tilde_global.  An edge (a, b) outside the BFS
+    tree closes a walk of length dist[a] + dist[b] + 1 through the root,
+    which contains a cycle; from a root on a shortest cycle, one such walk
+    is no longer than that cycle.  A node at depth k closes no walk shorter than 2k, so the
+    search stops past depth length_bound // 2.
+    """
     if length_bound < 3:
-        raise ValueError("length bound must be >= 3")
-    return any(_closes_short_cycle(g.rows, u, w, length_bound - 1) for u, w in g.edges())
+        raise BadParams("length bound must be >= 3")
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: root}
+        frontier = [root]
+        depth = 0
+        while frontier and 2 * depth <= length_bound:
+            nxt = []
+            for a in frontier:
+                for b in g.rows[a]:
+                    if b not in dist:
+                        dist[b] = depth + 1
+                        parent[b] = a
+                        nxt.append(b)
+                    elif b != parent[a] and depth + dist[b] + 1 <= length_bound:
+                        return True
+            frontier = nxt
+            depth += 1
+    return False
 
 
 def tilde_global(g: Graph, r: int) -> TildeResult:
@@ -282,7 +307,7 @@ def tilde_row_local(ball_of_v: Ball, v: int, r: int) -> tuple[int, ...]:
     if r < 1:
         raise BadParams("radius must be >= 1")
     if ball_of_v.center != v:
-        raise ValueError(f"ball is centered at {ball_of_v.center}, not {v}")
+        raise BadParams(f"ball is centered at {ball_of_v.center}, not {v}")
     adj = ball_of_v.adj
     return tuple(u for u in adj[v] if not _closes_short_cycle(adj, v, u, 2 * r - 1))
 

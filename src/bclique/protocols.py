@@ -27,6 +27,7 @@ from .clique import (
     Protocol,
     RadiusBall,
     make_message,
+    message_bits,
     run_protocol,
 )
 from .errors import (
@@ -52,8 +53,8 @@ def forest_neighbor_cap(n: int, eps: Fraction) -> int:
 
 
 def forest_message_bits(n: int, eps: Fraction) -> int:
-    """Largest forest message: a length field plus one id per capped neighbor."""
-    return ceil_log2(n + 1) + forest_neighbor_cap(n, eps) * ceil_log2(n)
+    """Largest forest message: a neighbor list of the capped length."""
+    return message_bits(NeighborList((0,) * forest_neighbor_cap(n, eps)), n)
 
 
 def sketch_bits_bound(n: int, d: int) -> int:
@@ -63,7 +64,7 @@ def sketch_bits_bound(n: int, d: int) -> int:
 
 def sketch_message_bits(n: int, params: sketch.SketchParams) -> int:
     """Size of one (degree, sketch) message: a degree plus one field element."""
-    return ceil_log2(n) + params.p_bits
+    return message_bits(DegreeAndSketch(0, 0), n, params.p)
 
 
 @dataclass(frozen=True)
@@ -71,19 +72,15 @@ class SupernodePartition:
     """Grouping of nodes into supernodes, labeled by minimum member id.
 
     forest accumulates the original-graph edges whose announcement caused a
-    merge; it stays acyclic.  active_labels flags supernodes that absorbed
-    at least `threshold` supernodes of the previous round (kept for
-    observability, never used for control flow).
+    merge; it stays acyclic.
     """
 
     assignment: tuple[int, ...]
     forest: tuple[Edge, ...]
-    active_labels: frozenset[int]
-    threshold: int
 
     @staticmethod
-    def singletons(n: int, threshold: int) -> "SupernodePartition":
-        return SupernodePartition(tuple(range(n)), (), frozenset(range(n)), threshold)
+    def singletons(n: int) -> "SupernodePartition":
+        return SupernodePartition(tuple(range(n)), ())
 
     def labels(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.assignment)))
@@ -116,12 +113,7 @@ def merge_step(part: SupernodePartition, announced,
     assignment = []
     for v in range(n):
         assignment.append(label_of_root.setdefault(uf.find(v), v))
-    absorbed: dict[int, set[int]] = {}
-    for v in range(n):
-        absorbed.setdefault(assignment[v], set()).add(part.assignment[v])
-    active = frozenset(lbl for lbl, olds in absorbed.items()
-                       if len(olds) >= part.threshold)
-    return SupernodePartition(tuple(assignment), tuple(forest), active, part.threshold)
+    return SupernodePartition(tuple(assignment), tuple(forest))
 
 
 class _SpanningForestProtocol(Protocol):
@@ -132,14 +124,13 @@ class _SpanningForestProtocol(Protocol):
         self.cap = cap
         self.round_budget = budget
 
-    def initial_state(self, node, node_input):
-        return node_input.neighbors, SupernodePartition.singletons(self.n, self.cap)
+    def start(self, n):
+        return SupernodePartition.singletons(n)
 
-    def message(self, node, state, rnd):
-        neighbors, part = state
+    def message(self, node, node_input, part, rnd):
         mine = part.assignment[node]
         best: dict[int, int] = {}
-        for w in neighbors:
+        for w in node_input.neighbors:
             lbl = part.assignment[w]
             if lbl != mine and (lbl not in best or w < best[lbl]):
                 best[lbl] = w
@@ -147,21 +138,18 @@ class _SpanningForestProtocol(Protocol):
         ids = tuple(sorted(best[lbl] for lbl in chosen))
         return make_message(NeighborList(ids), self.n)
 
-    def update(self, node, state, rnd, messages):
-        neighbors, part = state
+    def deliver(self, part, rnd, messages):
         announced = {normalize_edge(u, w)
                      for u, m in enumerate(messages) for w in m.payload.ids}
         if not announced:
-            return state, True
-        return (neighbors, merge_step(part, announced)), False
+            return part, True
+        return merge_step(part, announced), False
 
-    def node_finished(self, node, state):
-        neighbors, part = state
+    def node_finished(self, node, node_input, part):
         mine = part.assignment[node]
-        return all(part.assignment[w] == mine for w in neighbors)
+        return all(part.assignment[w] == mine for w in node_input.neighbors)
 
-    def output(self, node, state):
-        _, part = state
+    def output(self, part):
         return part.assignment, tuple(sorted(part.forest))
 
 
@@ -177,7 +165,7 @@ def spanning_forest_multiround(rows: Sequence[AdjacencyRow], eps):
         raise TypeError("pass eps as Fraction, int, or string, not float")
     eps = Fraction(eps)
     if not 0 < eps <= 1:
-        raise ValueError("eps must be in (0, 1]")
+        raise BadParams("eps must be in (0, 1]")
     n = len(rows)
     proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
     (labels, forest), transcript = run_protocol(proto, rows)
@@ -254,22 +242,25 @@ class _PruneProtocol(Protocol):
         self.d = d
         self.params = params
 
-    def initial_state(self, node, node_input):
+    def row(self, node, node_input) -> tuple[int, ...]:
+        """The neighbor row this node sketches."""
         return node_input.neighbors
 
-    def message(self, node, state, rnd):
+    def message(self, node, node_input, known, rnd):
+        row = self.row(node, node_input)
         vec = [0] * self.n
-        for w in state:
+        for w in row:
             vec[w] = 1
-        payload = DegreeAndSketch(len(state), sketch.encode(self.params, vec))
+        payload = DegreeAndSketch(len(row), sketch.encode(self.params, vec))
         return make_message(payload, self.n, self.params.p)
 
-    def update(self, node, state, rnd, messages):
+    def deliver(self, known, rnd, messages):
         pairs = [(m.payload.degree, m.payload.sketch) for m in messages]
-        return peel_from_messages(pairs, self.params, self.d), True
+        return self.after_peel(peel_from_messages(pairs, self.params, self.d)), True
 
-    def output(self, node, state):
-        return state
+    def after_peel(self, peel: PruningResult):
+        """The common answer read off the shared peel."""
+        return peel
 
 
 def prune_one_round(rows: Sequence[AdjacencyRow], d: int):
@@ -296,40 +287,26 @@ def sparsity_parameter(n: int, r: int) -> int:
     return nth_root_ceil(n, r)
 
 
-class _OneRoundConnectivity(Protocol):
+class _OneRoundConnectivity(_PruneProtocol):
+    """The pruning round at bound s, on each node's short-cycle-free row."""
+
     name = "connectivity_one_round_r"
-    round_budget = 1
 
     def __init__(self, n: int, r: int, s: int, params: sketch.SketchParams):
-        self.n = n
+        super().__init__(n, s, params)
         self.r = r
-        self.s = s
-        self.params = params
 
-    def initial_state(self, node, node_input):
+    def row(self, node, node_input):
         # local, communication-free step: this node's row of the
         # short-cycle-free subgraph
         return tilde_row_local(node_input.ball, node, self.r)
 
-    def message(self, node, state, rnd):
-        vec = [0] * self.n
-        for w in state:
-            vec[w] = 1
-        payload = DegreeAndSketch(len(state), sketch.encode(self.params, vec))
-        return make_message(payload, self.n, self.params.p)
-
-    def update(self, node, state, rnd, messages):
-        pairs = [(m.payload.degree, m.payload.sketch) for m in messages]
-        peel = peel_from_messages(pairs, self.params, self.s)
+    def after_peel(self, peel):
         if peel.remaining:
             raise DegeneracyExceeded(
-                f"peel stalled with {len(peel.remaining)} nodes left at s={self.s}"
+                f"peel stalled with {len(peel.remaining)} nodes left at s={self.d}"
             )
-        labels, forest = components_and_forest(peel.reconstructed)
-        return (labels, forest), True
-
-    def output(self, node, state):
-        return state
+        return components_and_forest(peel.reconstructed)
 
 
 def connectivity_one_round_r(balls: Sequence[RadiusBall], r: int):
@@ -340,9 +317,9 @@ def connectivity_one_round_r(balls: Sequence[RadiusBall], r: int):
     n = len(balls)
     for i, b in enumerate(balls):
         if b.node != i:
-            raise ValueError(f"ball {i} is for node {b.node}")
+            raise BadParams(f"ball {i} is for node {b.node}")
         if b.ball.radius != r:
-            raise ValueError(f"ball of node {i} has radius {b.ball.radius}, expected {r}")
+            raise BadParams(f"ball of node {i} has radius {b.ball.radius}, expected {r}")
     s = sparsity_parameter(n, r)
     params = sketch.cached_params(n, s)
     proto = _OneRoundConnectivity(n, r, s, params)

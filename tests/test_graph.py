@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bclique import graph, verify
 from bclique.graph import (
     Graph,
     ball,
@@ -139,7 +140,7 @@ def test_core_peel_examples():
 
 
 def test_core_peel_rejects_negative_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         core_peel(gen_graph("path", 3), -1)
 
 
@@ -218,7 +219,7 @@ def test_has_short_cycle_examples():
     forest = gen_graph("random_forest", 20, seed=3)
     for bound in (3, 4, 5, 6):
         assert not has_short_cycle(forest, bound)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         has_short_cycle(c4, 2)
 
 
@@ -227,6 +228,16 @@ def test_has_short_cycle_examples():
 def test_has_short_cycle_matches_girth(idx, bound):
     g = seeded_graph(idx)
     assert has_short_cycle(g, bound) == girth_leq(g, bound)
+
+
+def test_verify_catches_a_short_cycle_search_one_hop_short(monkeypatch):
+    # the shipped self-check must not trust the search it checks: with the
+    # search behind tilde_row_local and tilde_global cut one hop short, the
+    # independent girth BFS in has_short_cycle still finds the kept cycles
+    real = graph._closes_short_cycle
+    monkeypatch.setattr(graph, "_closes_short_cycle",
+                        lambda adj, u, w, hops: real(adj, u, w, hops - 1))
+    assert verify.run_suite("small")["passed"] is False
 
 
 def test_tilde_examples():
@@ -294,7 +305,7 @@ def test_tilde_local_examples():
 
 def test_tilde_local_argument_checks():
     c4 = gen_graph("cycle", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         tilde_row_local(ball(c4, 2, 2), 1, 2)  # ball centered elsewhere
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclique.clique import adjacency_inputs, ball_inputs
-from bclique.errors import ForeignEdge, InvalidTranscript
+from bclique.errors import BadParams, ForeignEdge, InvalidTranscript
 from bclique.graph import Graph, components_and_forest, core_peel, gen_graph, tilde_global
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
@@ -29,7 +29,7 @@ from conftest import bfs_component_labels, edges_of_sequence, forest_ok
 # --- merge_step -----------------------------------------------------------------
 
 def test_merge_step_examples():
-    part = SupernodePartition.singletons(3, threshold=2)
+    part = SupernodePartition.singletons(3)
     merged = merge_step(part, {(0, 1), (1, 2)})
     assert merged.assignment == (0, 0, 0)
     assert merged.forest == ((0, 1), (1, 2))
@@ -42,21 +42,12 @@ def test_merge_step_examples():
 
 
 def test_merge_step_foreign_edge():
-    part = SupernodePartition.singletons(3, threshold=2)
+    part = SupernodePartition.singletons(3)
     edges = frozenset({(0, 1)})
     with pytest.raises(ForeignEdge):
         merge_step(part, {(1, 2)}, edges=edges)
     merged = merge_step(part, {(0, 1)}, edges=edges)
     assert merged.assignment == (0, 0, 2)
-
-
-def test_merge_step_active_flags():
-    part = SupernodePartition.singletons(4, threshold=3)
-    merged = merge_step(part, {(0, 1), (1, 2)})
-    # label 0 absorbed three singletons, label 3 only itself
-    assert merged.active_labels == frozenset({0})
-    small = merge_step(SupernodePartition.singletons(4, threshold=4), {(0, 1), (1, 2)})
-    assert small.active_labels == frozenset()
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -90,9 +81,9 @@ def test_spanning_forest_argument_checks():
     rows = adjacency_inputs(gen_graph("path", 3))
     with pytest.raises(TypeError):
         spanning_forest_multiround(rows, 0.5)  # floats are ambiguous
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         spanning_forest_multiround(rows, Fraction(3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         spanning_forest_multiround(rows, 0)
 
 
@@ -291,7 +282,7 @@ def test_one_round_single_node():
 
 def test_one_round_argument_checks():
     g = gen_graph("cycle", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         connectivity_one_round_r(ball_inputs(g, 2), 1)  # radius mismatch
     with pytest.raises(ValueError):
         connectivity_one_round_r(ball_inputs(g, 2), 0)
