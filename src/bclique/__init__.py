@@ -68,8 +68,10 @@ from .sketch import (
     build_params,
     cached_params,
     decode,
+    decode_support,
     encode,
     encode_basis,
+    encode_support,
     smallest_prime_above,
 )
 

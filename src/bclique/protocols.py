@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -81,9 +82,6 @@ class SupernodePartition:
     @staticmethod
     def singletons(n: int) -> "SupernodePartition":
         return SupernodePartition(tuple(range(n)), ())
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.assignment)))
 
 
 def merge_step(part: SupernodePartition, announced,
@@ -192,6 +190,12 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
     basis encoding from each live neighbor's sketch.  Needs no further
     communication.  Any inconsistency (undecodable sketch, dead or
     self-referential neighbor, negative degree) raises InvalidTranscript.
+
+    Eligible nodes wait in a min-heap (the bucket idea of Matula & Beck's
+    smallest-last ordering).  Residual degrees only fall, so a node stays
+    eligible once it is; each node enters the heap once, at the start or
+    when its degree falls to d, and popping the heap yields the smallest
+    eligible id, as a scan over all nodes would.
     """
     n = params.n
     if len(msgs) != n:
@@ -204,17 +208,15 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
         degrees.append(deg)
         values.append(val)
     live = [True] * n
+    eligible = [v for v in range(n) if degrees[v] <= d]  # ascending, so a heap
     sequence: list[tuple[int, tuple[int, ...]]] = []
     edges: list[Edge] = []
-    while True:
-        k = next((v for v in range(n) if live[v] and degrees[v] <= d), None)
-        if k is None:
-            break
+    while eligible:
+        k = heapq.heappop(eligible)
         try:
-            vec = sketch.decode(params, values[k], expected_weight=degrees[k])
+            nbrs = sketch.decode_support(params, values[k], expected_weight=degrees[k])
         except (NotDecodable, WeightMismatch) as exc:
             raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
-        nbrs = tuple(i for i, bit in enumerate(vec) if bit)
         live[k] = False
         basis_k = sketch.encode_basis(params, k)
         for j in nbrs:
@@ -223,6 +225,8 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
             degrees[j] -= 1
             if degrees[j] < 0:
                 raise InvalidTranscript(f"residual degree of node {j} went negative")
+            if degrees[j] == d:
+                heapq.heappush(eligible, j)
             values[j] = (values[j] - basis_k) % params.p
         sequence.append((k, nbrs))
         edges.extend(normalize_edge(k, j) for j in nbrs)
@@ -248,10 +252,7 @@ class _PruneProtocol(Protocol):
 
     def message(self, node, node_input, known, rnd):
         row = self.row(node, node_input)
-        vec = [0] * self.n
-        for w in row:
-            vec[w] = 1
-        payload = DegreeAndSketch(len(row), sketch.encode(self.params, vec))
+        payload = DegreeAndSketch(len(row), sketch.encode_support(self.params, row))
         return make_message(payload, self.n, self.params.p)
 
     def deliver(self, known, rnd, messages):

@@ -37,7 +37,7 @@ DEFAULT_TABLE_CAP = 5_000_000
 def smallest_prime_above(m: int) -> int:
     """Least prime strictly greater than m, for m >= 1."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadParams("m must be >= 1")
     if m < 2:
         return 2
     c = m + 1
@@ -180,6 +180,23 @@ def encode(params: SketchParams, v: Sequence[int]) -> FieldElement:
     return sum(c * w for c, w in zip(v, params.powers) if c) % params.p
 
 
+def encode_support(params: SketchParams, support: Iterable[int]) -> FieldElement:
+    """Encoding of the Boolean vector whose ones sit at `support`: the sum of
+    powers[i] mod p, equal to encode on the dense vector and O(len(support)).
+
+    Raises IndexOutOfRange for an index outside 0..n-1; a negative index
+    must not wrap around to the end of the power table.
+    """
+    n = params.n
+    powers = params.powers
+    total = 0
+    for i in support:
+        if not 0 <= i < n:
+            raise IndexOutOfRange(f"support index {i} outside 0..{n - 1}")
+        total += powers[i]
+    return total % params.p
+
+
 def encode_basis(params: SketchParams, k: int) -> FieldElement:
     """Encoding of the k-th standard basis vector (just powers[k])."""
     if not 0 <= k < params.n:
@@ -187,15 +204,17 @@ def encode_basis(params: SketchParams, k: int) -> FieldElement:
     return params.powers[k]
 
 
-def decode(params: SketchParams, y: FieldElement,
-           expected_weight: int | None = None) -> tuple[int, ...]:
-    """Recover the unique Boolean vector of weight <= d encoding to y.
+def decode_support(params: SketchParams, y: FieldElement,
+                   expected_weight: int | None = None) -> tuple[int, ...]:
+    """Sorted support of the unique Boolean vector of weight <= d encoding
+    to y, found without building the dense n-vector.
 
-    Raises NotDecodable when no such vector exists and WeightMismatch when
-    one exists but its weight differs from expected_weight.
+    Raises BadParams when y is not a field element, NotDecodable when no
+    such vector exists and WeightMismatch when one exists but its weight
+    differs from expected_weight.
     """
     if not 0 <= y < params.p:
-        raise ValueError(f"field element {y} outside 0..p-1")
+        raise BadParams(f"field element {y} outside 0..p-1")
     if params._binary:
         if y >= (1 << params.n):
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
@@ -204,12 +223,29 @@ def decode(params: SketchParams, y: FieldElement,
         mask = params._decode_table().get(y)
         if mask is None:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
-    bits = tuple((mask >> i) & 1 for i in range(params.n))
-    weight = sum(bits)
+    weight = mask.bit_count()
     if weight > params.d:
         raise NotDecodable(f"{y} encodes a vector of weight {weight} > d={params.d}")
     if expected_weight is not None and weight != expected_weight:
         raise WeightMismatch(
             f"decoded weight {weight} but {expected_weight} was announced"
         )
-    return bits
+    support = []
+    while mask:
+        low = mask & -mask
+        support.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(support)
+
+
+def decode(params: SketchParams, y: FieldElement,
+           expected_weight: int | None = None) -> tuple[int, ...]:
+    """Recover the unique Boolean vector of weight <= d encoding to y, as a
+    dense n-tuple of 0/1 entries.
+
+    Raises what decode_support raises.
+    """
+    bits = [0] * params.n
+    for i in decode_support(params, y, expected_weight):
+        bits[i] = 1
+    return tuple(bits)

@@ -117,7 +117,10 @@ def check_sketch_grid(max_n: int, max_d: int):
                 if y in seen:
                     collisions += 1
                 seen[y] = vec
-                if sketch.decode(params, y, expected_weight=len(support)) != vec:
+                w = len(support)
+                if (sketch.decode(params, y, expected_weight=w) != vec
+                        or sketch.decode_support(params, y, expected_weight=w) != support
+                        or sketch.encode_support(params, support) != y):
                     roundtrip_failures += 1
     ok = collisions == 0 and roundtrip_failures == 0 and size_violations == 0
     detail = (f"n<= {max_n}, d<= {max_d}: {collisions} collisions, "

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bclique.clique import adjacency_inputs, ball_inputs
@@ -20,7 +20,7 @@ from bclique.protocols import (
     spanning_forest_multiround,
     sparsity_parameter,
 )
-from bclique.sketch import cached_params, encode
+from bclique.sketch import cached_params, encode, encode_support
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import bfs_component_labels, edges_of_sequence, forest_ok
@@ -169,6 +169,50 @@ def test_peel_from_messages_rejects_bad_vector_shape():
         peel_from_messages([(1, P4_PARAMS.p)] + P4_MESSAGES[1:], P4_PARAMS, 1)
 
 
+# (16, 1) decodes through the lookup table, (6, 2) by bit extraction
+FUZZ_PARAMS = (cached_params(16, 1), cached_params(6, 2))
+
+
+@st.composite
+def fuzzed_messages(draw):
+    """(params, d, messages): an honest prune transcript of a random graph
+    with some entries corrupted, or one drawn entirely at random."""
+    params = draw(st.sampled_from(FUZZ_PARAMS), label="params")
+    n, p = params.n, params.p
+    d = draw(st.integers(min_value=0, max_value=params.d + 1), label="d")
+    if draw(st.booleans(), label="honest base"):
+        g = gen_graph("gnp", n, seed=draw(st.integers(0, 10**6)),
+                      q=draw(st.sampled_from((0.05, 0.15, 0.3))))
+        msgs = [(len(g.rows[v]), encode_support(params, g.rows[v])) for v in range(n)]
+        for _ in range(draw(st.integers(min_value=0, max_value=3), label="corruptions")):
+            v = draw(st.integers(min_value=0, max_value=n - 1))
+            deg, val = msgs[v]
+            if draw(st.booleans()):
+                deg = max(0, deg + draw(st.integers(min_value=-2, max_value=2)))
+            else:
+                val = (val + draw(st.integers(min_value=1, max_value=p - 1))) % p
+            msgs[v] = (deg, val)
+    else:
+        length = draw(st.integers(min_value=max(0, n - 1), max_value=n + 1), label="length")
+        msgs = draw(st.lists(st.tuples(st.integers(min_value=-1, max_value=n + 1),
+                                       st.integers(min_value=-1, max_value=p)),
+                             min_size=length, max_size=length), label="messages")
+    return params, d, msgs
+
+
+@given(fuzzed_messages())
+@settings(max_examples=300, deadline=None)
+def test_peel_from_messages_fuzzed_transcripts(case):
+    params, d, msgs = case
+    try:
+        result = peel_from_messages(msgs, params, d)
+    except InvalidTranscript:
+        return
+    peeled = [k for k, _ in result.sequence]
+    assert sorted(peeled + list(result.remaining)) == list(range(params.n))
+    assert all(deg > d for _, deg in result.residual_degrees)
+
+
 # --- prune_one_round ----------------------------------------------------------------
 
 def test_prune_examples():
@@ -216,6 +260,32 @@ def test_prune_reconstructs_degenerate_graphs():
         g = gen_graph("random_degenerate", 6 + 4 * seed, seed=seed, d=d)
         result, _ = prune_one_round(adjacency_inputs(g), d)
         assert result.fully_reconstructed
+        assert result.reconstructed == g
+
+
+@given(kind=st.sampled_from(("gnp", "random_degenerate")),
+       n=st.integers(min_value=1, max_value=24),
+       d=st.integers(min_value=0, max_value=3),
+       seed=st.integers(min_value=0, max_value=10**6),
+       q=st.sampled_from((0.1, 0.2, 0.35, 0.5)),
+       graph_d=st.integers(min_value=0, max_value=4))
+@example(kind="gnp", n=12, d=1, seed=0, q=0.5, graph_d=0)  # stalls on a dense core
+@settings(max_examples=150, deadline=None)
+def test_prune_matches_core_peel_random_graphs(kind, n, d, seed, q, graph_d):
+    d = min(d, n)
+    if kind == "gnp":
+        g = gen_graph("gnp", n, seed=seed, q=q)
+    else:
+        g = gen_graph("random_degenerate", n, seed=seed, d=graph_d)
+    result, _ = prune_one_round(adjacency_inputs(g), d)
+    seq, remaining = core_peel(g, d)
+    assert result.sequence == seq
+    assert result.remaining == remaining
+    alive = set(remaining)
+    assert result.residual_degrees == tuple(
+        (v, sum(1 for w in g.rows[v] if w in alive)) for v in remaining)
+    assert result.fully_reconstructed == (not remaining)
+    if not remaining:
         assert result.reconstructed == g
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclique.errors import (
+    BadParams,
     CapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
@@ -21,8 +22,10 @@ from bclique.sketch import (
     build_params,
     cached_params,
     decode,
+    decode_support,
     encode,
     encode_basis,
+    encode_support,
     smallest_prime_above,
 )
 
@@ -70,7 +73,7 @@ def test_smallest_prime_above_matches_trial_division(m):
 
 
 def test_smallest_prime_above_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         smallest_prime_above(0)
 
 
@@ -180,6 +183,16 @@ def test_encode_linearity(data):
     assert encode(params, diff) == (encode(params, u) - encode(params, v)) % params.p
 
 
+# --- encode_support -----------------------------------------------------------
+
+def test_encode_support_rejects_out_of_range_indices():
+    params = cached_params(4, 1)
+    for bad in (-1, 4):
+        with pytest.raises(IndexOutOfRange):
+            encode_support(params, (0, bad))
+    assert encode_support(params, ()) == 0
+
+
 # --- encode_basis ------------------------------------------------------------
 
 def test_encode_basis_examples():
@@ -220,10 +233,11 @@ def test_decode_weight_mismatch():
 
 def test_decode_rejects_out_of_field_values():
     params = cached_params(4, 1)
-    with pytest.raises(ValueError):
-        decode(params, params.p)
-    with pytest.raises(ValueError):
-        decode(params, -1)
+    for y in (params.p, -1):
+        with pytest.raises(BadParams):
+            decode(params, y)
+        with pytest.raises(BadParams):
+            decode_support(params, y)
 
 
 def test_decode_not_decodable_on_table_path():
@@ -254,6 +268,34 @@ def test_round_trip_and_injectivity_small_grid():
                 assert y not in seen, (n, d, b)
                 seen.add(y)
                 assert decode(params, y, expected_weight=sum(b)) == b
+
+
+def test_support_functions_agree_with_dense_ones_on_both_paths():
+    paths = set()
+    for n in range(1, 17):
+        for d in range(0, min(n, 2) + 1):
+            params = cached_params(n, d)
+            paths.add(params._binary)
+            for w in range(d + 1):
+                for support in itertools.combinations(range(n), w):
+                    vec = tuple(1 if i in support else 0 for i in range(n))
+                    y = encode(params, vec)
+                    assert encode_support(params, support) == y, (n, d, support)
+                    assert decode_support(params, y, expected_weight=w) == support
+                    assert decode(params, y, expected_weight=w) == vec
+    assert paths == {True, False}
+
+
+def test_decode_support_errors_match_decode():
+    table_path = cached_params(16, 1)
+    binary_path = cached_params(4, 2)
+    for params, y in ((table_path, 3), (binary_path, 7), (binary_path, 16)):
+        for fn in (decode, decode_support):
+            with pytest.raises(NotDecodable):
+                fn(params, y)
+    for fn in (decode, decode_support):
+        with pytest.raises(WeightMismatch):
+            fn(binary_path, 5, expected_weight=1)
 
 
 def test_xbar_is_minimal():
