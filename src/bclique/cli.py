@@ -118,6 +118,7 @@ def _cmd_params(args) -> tuple[dict, int]:
         "p_bits": params.p_bits,
         "p_bits_bound": sketch_bits_bound(args.n, args.d),
         "domain_size": params.domain_size,
+        "table_entries": params.table_entries,
     }, 0
 
 

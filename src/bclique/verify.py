@@ -99,31 +99,33 @@ def forest_is_valid(g: Graph, labels, forest) -> bool:
     return len(forest) == g.n - len(set(labels))
 
 
-def check_sketch_grid(max_n: int, max_d: int):
-    """Exhaustive injectivity, round-trip, and size bound over a grid."""
+def check_sketch_grid(max_n: int, max_d: int, extra_shapes=()):
+    """Exhaustive injectivity, round-trip, and size bound over the (n, d)
+    grid up to (max_n, max_d) plus `extra_shapes`."""
     collisions = 0
     roundtrip_failures = 0
     size_violations = 0
-    for n in range(1, max_n + 1):
-        for d in range(0, min(max_d, n) + 1):
-            params = sketch.cached_params(n, d)
-            if params.p_bits > sketch_bits_bound(n, d):
-                size_violations += 1
-            seen = {}
-            for support in itertools.chain.from_iterable(
-                    itertools.combinations(range(n), w) for w in range(d + 1)):
-                vec = tuple(1 if i in support else 0 for i in range(n))
-                y = sketch.encode(params, vec)
-                if y in seen:
-                    collisions += 1
-                seen[y] = vec
-                w = len(support)
-                if (sketch.decode(params, y, expected_weight=w) != vec
-                        or sketch.decode_support(params, y, expected_weight=w) != support
-                        or sketch.encode_support(params, support) != y):
-                    roundtrip_failures += 1
+    grid = [(n, d) for n in range(1, max_n + 1) for d in range(0, min(max_d, n) + 1)]
+    for n, d in grid + list(extra_shapes):
+        params = sketch.cached_params(n, d)
+        if params.p_bits > sketch_bits_bound(n, d):
+            size_violations += 1
+        seen = {}
+        for support in itertools.chain.from_iterable(
+                itertools.combinations(range(n), w) for w in range(d + 1)):
+            vec = tuple(1 if i in support else 0 for i in range(n))
+            y = sketch.encode(params, vec)
+            if y in seen:
+                collisions += 1
+            seen[y] = vec
+            w = len(support)
+            if (sketch.decode(params, y, expected_weight=w) != vec
+                    or sketch.decode_support(params, y, expected_weight=w) != support
+                    or sketch.encode_support(params, support) != y):
+                roundtrip_failures += 1
     ok = collisions == 0 and roundtrip_failures == 0 and size_violations == 0
-    detail = (f"n<= {max_n}, d<= {max_d}: {collisions} collisions, "
+    shapes = f" and {list(extra_shapes)}" if extra_shapes else ""
+    detail = (f"n<= {max_n}, d<= {max_d}{shapes}: {collisions} collisions, "
               f"{roundtrip_failures} round-trip failures, {size_violations} size violations")
     return ok, detail
 
@@ -196,7 +198,9 @@ def _detail(total: int, failures: list[str]) -> str:
 
 _SUITES = {
     "small": {
-        "sketch_grid": (8, 2),
+        # the grid reaches the table decode path only at (1, 1); the extra
+        # shapes have 2**n > p, so they decode through the table
+        "sketch_grid": (8, 2, ((12, 1), (24, 2), (30, 2))),
         "corpus": (14, (2, 3, 4, 6, 8, 12, 16, 24), 100),
         "ds": (0, 1, 2),
         "eps": ("1", "1/2"),
@@ -204,7 +208,7 @@ _SUITES = {
         "one_round_max_n": None,
     },
     "full": {
-        "sketch_grid": (16, 3),
+        "sketch_grid": (16, 3, ((24, 2), (30, 2), (40, 3))),
         "corpus": (40, (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 56, 63, 64), 200),
         "ds": (0, 1, 2, 3),
         "eps": ("1", "1/2", "1/3"),

@@ -3,6 +3,7 @@ the package's own implementations."""
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import networkx as nx
@@ -91,6 +92,21 @@ def residual_core(g: Graph, d: int) -> tuple[int, ...]:
         if not doomed:
             return tuple(sorted(alive))
         alive -= doomed
+
+
+def enumerated_table(n: int, d: int, x: int, p: int):
+    """Value -> support-mask table of every Boolean n-vector of weight <= d
+    under the evaluation point x, or None on the first collision, by direct
+    enumeration of the supports with itertools.combinations."""
+    powers = [pow(x, i, p) for i in range(n)]
+    table = {}
+    for w in range(d + 1):
+        for support in itertools.combinations(range(n), w):
+            value = sum(powers[i] for i in support) % p
+            if value in table:
+                return None
+            table[value] = sum(1 << i for i in support)
+    return table
 
 
 def edges_of_sequence(sequence):

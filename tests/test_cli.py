@@ -26,6 +26,10 @@ def test_params_command(capsys):
     assert code == 0
     assert doc["p"] == "101" and doc["xbar"] == 2 and doc["p_bits"] == 7
     assert doc["schema_version"] == 1
+    assert doc["table_entries"] == 0  # binary path: no decode table
+    code, doc = run_json(capsys, ["params", "--n", "16", "--d", "1"])
+    assert code == 0
+    assert doc["table_entries"] == doc["domain_size"] == 17
 
 
 def test_prune_command(capsys, p4_file):

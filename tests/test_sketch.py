@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bclique import sketch, verify
 from bclique.errors import (
     BadParams,
     CapExceeded,
@@ -19,6 +20,7 @@ from bclique.errors import (
 )
 from bclique.intmath import ceil_log2, is_prime
 from bclique.sketch import (
+    DEFAULT_TABLE_CAP,
     build_params,
     cached_params,
     decode,
@@ -28,6 +30,8 @@ from bclique.sketch import (
     encode_support,
     smallest_prime_above,
 )
+
+from conftest import enumerated_table
 
 
 # --- independent oracles -----------------------------------------------------
@@ -122,10 +126,25 @@ def test_build_params_is_deterministic():
 
 
 def test_build_params_cap_exceeded():
+    # table shapes: 2**n > p, so the C(n, <=d) decode table would be built
     with pytest.raises(CapExceeded):
-        build_params(64, 8)
+        build_params(200, 4)
     with pytest.raises(CapExceeded):
-        build_params(10, 2, table_cap=10)
+        build_params(20, 1, table_cap=10)
+
+
+@pytest.mark.parametrize("n, d, cap", [(64, 8, DEFAULT_TABLE_CAP), (10, 2, 10),
+                                       (100, 10, DEFAULT_TABLE_CAP),
+                                       (64, 5, DEFAULT_TABLE_CAP)])
+def test_build_params_cap_spares_binary_shapes(n, d, cap):
+    # 2**n <= p: encodings are binary numbers and no table is built, so the
+    # domain size may exceed the cap
+    params = build_params(n, d, table_cap=cap)
+    assert params.domain_size > cap
+    assert params._binary and params.xbar == 2
+    assert params._table is None and params.table_entries == 0
+    support = tuple(range(0, n, n // d))[:d]
+    assert decode_support(params, encode_support(params, support)) == support
 
 
 def test_build_params_rejects_bad_arguments():
@@ -307,6 +326,45 @@ def test_xbar_is_minimal():
                 values = [sum(b[i] * x**i for i in range(n)) % params.p
                           for b in naive_sparse_vectors(n, d)]
                 assert len(set(values)) < len(values), (n, d, x)
+
+
+TABLE_SHAPES = [(n, d) for n in range(1, 17) for d in range(0, min(n, 3) + 1)
+                if not cached_params(n, d)._binary] + [(24, 2), (40, 3)]
+
+
+@pytest.mark.parametrize("n, d", TABLE_SHAPES)
+def test_layered_table_matches_enumeration(n, d):
+    params = cached_params(n, d)
+    assert not params._binary
+    table = sketch._injective_at(n, d, params.xbar, params.p)
+    expected = enumerated_table(n, d, params.xbar, params.p)
+    assert list(table.items()) == list(expected.items())
+    assert params._decode_table() == expected
+    for x in range(params.xbar):
+        assert sketch._injective_at(n, d, x, params.p) is None, x
+        assert enumerated_table(n, d, x, params.p) is None, x
+
+
+def test_verify_catches_a_broken_decode_table(monkeypatch):
+    # the shipped self-check encodes with encode and tracks collisions in
+    # its own dict, so its small suite fails on a table built wrong
+    real = sketch._injective_at
+
+    def broken(n, d, x, p):
+        table = real(n, d, x, p)
+        if table is not None and len(table) > 2:
+            # the last two supports decode to each other
+            y, z = list(table)[-2:]
+            table[y], table[z] = table[z], table[y]
+        return table
+
+    monkeypatch.setattr(sketch, "_injective_at", broken)
+    sketch.cached_params.cache_clear()
+    try:
+        ok, detail = verify.check_sketch_grid(*verify._SUITES["small"]["sketch_grid"])
+    finally:
+        sketch.cached_params.cache_clear()
+    assert not ok, detail
 
 
 def test_size_bound_small_grid():
