@@ -12,20 +12,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import verify
 from .clique import adjacency_inputs, ball_inputs
 from .errors import BcliqueError
-from .graph import (
-    components_and_forest,
-    core_peel,
-    gen_graph,
-    load_graph,
-    serialize_graph,
-    tilde_global,
-)
+from .graph import gen_graph, load_graph, serialize_graph
 from .protocols import (
     connectivity_one_round_r,
     forest_neighbor_cap,
@@ -38,45 +30,6 @@ from .protocols import (
 from .sketch import cached_params
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunReport:
-    """One protocol run: what ran, what came out, and whether the brute-force
-    oracle agrees.  wall_ms is kept off the stdout document so repeated runs
-    stay byte-identical."""
-
-    protocol: str
-    n: int
-    parameters: dict
-    rounds_used: int
-    per_node_bits: int
-    labels: list | None
-    forest: list | None
-    sketch_p: str | None
-    sketch_xbar: int | None
-    oracle_agreement: bool
-    wall_ms: float
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        doc = {
-            "protocol": self.protocol,
-            "n": self.n,
-            "parameters": self.parameters,
-            "rounds_used": self.rounds_used,
-            "per_node_bits": self.per_node_bits,
-            "labels": self.labels,
-            "forest": self.forest,
-            "oracle_agreement": self.oracle_agreement,
-        }
-        if self.sketch_p is not None:
-            doc["p"] = self.sketch_p
-            doc["xbar"] = self.sketch_xbar
-        if include_timing:
-            doc["wall_ms"] = self.wall_ms
-        doc.update(self.extra)
-        return doc
 
 
 def _emit(doc: dict) -> None:
@@ -127,29 +80,19 @@ def _cmd_prune(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     result, transcript = prune_one_round(adjacency_inputs(g), args.d)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    seq, remaining = core_peel(g, args.d)
-    agree = result.sequence == seq and result.remaining == remaining
     params = cached_params(g.n, args.d)
-    report = RunReport(
-        protocol="prune_one_round",
-        n=g.n,
-        parameters={"d": args.d},
-        rounds_used=transcript.rounds_used,
-        per_node_bits=transcript.per_node_bits,
+    return _finish(
+        args, "prune", "prune_one_round", g, {"d": args.d}, transcript, wall_ms,
+        verify.prune_ok(g, args.d, result, transcript),
         labels=None,
         forest=None,
-        sketch_p=str(params.p),
-        sketch_xbar=params.xbar,
-        oracle_agreement=agree,
-        wall_ms=wall_ms,
-        extra={
-            "sequence": [[node, list(nbrs)] for node, nbrs in result.sequence],
-            "remaining": list(result.remaining),
-            "residual_degrees": [[v, deg] for v, deg in result.residual_degrees],
-            "fully_reconstructed": result.fully_reconstructed,
-        },
+        p=str(params.p),
+        xbar=params.xbar,
+        sequence=[[node, list(nbrs)] for node, nbrs in result.sequence],
+        remaining=list(result.remaining),
+        residual_degrees=[[v, deg] for v, deg in result.residual_degrees],
+        fully_reconstructed=result.fully_reconstructed,
     )
-    return _finish(args, "prune", report, transcript)
 
 
 def _cmd_components(args) -> tuple[dict, int]:
@@ -157,27 +100,16 @@ def _cmd_components(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), args.eps)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    oracle_labels, _ = components_and_forest(g)
-    agree = labels == oracle_labels and verify.forest_is_valid(g, labels, forest)
-    report = RunReport(
-        protocol="spanning_forest_multiround",
-        n=g.n,
-        parameters={"eps": str(args.eps)},
-        rounds_used=transcript.rounds_used,
-        per_node_bits=transcript.per_node_bits,
+    return _finish(
+        args, "components", "spanning_forest_multiround", g, {"eps": str(args.eps)},
+        transcript, wall_ms,
+        verify.forest_ok(g, args.eps, labels, forest, transcript),
         labels=list(labels),
         forest=[list(e) for e in forest],
-        sketch_p=None,
-        sketch_xbar=None,
-        oracle_agreement=agree,
-        wall_ms=wall_ms,
-        extra={
-            "component_count": len(set(labels)),
-            "round_budget": forest_round_budget(args.eps),
-            "neighbor_cap": forest_neighbor_cap(g.n, args.eps),
-        },
+        component_count=len(set(labels)),
+        round_budget=forest_round_budget(args.eps),
+        neighbor_cap=forest_neighbor_cap(g.n, args.eps),
     )
-    return _finish(args, "components", report, transcript)
 
 
 def _cmd_one_round(args) -> tuple[dict, int]:
@@ -185,40 +117,42 @@ def _cmd_one_round(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, args.r), args.r)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    oracle_labels, _ = components_and_forest(g)
-    tilde = tilde_global(g, args.r).tilde
-    agree = (labels == oracle_labels
-             and verify.forest_is_valid(g, labels, forest)
-             and set(forest) <= set(tilde.edges()))
     s = sparsity_parameter(g.n, args.r)
     params = cached_params(g.n, s)
-    report = RunReport(
-        protocol="connectivity_one_round_r",
-        n=g.n,
-        parameters={"r": args.r, "s": s},
-        rounds_used=transcript.rounds_used,
-        per_node_bits=transcript.per_node_bits,
+    # each node sketched its row of the short-cycle-free subgraph
+    kept_edges = sum(m.payload.degree for m in transcript.rounds[0]) // 2
+    return _finish(
+        args, "one-round", "connectivity_one_round_r", g, {"r": args.r, "s": s},
+        transcript, wall_ms,
+        verify.one_round_ok(g, args.r, labels, forest, transcript),
         labels=list(labels),
         forest=[list(e) for e in forest],
-        sketch_p=str(params.p),
-        sketch_xbar=params.xbar,
-        oracle_agreement=agree,
-        wall_ms=wall_ms,
-        extra={
-            "component_count": len(set(labels)),
-            "removed_edge_count": len(g.edges()) - len(tilde.edges()),
-        },
+        p=str(params.p),
+        xbar=params.xbar,
+        component_count=len(set(labels)),
+        removed_edge_count=len(g.edges()) - kept_edges,
     )
-    return _finish(args, "one-round", report, transcript)
 
 
-def _finish(args, command: str, report: RunReport, transcript) -> tuple[dict, int]:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command}
-    doc.update(report.to_json_dict())
-    if getattr(args, "transcript", False):
+def _finish(args, command: str, protocol: str, g, parameters: dict, transcript,
+            wall_ms: float, agree: bool, **fields) -> tuple[dict, int]:
+    """The report of one protocol run.  wall_ms goes to stderr, so repeated
+    runs print byte-identical documents."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "protocol": protocol,
+        "n": g.n,
+        "parameters": parameters,
+        "rounds_used": transcript.rounds_used,
+        "per_node_bits": transcript.per_node_bits,
+        "oracle_agreement": agree,
+        **fields,
+    }
+    if args.transcript:
         doc["transcript"] = transcript.to_json_dict()
-    print(f"elapsed_ms={report.wall_ms:.1f}", file=sys.stderr)
-    if not report.oracle_agreement:
+    print(f"elapsed_ms={wall_ms:.1f}", file=sys.stderr)
+    if not agree:
         doc["error"] = {"type": "OracleMismatch",
                         "message": "protocol output disagrees with the brute-force oracle"}
         return doc, 1

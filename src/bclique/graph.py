@@ -59,10 +59,6 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges())
 
-    def boolean_row(self, v: int) -> tuple[int, ...]:
-        row = set(self.rows[v])
-        return tuple(1 if j in row else 0 for j in range(self.n))
-
 
 @dataclass(frozen=True)
 class Ball:

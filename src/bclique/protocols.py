@@ -63,11 +63,6 @@ def sketch_bits_bound(n: int, d: int) -> int:
     return 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
 
 
-def sketch_message_bits(n: int, params: sketch.SketchParams) -> int:
-    """Size of one (degree, sketch) message: a degree plus one field element."""
-    return message_bits(DegreeAndSketch(0, 0), n, params.p)
-
-
 @dataclass(frozen=True)
 class SupernodePartition:
     """Grouping of nodes into supernodes, labeled by minimum member id.

@@ -19,7 +19,6 @@ are never capped.  The table build takes about 0.2 s at (n, d) = (112, 3),
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -60,15 +59,16 @@ class SketchParams:
     """Frozen parameters of one sketch: dimension n, sparsity bound d,
     modulus p, evaluation point xbar, and the power table xbar**i mod p.
 
-    Construct through :func:`build_params`.  Instances are immutable and
-    safe to share across threads; the decode lookup table is built lazily
-    under a lock the first time a table-based decode is needed.
+    Construct through :func:`build_params`, which also builds the
+    value->support-mask decode table (None on binary shapes, which decode
+    by bit extraction).  Instances are immutable and safe to share across
+    threads.
     """
 
     __slots__ = ("n", "d", "p", "xbar", "powers", "table_cap", "domain_size",
-                 "_binary", "_table", "_lock")
+                 "_binary", "_table")
 
-    def __init__(self, n, d, p, xbar, powers, table_cap, domain_size, table=None):
+    def __init__(self, n, d, p, xbar, powers, table_cap, domain_size, table):
         self.n = n
         self.d = d
         self.p = p
@@ -80,7 +80,6 @@ class SketchParams:
         # so decoding is bit extraction and no table is ever materialized.
         self._binary = xbar == 2 and (1 << n) <= p
         self._table = table
-        self._lock = threading.Lock()
 
     @property
     def p_bits(self) -> int:
@@ -95,15 +94,6 @@ class SketchParams:
         """Size of the decode table: C(n, <=d), or 0 on the binary path,
         which never builds one."""
         return 0 if self._binary else self.domain_size
-
-    def _decode_table(self) -> dict[int, int]:
-        table = self._table
-        if table is None:
-            with self._lock:
-                if self._table is None:
-                    self._table = _injective_at(self.n, self.d, self.xbar, self.p)
-                table = self._table
-        return table
 
 
 def _injective_at(n: int, d: int, x: int, p: int):
@@ -234,7 +224,7 @@ def decode_support(params: SketchParams, y: FieldElement,
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
         mask = y
     else:
-        mask = params._decode_table().get(y)
+        mask = params._table.get(y)
         if mask is None:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
     weight = mask.bit_count()

@@ -1,6 +1,10 @@
 """Self-check suites: protocol runs compared against brute-force oracles on
 deterministic seeded graph corpora.  The command line exposes these as
 `verify --suite small|full`; the heavier acceptance tests reuse the corpora.
+
+prune_ok, forest_ok and one_round_ok decide whether one protocol run met
+its guarantees.  The suites call them on every corpus case, and the protocol
+commands of the command line call them for `oracle_agreement`.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ from .graph import (
     tilde_row_local,
     ball,
 )
+from .intmath import ceil_log2
 from .protocols import (
     connectivity_one_round_r,
     forest_message_bits,
     forest_round_budget,
     prune_one_round,
     sketch_bits_bound,
-    sketch_message_bits,
     spanning_forest_multiround,
     sparsity_parameter,
 )
@@ -119,10 +123,13 @@ def check_sketch_grid(max_n: int, max_d: int, extra_shapes=()):
                 collisions += 1
             seen[y] = vec
             w = len(support)
-            if (sketch.decode(params, y, expected_weight=w) != vec
-                    or sketch.decode_support(params, y, expected_weight=w) != support
-                    or sketch.encode_support(params, support) != y):
-                roundtrip_failures += 1
+            try:
+                ok = (sketch.decode(params, y, expected_weight=w) == vec
+                      and sketch.decode_support(params, y, expected_weight=w) == support
+                      and sketch.encode_support(params, support) == y)
+            except BcliqueError:
+                ok = False
+            roundtrip_failures += not ok
     ok = collisions == 0 and roundtrip_failures == 0 and size_violations == 0
     shapes = f" and {list(extra_shapes)}" if extra_shapes else ""
     detail = (f"n<= {max_n}, d<= {max_d}{shapes}: {collisions} collisions, "
@@ -130,63 +137,93 @@ def check_sketch_grid(max_n: int, max_d: int, extra_shapes=()):
     return ok, detail
 
 
-def check_prune(graphs, ds):
+def prune_ok(g: Graph, d: int, result, transcript) -> bool:
+    """Whether one prune_one_round run on g at bound d met the paper's
+    guarantee: the greedy peel's sequence and survivors, the whole graph
+    when nothing survives, one round, and (degree, sketch) messages within
+    the analytic bound."""
+    seq, remaining = core_peel(g, d)
+    ok = (result.sequence == seq
+          and result.remaining == remaining
+          and transcript.rounds_used == 1
+          and transcript.per_node_bits <= ceil_log2(g.n) + sketch_bits_bound(g.n, d))
+    if ok and not remaining:
+        ok = result.fully_reconstructed and result.reconstructed == g
+    return ok
+
+
+def forest_ok(g: Graph, eps, labels, forest, transcript) -> bool:
+    """Whether one spanning_forest_multiround run on g at eps found the
+    components and a spanning forest of them within ceil(1/eps) rounds of
+    capped neighbor lists."""
+    eps = Fraction(eps)
+    return (labels == components_and_forest(g)[0]
+            and forest_is_valid(g, labels, forest)
+            and transcript.rounds_used <= forest_round_budget(eps)
+            and transcript.per_node_bits <= forest_message_bits(g.n, eps))
+
+
+def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:
+    """Whether one connectivity_one_round_r run on g at radius r found the
+    components and a spanning forest of the short-cycle-free subgraph in one
+    round of (degree, sketch) messages within the analytic bound; also checks
+    each node's local row against the global subgraph, which must keep the
+    components and have no cycle of length <= 2r."""
+    oracle_labels, _ = components_and_forest(g)
+    tr = tilde_global(g, r)
+    local_rows = tuple(tilde_row_local(ball(g, v, r), v, r) for v in range(g.n))
+    s = sparsity_parameter(g.n, r)
+    return (labels == oracle_labels
+            and transcript.rounds_used == 1
+            and transcript.per_node_bits <= ceil_log2(g.n) + sketch_bits_bound(g.n, s)
+            and local_rows == tr.tilde.rows
+            and components_and_forest(tr.tilde)[0] == oracle_labels
+            and forest_is_valid(g, labels, forest)
+            and set(forest) <= set(tr.tilde.edges())
+            and (2 * r < 3 or not has_short_cycle(tr.tilde, 2 * r)))
+
+
+def _check_cases(run, cases):
+    """Run run(*args) for every (name, args) case.  A case fails when run
+    returns False or raises a BcliqueError, whose class the detail names."""
     failures = []
     total = 0
-    for tag, g in graphs:
-        for d in ds:
-            if d > g.n:  # sketch parameters require d <= n
+    for name, args in cases:
+        total += 1
+        try:
+            if run(*args):
                 continue
-            total += 1
-            result, transcript = prune_one_round(adjacency_inputs(g), d)
-            seq, remaining = core_peel(g, d)
-            bits_bound = sketch_message_bits(g.n, sketch.cached_params(g.n, d))
-            ok = (result.sequence == seq
-                  and result.remaining == remaining
-                  and transcript.rounds_used == 1
-                  and transcript.per_node_bits <= bits_bound)
-            if ok and not remaining:
-                ok = result.fully_reconstructed and result.reconstructed == g
-            if not ok:
-                failures.append(f"{tag} d={d}")
+        except BcliqueError as exc:
+            name = f"{name}: {type(exc).__name__}"
+        failures.append(name)
     return not failures, _detail(total, failures)
 
 
+def _run_prune(g, d):
+    return prune_ok(g, d, *prune_one_round(adjacency_inputs(g), d))
+
+
+def _run_forest(g, eps):
+    return forest_ok(g, eps, *spanning_forest_multiround(adjacency_inputs(g), eps))
+
+
+def _run_one_round(g, r):
+    return one_round_ok(g, r, *connectivity_one_round_r(ball_inputs(g, r), r))
+
+
+def check_prune(graphs, ds):
+    # sketch parameters require d <= n
+    return _check_cases(_run_prune, ((f"{tag} d={d}", (g, d))
+                                     for tag, g in graphs for d in ds if d <= g.n))
+
+
 def check_multiround(graphs, eps_values):
-    failures = []
-    for tag, g in graphs:
-        oracle_labels, _ = components_and_forest(g)
-        for eps in eps_values:
-            eps = Fraction(eps)
-            labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
-            ok = (labels == oracle_labels
-                  and forest_is_valid(g, labels, forest)
-                  and transcript.rounds_used <= forest_round_budget(eps)
-                  and transcript.per_node_bits <= forest_message_bits(g.n, eps))
-            if not ok:
-                failures.append(f"{tag} eps={eps}")
-    return not failures, _detail(len(graphs) * len(eps_values), failures)
+    return _check_cases(_run_forest, ((f"{tag} eps={Fraction(eps)}", (g, Fraction(eps)))
+                                      for tag, g in graphs for eps in eps_values))
 
 
 def check_one_round(r: int, graphs):
-    failures = []
-    for tag, g in graphs:
-        oracle_labels, _ = components_and_forest(g)
-        tr = tilde_global(g, r)
-        local_rows = tuple(tilde_row_local(ball(g, v, r), v, r) for v in range(g.n))
-        labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
-        bits_bound = sketch_message_bits(g.n, sketch.cached_params(g.n, sparsity_parameter(g.n, r)))
-        ok = (labels == oracle_labels
-              and transcript.rounds_used == 1
-              and transcript.per_node_bits <= bits_bound
-              and local_rows == tr.tilde.rows
-              and components_and_forest(tr.tilde)[0] == oracle_labels
-              and forest_is_valid(g, labels, forest)
-              and set(forest) <= set(tr.tilde.edges())
-              and (2 * r < 3 or not has_short_cycle(tr.tilde, 2 * r)))
-        if not ok:
-            failures.append(f"{tag} r={r}")
-    return not failures, _detail(len(graphs), failures)
+    return _check_cases(_run_one_round, ((f"{tag} r={r}", (g, r)) for tag, g in graphs))
 
 
 def _detail(total: int, failures: list[str]) -> str:

@@ -162,8 +162,15 @@ def test_reports_are_internally_consistent(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["params", "--n", "6", "--d", "2"],
     ["gen", "--kind", "gnp", "--n", "16", "--seed", "4", "--q", "0.25"],
+    ["prune", "--d", "2", "--transcript"],
+    ["components", "--eps", "1/3", "--transcript"],
+    ["one-round", "--r", "2", "--transcript"],
 ])
-def test_repeat_invocations_byte_identical(capsys, argv):
+def test_repeat_invocations_byte_identical(capsys, tmp_path, argv):
+    if argv[0] in ("prune", "components", "one-round"):
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(gen_graph("gnp", 24, seed=3, q=0.15)))
+        argv = argv[:1] + ["--graph", str(path)] + argv[1:]
     run_command(argv)
     first = capsys.readouterr().out
     run_command(argv)

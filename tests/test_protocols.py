@@ -6,18 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bclique.clique import adjacency_inputs, ball_inputs
-from bclique.errors import BadParams, ForeignEdge, InvalidTranscript
+from bclique import verify
+from bclique.clique import Message, Transcript, adjacency_inputs, ball_inputs, run_protocol
+from bclique.errors import BadParams, DegeneracyExceeded, ForeignEdge, InvalidTranscript
 from bclique.graph import Graph, components_and_forest, core_peel, gen_graph, tilde_global
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
     PruningResult,
     SupernodePartition,
+    _OneRoundConnectivity,
     connectivity_one_round_r,
     merge_step,
     peel_from_messages,
     prune_one_round,
     spanning_forest_multiround,
+    sketch_bits_bound,
     sparsity_parameter,
 )
 from bclique.sketch import cached_params, encode, encode_support
@@ -127,7 +130,8 @@ def test_peel_from_messages_path_example():
 
 def test_peel_from_messages_cycle_stalls():
     g = gen_graph("cycle", 4)
-    msgs = [(2, encode(P4_PARAMS, g.boolean_row(v))) for v in range(4)]
+    msgs = [(2, encode(P4_PARAMS, tuple(int(j in g.rows[v]) for j in range(4))))
+            for v in range(4)]
     result = peel_from_messages(msgs, P4_PARAMS, 1)
     assert result.sequence == ()
     assert result.remaining == (0, 1, 2, 3)
@@ -234,6 +238,22 @@ def test_prune_examples():
 def test_prune_rejects_negative_bound():
     with pytest.raises(ValueError):
         prune_one_round(adjacency_inputs(gen_graph("path", 3)), -1)
+
+
+def test_prune_ok_rejects_messages_above_the_bit_bound():
+    # the bound is the analytic degree field plus sketch_bits_bound, not the
+    # message_bits formula that sized the messages
+    g = gen_graph("path", 8)
+    result, transcript = prune_one_round(adjacency_inputs(g), 1)
+    assert verify.prune_ok(g, 1, result, transcript)
+    bound = ceil_log2(8) + sketch_bits_bound(8, 1)
+    first, *rest = transcript.rounds[0]
+    assert first.bits <= bound
+    at_bound = Transcript(((Message(first.payload, bound), *rest),))
+    assert verify.prune_ok(g, 1, result, at_bound)
+    above = Transcript(((Message(first.payload, bound + 1), *rest),))
+    assert above.per_node_bits == bound + 1
+    assert not verify.prune_ok(g, 1, result, above)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
@@ -356,6 +376,14 @@ def test_one_round_argument_checks():
         connectivity_one_round_r(ball_inputs(g, 2), 1)  # radius mismatch
     with pytest.raises(ValueError):
         connectivity_one_round_r(ball_inputs(g, 2), 0)
+
+
+def test_one_round_below_the_sparsity_bound_raises():
+    # at r=1 no cycle is short enough to break, so K4 keeps its 3-core,
+    # which a peel at s=1 (below sparsity_parameter(4, 1) = 4) cannot remove
+    proto = _OneRoundConnectivity(4, 1, 1, cached_params(4, 1))
+    with pytest.raises(DegeneracyExceeded):
+        run_protocol(proto, ball_inputs(gen_graph("complete", 4), 1))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

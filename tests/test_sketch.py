@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import threading
 
 import pytest
 import sympy
@@ -339,32 +338,47 @@ def test_layered_table_matches_enumeration(n, d):
     table = sketch._injective_at(n, d, params.xbar, params.p)
     expected = enumerated_table(n, d, params.xbar, params.p)
     assert list(table.items()) == list(expected.items())
-    assert params._decode_table() == expected
+    assert params._table == expected
     for x in range(params.xbar):
         assert sketch._injective_at(n, d, x, params.p) is None, x
         assert enumerated_table(n, d, x, params.p) is None, x
 
 
-def test_verify_catches_a_broken_decode_table(monkeypatch):
-    # the shipped self-check encodes with encode and tracks collisions in
-    # its own dict, so its small suite fails on a table built wrong
+@pytest.fixture
+def broken_decode_table(monkeypatch):
+    """Every decode table built while active has its last two supports
+    decoding to each other."""
     real = sketch._injective_at
 
     def broken(n, d, x, p):
         table = real(n, d, x, p)
         if table is not None and len(table) > 2:
-            # the last two supports decode to each other
             y, z = list(table)[-2:]
             table[y], table[z] = table[z], table[y]
         return table
 
     monkeypatch.setattr(sketch, "_injective_at", broken)
     sketch.cached_params.cache_clear()
-    try:
-        ok, detail = verify.check_sketch_grid(*verify._SUITES["small"]["sketch_grid"])
-    finally:
-        sketch.cached_params.cache_clear()
+    yield
+    sketch.cached_params.cache_clear()
+
+
+def test_verify_catches_a_broken_decode_table(broken_decode_table):
+    # the shipped self-check encodes with encode and tracks collisions in
+    # its own dict, so its small suite fails on a table built wrong
+    ok, detail = verify.check_sketch_grid(*verify._SUITES["small"]["sketch_grid"])
     assert not ok, detail
+
+
+def test_verify_counts_a_raising_protocol_as_a_failed_case(broken_decode_table):
+    # the peel raises InvalidTranscript on the broken table; the suite
+    # records those cases as failed and still reports every other case
+    result = verify.run_suite("small")
+    assert result["passed"] is False
+    assert {c["name"] for c in result["cases"]} >= {
+        "prune_matches_core_peel", "multiround_matches_components", "one_round_r2"}
+    prune = next(c for c in result["cases"] if c["name"] == "prune_matches_core_peel")
+    assert not prune["ok"] and ": InvalidTranscript" in prune["detail"], prune
 
 
 def test_size_bound_small_grid():
@@ -372,25 +386,3 @@ def test_size_bound_small_grid():
         for d in range(0, min(n, 3) + 1):
             params = cached_params(n, d)
             assert params.p_bits <= 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
-
-
-def test_decode_table_is_thread_safe():
-    from bclique.sketch import SketchParams
-
-    # rebuild (12, 1) without its table so the lazy lock-guarded path runs
-    built = build_params(12, 1)
-    params = SketchParams(built.n, built.d, built.p, built.xbar, built.powers,
-                          built.table_cap, built.domain_size, table=None)
-    assert not params._binary and params._table is None
-    vectors = list(naive_sparse_vectors(12, 1))
-    results = []
-
-    def worker():
-        results.append([decode(params, encode(params, b)) for b in vectors])
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == vectors for r in results)
