@@ -8,12 +8,10 @@ exact bit accounting and a brute-force oracle for its output.
 """
 
 from .clique import (
-    AdjacencyRow,
     DegreeAndSketch,
     Message,
     NeighborList,
     Protocol,
-    RadiusBall,
     Transcript,
     adjacency_inputs,
     ball_inputs,
@@ -27,7 +25,6 @@ from .errors import (
     CapExceeded,
     DegeneracyExceeded,
     DimensionMismatch,
-    ForeignEdge,
     IndexOutOfRange,
     InvalidEdge,
     InvalidTranscript,

@@ -6,6 +6,10 @@ to every node.  Since all nodes receive the same vector, one shared step
 (Protocol.deliver) per round turns it into the next public knowledge, and
 the common output (Protocol.output) is read off that.  Message sizes follow
 fixed encoding rules so protocol budgets can be checked to the bit.
+
+A node's input is what its model lets it see, with no wrapper: its sorted
+neighbor row (adjacency_inputs) or its radius-r Ball (ball_inputs).  The
+engine passes inputs[v] to node v, so the position is the node id.
 """
 
 from __future__ import annotations
@@ -18,28 +22,14 @@ from .graph import Ball, Graph, ball as make_ball
 from .intmath import ceil_log2
 
 
-@dataclass(frozen=True)
-class AdjacencyRow:
-    """Node input: the node's own neighbor list."""
-
-    node: int
-    neighbors: tuple[int, ...]
+def adjacency_inputs(g: Graph) -> list[tuple[int, ...]]:
+    """Node inputs of the adjacency model: node v holds its own row."""
+    return list(g.rows)
 
 
-@dataclass(frozen=True)
-class RadiusBall:
-    """Node input: everything within a fixed distance of the node."""
-
-    node: int
-    ball: Ball
-
-
-def adjacency_inputs(g: Graph) -> list[AdjacencyRow]:
-    return [AdjacencyRow(v, g.rows[v]) for v in range(g.n)]
-
-
-def ball_inputs(g: Graph, r: int) -> list[RadiusBall]:
-    return [RadiusBall(v, make_ball(g, v, r)) for v in range(g.n)]
+def ball_inputs(g: Graph, r: int) -> list[Ball]:
+    """Node inputs of the radius-r model: node v holds its radius-r ball."""
+    return [make_ball(g, v, r) for v in range(g.n)]
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ class RoundBudgetExceeded(BcliqueError):
     """A protocol ran out of rounds before reaching a finished state."""
 
 
-class ForeignEdge(BcliqueError):
-    """An announced edge is not an edge of the input graph."""
-
-
 class InvalidTranscript(BcliqueError):
     """Broadcast messages are inconsistent with any real input graph."""
 

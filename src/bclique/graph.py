@@ -15,6 +15,13 @@ from .errors import BadParams, IndexOutOfRange, InvalidEdge, ParseError, Unknown
 
 Edge = tuple[int, int]
 
+# Largest node count that load_graph and gen_graph accept.  Both check it
+# before allocating a row per node, so an absurd header fails with the
+# package's own error instead of exhausting memory.  An edgeless graph at
+# the bound takes tens of megabytes, far past the sizes the protocols reach
+# at desk scale.
+MAX_NODES = 10**6
+
 
 def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -45,12 +52,6 @@ class Graph:
             rows[u].append(v)
             rows[v].append(u)
         return Graph(n, tuple(tuple(sorted(r)) for r in rows))
-
-    def degree(self, v: int) -> int:
-        return len(self.rows[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.rows[u]
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges, normalized and already in ascending edge order."""
@@ -130,8 +131,8 @@ def load_graph(text: str) -> Graph:
                 n = int(fields[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: node count is not an integer") from None
-            if n < 0:
-                raise ParseError(f"line {lineno}: node count must be >= 0")
+            if not 0 <= n <= MAX_NODES:
+                raise ParseError(f"line {lineno}: node count must be in 0..{MAX_NODES}")
             continue
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'")
@@ -374,8 +375,8 @@ def gen_graph(kind: str, n: int, seed: int = 0, **params) -> Graph:
     builder = _GENERATORS.get(kind)
     if builder is None:
         raise UnknownKind(f"unknown generator {kind!r}; choose from {sorted(_GENERATORS)}")
-    if n < 0:
-        raise BadParams("node count must be >= 0")
+    if not 0 <= n <= MAX_NODES:
+        raise BadParams(f"node count must be in 0..{MAX_NODES}")
     rng = random.Random(seed)
     extras = dict(params)
     edges = builder(n, rng, extras)

@@ -7,10 +7,14 @@
 * prune_one_round: one broadcast of (degree, sketched neighbor row) per node,
   then everyone peels low-degree nodes locally, editing the remaining
   sketches through linearity.
-* connectivity_one_round_r: each node derives its row of the short-cycle-free
-  subgraph from its radius-r view, then one pruning round at the subgraph's
-  sparsity bound reconstructs that subgraph everywhere and a spanning forest
-  is read off locally.
+* connectivity_one_round_r: prune_one_round composed with a local step.
+  Each node derives its row of the short-cycle-free subgraph from its
+  radius-r ball, the pruning round at the sparsity bound s = ceil(n**(1/r))
+  reconstructs that subgraph everywhere, and every node reads the same
+  spanning forest off the reconstruction.
+
+Node inputs are the plain rows and balls of clique.adjacency_inputs and
+clique.ball_inputs.
 """
 
 from __future__ import annotations
@@ -21,25 +25,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sketch
-from .clique import (
-    AdjacencyRow,
-    DegreeAndSketch,
-    NeighborList,
-    Protocol,
-    RadiusBall,
-    make_message,
-    message_bits,
-    run_protocol,
+from .clique import DegreeAndSketch, NeighborList, Protocol, make_message, run_protocol
+from .errors import BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable, WeightMismatch
+from .graph import (
+    Ball,
+    Edge,
+    Graph,
+    _UnionFind,
+    components_and_forest,
+    normalize_edge,
+    tilde_row_local,
 )
-from .errors import (
-    BadParams,
-    DegeneracyExceeded,
-    ForeignEdge,
-    InvalidTranscript,
-    NotDecodable,
-    WeightMismatch,
-)
-from .graph import Edge, Graph, _UnionFind, components_and_forest, normalize_edge, tilde_row_local
 from .intmath import ceil_log2, nth_root_ceil, pow_ceil
 
 
@@ -51,11 +47,6 @@ def forest_round_budget(eps: Fraction) -> int:
 def forest_neighbor_cap(n: int, eps: Fraction) -> int:
     """Most neighbors one node announces per forest round: ceil(n**eps), at least 1."""
     return max(1, pow_ceil(n, eps))
-
-
-def forest_message_bits(n: int, eps: Fraction) -> int:
-    """Largest forest message: a neighbor list of the capped length."""
-    return message_bits(NeighborList((0,) * forest_neighbor_cap(n, eps)), n)
 
 
 def sketch_bits_bound(n: int, d: int) -> int:
@@ -79,20 +70,14 @@ class SupernodePartition:
         return SupernodePartition(tuple(range(n)), ())
 
 
-def merge_step(part: SupernodePartition, announced,
-               edges: frozenset[Edge] | None = None) -> SupernodePartition:
+def merge_step(part: SupernodePartition, announced) -> SupernodePartition:
     """Merge supernodes joined by announced edges.
 
     Edges are processed in ascending edge order; each one joining two
-    distinct supernodes goes into the forest.  When the reference edge set
-    of the input graph is supplied, foreign announcements are rejected.
+    distinct supernodes goes into the forest.
     """
     n = len(part.assignment)
     pending = sorted(normalize_edge(u, v) for u, v in announced)
-    if edges is not None:
-        for e in pending:
-            if e not in edges:
-                raise ForeignEdge(f"announced edge {e} is not in the input graph")
     if not pending:
         return part
     uf = _UnionFind(n)
@@ -120,10 +105,10 @@ class _SpanningForestProtocol(Protocol):
     def start(self, n):
         return SupernodePartition.singletons(n)
 
-    def message(self, node, node_input, part, rnd):
+    def message(self, node, row, part, rnd):
         mine = part.assignment[node]
         best: dict[int, int] = {}
-        for w in node_input.neighbors:
+        for w in row:
             lbl = part.assignment[w]
             if lbl != mine and (lbl not in best or w < best[lbl]):
                 best[lbl] = w
@@ -138,15 +123,15 @@ class _SpanningForestProtocol(Protocol):
             return part, True
         return merge_step(part, announced), False
 
-    def node_finished(self, node, node_input, part):
+    def node_finished(self, node, row, part):
         mine = part.assignment[node]
-        return all(part.assignment[w] == mine for w in node_input.neighbors)
+        return all(part.assignment[w] == mine for w in row)
 
     def output(self, part):
         return part.assignment, tuple(sorted(part.forest))
 
 
-def spanning_forest_multiround(rows: Sequence[AdjacencyRow], eps):
+def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     """Connected components and a spanning forest in at most ceil(1/eps)
     rounds of at most ceil(n**eps) announced neighbors per node.
 
@@ -241,32 +226,22 @@ class _PruneProtocol(Protocol):
         self.d = d
         self.params = params
 
-    def row(self, node, node_input) -> tuple[int, ...]:
-        """The neighbor row this node sketches."""
-        return node_input.neighbors
-
-    def message(self, node, node_input, known, rnd):
-        row = self.row(node, node_input)
+    def message(self, node, row, known, rnd):
         payload = DegreeAndSketch(len(row), sketch.encode_support(self.params, row))
         return make_message(payload, self.n, self.params.p)
 
     def deliver(self, known, rnd, messages):
         pairs = [(m.payload.degree, m.payload.sketch) for m in messages]
-        return self.after_peel(peel_from_messages(pairs, self.params, self.d)), True
-
-    def after_peel(self, peel: PruningResult):
-        """The common answer read off the shared peel."""
-        return peel
+        return peel_from_messages(pairs, self.params, self.d), True
 
 
-def prune_one_round(rows: Sequence[AdjacencyRow], d: int):
+def prune_one_round(rows: Sequence[tuple[int, ...]], d: int):
     """One broadcast round of (degree, sketch), then a shared local peel."""
     if d < 0:
         raise BadParams("degree bound must be >= 0")
     n = len(rows)
     params = sketch.cached_params(n, d)
-    result, transcript = run_protocol(_PruneProtocol(n, d, params), rows)
-    return result, transcript
+    return run_protocol(_PruneProtocol(n, d, params), rows)
 
 
 def sparsity_parameter(n: int, r: int) -> int:
@@ -283,41 +258,24 @@ def sparsity_parameter(n: int, r: int) -> int:
     return nth_root_ceil(n, r)
 
 
-class _OneRoundConnectivity(_PruneProtocol):
-    """The pruning round at bound s, on each node's short-cycle-free row."""
-
-    name = "connectivity_one_round_r"
-
-    def __init__(self, n: int, r: int, s: int, params: sketch.SketchParams):
-        super().__init__(n, s, params)
-        self.r = r
-
-    def row(self, node, node_input):
-        # local, communication-free step: this node's row of the
-        # short-cycle-free subgraph
-        return tilde_row_local(node_input.ball, node, self.r)
-
-    def after_peel(self, peel):
-        if peel.remaining:
-            raise DegeneracyExceeded(
-                f"peel stalled with {len(peel.remaining)} nodes left at s={self.d}"
-            )
-        return components_and_forest(peel.reconstructed)
-
-
-def connectivity_one_round_r(balls: Sequence[RadiusBall], r: int):
+def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     """Connected components and a spanning forest from radius-r views in a
-    single broadcast round of (degree, sketch) messages."""
+    single broadcast round of (degree, sketch) messages.
+
+    Each node derives its row of the short-cycle-free subgraph from its own
+    ball, without communication; prune_one_round at s = sparsity_parameter(n, r)
+    then peels that subgraph to empty, so every node holds it whole and reads
+    the forest off it.
+    """
     if r < 1:
         raise BadParams("r must be >= 1")
-    n = len(balls)
-    for i, b in enumerate(balls):
-        if b.node != i:
-            raise BadParams(f"ball {i} is for node {b.node}")
-        if b.ball.radius != r:
-            raise BadParams(f"ball of node {i} has radius {b.ball.radius}, expected {r}")
-    s = sparsity_parameter(n, r)
-    params = sketch.cached_params(n, s)
-    proto = _OneRoundConnectivity(n, r, s, params)
-    (labels, forest), transcript = run_protocol(proto, balls)
+    for b in balls:  # tilde_row_local checks each ball's center
+        if b.radius != r:
+            raise BadParams(f"ball of node {b.center} has radius {b.radius}, expected {r}")
+    s = sparsity_parameter(len(balls), r)
+    rows = [tilde_row_local(b, v, r) for v, b in enumerate(balls)]
+    peel, transcript = prune_one_round(rows, s)
+    if peel.remaining:
+        raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")
+    labels, forest = components_and_forest(peel.reconstructed)
     return labels, forest, transcript

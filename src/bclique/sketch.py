@@ -11,9 +11,10 @@ subtracting basis encodings.
 When ``2**n <= p`` the evaluation point is 2, encodings are plain binary
 numbers and decoding is bit extraction.  Otherwise decoding goes through a
 table of all C(n, <=d) sparse vectors, built in weight layers; shapes whose
-table would exceed ``table_cap`` entries raise CapExceeded, and binary shapes
-are never capped.  The table build takes about 0.2 s at (n, d) = (112, 3),
-0.6 s at (64, 4) and 1.4 s at (200, 3) on a 2-core host with Python 3.11.
+table would exceed ``DEFAULT_TABLE_CAP`` entries raise CapExceeded, and
+binary shapes are never capped.  The table build takes about 0.2 s at
+(n, d) = (112, 3), 0.6 s at (64, 4) and 1.4 s at (200, 3) on a 2-core host
+with Python 3.11.
 """
 
 from __future__ import annotations
@@ -65,16 +66,14 @@ class SketchParams:
     threads.
     """
 
-    __slots__ = ("n", "d", "p", "xbar", "powers", "table_cap", "domain_size",
-                 "_binary", "_table")
+    __slots__ = ("n", "d", "p", "xbar", "powers", "domain_size", "_binary", "_table")
 
-    def __init__(self, n, d, p, xbar, powers, table_cap, domain_size, table):
+    def __init__(self, n, d, p, xbar, powers, domain_size, table):
         self.n = n
         self.d = d
         self.p = p
         self.xbar = xbar
         self.powers = powers
-        self.table_cap = table_cap
         self.domain_size = domain_size
         # xbar == 2 with 2**n <= p means encodings are plain binary values,
         # so decoding is bit extraction and no table is ever materialized.
@@ -126,7 +125,7 @@ def _injective_at(n: int, d: int, x: int, p: int):
     return table
 
 
-def build_params(n: int, d: int, table_cap: int = DEFAULT_TABLE_CAP) -> SketchParams:
+def build_params(n: int, d: int) -> SketchParams:
     """Derive (p, xbar, powers) for dimension n and sparsity bound d.
 
     p is the smallest prime above (1+n)**(2d) * n and xbar the smallest
@@ -142,9 +141,9 @@ def build_params(n: int, d: int, table_cap: int = DEFAULT_TABLE_CAP) -> SketchPa
     p = smallest_prime_above((1 + n) ** (2 * d) * n)
     # Binary shapes never build a table: for n >= 2 and d >= 1, x = 0 and
     # x = 1 collide within the first three supports, and x = 2 needs none.
-    if (1 << n) > p and domain_size > table_cap:
+    if (1 << n) > p and domain_size > DEFAULT_TABLE_CAP:
         raise CapExceeded(
-            f"{domain_size} sparse vectors exceed the table cap {table_cap} "
+            f"{domain_size} sparse vectors exceed the table cap {DEFAULT_TABLE_CAP} "
             f"for n={n}, d={d}"
         )
     xbar = None
@@ -166,7 +165,7 @@ def build_params(n: int, d: int, table_cap: int = DEFAULT_TABLE_CAP) -> SketchPa
     if xbar is None:  # impossible by the counting argument above
         raise RuntimeError(f"no separating point below p for n={n}, d={d}")
     powers = tuple(pow(xbar, i, p) for i in range(n))
-    return SketchParams(n, d, p, xbar, powers, table_cap, domain_size, table)
+    return SketchParams(n, d, p, xbar, powers, domain_size, table)
 
 
 # Protocols share parameter sets per (n, d); building them is deterministic,

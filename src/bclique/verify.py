@@ -30,7 +30,7 @@ from .graph import (
 from .intmath import ceil_log2
 from .protocols import (
     connectivity_one_round_r,
-    forest_message_bits,
+    forest_neighbor_cap,
     forest_round_budget,
     prune_one_round,
     sketch_bits_bound,
@@ -155,12 +155,15 @@ def prune_ok(g: Graph, d: int, result, transcript) -> bool:
 def forest_ok(g: Graph, eps, labels, forest, transcript) -> bool:
     """Whether one spanning_forest_multiround run on g at eps found the
     components and a spanning forest of them within ceil(1/eps) rounds of
-    capped neighbor lists."""
+    capped neighbor lists: a length field of ceil(log2(n+1)) bits plus at
+    most ceil(n**eps) ids of ceil(log2 n) bits each, bounded here without
+    the message_bits formula that sized the messages."""
     eps = Fraction(eps)
+    bound = ceil_log2(g.n + 1) + forest_neighbor_cap(g.n, eps) * ceil_log2(g.n)
     return (labels == components_and_forest(g)[0]
             and forest_is_valid(g, labels, forest)
             and transcript.rounds_used <= forest_round_budget(eps)
-            and transcript.per_node_bits <= forest_message_bits(g.n, eps))
+            and transcript.per_node_bits <= bound)
 
 
 def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:

@@ -113,6 +113,17 @@ def test_bad_params_reported_as_json(capsys, tmp_path, graph, argv):
     assert doc["error"]["type"] == "BadParams"
 
 
+def test_absurd_node_counts_reported_as_json(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{10**12}\n0 1\n")
+    code, doc = run_json(capsys, ["components", "--graph", str(path), "--eps", "1"])
+    assert code == 1
+    assert doc["error"]["type"] == "ParseError"
+    code, doc = run_json(capsys, ["gen", "--kind", "path", "--n", str(10**12)])
+    assert code == 1
+    assert doc["error"]["type"] == "BadParams"
+
+
 def test_gen_unknown_kind_is_module_error(capsys):
     code, doc = run_json(capsys, ["gen", "--kind", "moebius", "--n", "8"])
     assert code == 1

@@ -143,5 +143,5 @@ def test_transcript_json_serialization():
 def test_ball_inputs_share_one_radius():
     g = gen_graph("cycle", 6)
     inputs = ball_inputs(g, 2)
-    assert [b.node for b in inputs] == list(range(6))
-    assert {b.ball.radius for b in inputs} == {2}
+    assert [b.center for b in inputs] == list(range(6))
+    assert {b.radius for b in inputs} == {2}

@@ -87,6 +87,21 @@ def test_load_graph_invalid_edges(text):
         load_graph(text)
 
 
+def test_node_counts_above_the_bound_are_refused(monkeypatch):
+    # refused before a row is allocated, so an absurd count costs nothing
+    for n in (graph.MAX_NODES + 1, 10**12):
+        with pytest.raises(ParseError):
+            load_graph(f"{n}\n0 1\n")
+        with pytest.raises(BadParams):
+            gen_graph("path", n)
+    monkeypatch.setattr(graph, "MAX_NODES", 5)
+    assert load_graph("5\n").n == gen_graph("cycle", 5).n == 5
+    with pytest.raises(ParseError):
+        load_graph("6\n")
+    with pytest.raises(BadParams):
+        gen_graph("cycle", 6)
+
+
 @given(graph_indices)
 @settings(max_examples=60, deadline=None)
 def test_serialize_round_trip(idx):

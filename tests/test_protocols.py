@@ -6,15 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bclique import verify
-from bclique.clique import Message, Transcript, adjacency_inputs, ball_inputs, run_protocol
-from bclique.errors import BadParams, DegeneracyExceeded, ForeignEdge, InvalidTranscript
+from bclique import protocols, verify
+from bclique.clique import Message, Transcript, adjacency_inputs, ball_inputs
+from bclique.errors import BadParams, DegeneracyExceeded, InvalidTranscript
 from bclique.graph import Graph, components_and_forest, core_peel, gen_graph, tilde_global
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
     PruningResult,
     SupernodePartition,
-    _OneRoundConnectivity,
     connectivity_one_round_r,
     merge_step,
     peel_from_messages,
@@ -42,15 +41,6 @@ def test_merge_step_examples():
     again = merge_step(merged, {(0, 1)})  # cycle edge changes nothing
     assert again.assignment == merged.assignment
     assert again.forest == merged.forest
-
-
-def test_merge_step_foreign_edge():
-    part = SupernodePartition.singletons(3)
-    edges = frozenset({(0, 1)})
-    with pytest.raises(ForeignEdge):
-        merge_step(part, {(1, 2)}, edges=edges)
-    merged = merge_step(part, {(0, 1)}, edges=edges)
-    assert merged.assignment == (0, 0, 2)
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -104,6 +94,23 @@ def test_spanning_forest_small_corpus(eps):
         for rnd in transcript.rounds:
             for msg in rnd:
                 assert len(msg.payload.ids) <= cap, tag
+
+
+def test_forest_ok_rejects_messages_above_the_bit_bound():
+    # the bound is the analytic length field plus ceil(n**eps) ids, not the
+    # message_bits formula that sized the messages
+    g = gen_graph("path", 9)
+    eps = Fraction(1, 2)
+    labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
+    assert verify.forest_ok(g, eps, labels, forest, transcript)
+    bound = ceil_log2(9 + 1) + pow_ceil(9, eps) * ceil_log2(9)
+    (first, *rest), *later = transcript.rounds
+    assert first.bits <= bound
+    at_bound = Transcript(((Message(first.payload, bound), *rest), *later))
+    assert verify.forest_ok(g, eps, labels, forest, at_bound)
+    above = Transcript(((Message(first.payload, bound + 1), *rest), *later))
+    assert above.per_node_bits == bound + 1
+    assert not verify.forest_ok(g, eps, labels, forest, above)
 
 
 def test_spanning_forest_single_node():
@@ -374,16 +381,31 @@ def test_one_round_argument_checks():
     g = gen_graph("cycle", 4)
     with pytest.raises(BadParams):
         connectivity_one_round_r(ball_inputs(g, 2), 1)  # radius mismatch
+    balls = ball_inputs(g, 2)
+    with pytest.raises(BadParams):
+        connectivity_one_round_r(balls[1:] + balls[:1], 2)  # ball v centered elsewhere
     with pytest.raises(ValueError):
         connectivity_one_round_r(ball_inputs(g, 2), 0)
 
 
-def test_one_round_below_the_sparsity_bound_raises():
+def test_one_round_below_the_sparsity_bound_raises(monkeypatch):
     # at r=1 no cycle is short enough to break, so K4 keeps its 3-core,
     # which a peel at s=1 (below sparsity_parameter(4, 1) = 4) cannot remove
-    proto = _OneRoundConnectivity(4, 1, 1, cached_params(4, 1))
+    monkeypatch.setattr(protocols, "sparsity_parameter", lambda n, r: 1)
     with pytest.raises(DegeneracyExceeded):
-        run_protocol(proto, ball_inputs(gen_graph("complete", 4), 1))
+        connectivity_one_round_r(ball_inputs(gen_graph("complete", 4), 1), 1)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_one_round_is_prune_on_the_short_cycle_free_graph(r):
+    # the local rows are tilde_global's rows, so the broadcast is exactly
+    # prune_one_round's on that graph at s, and the answer is read off it
+    for tag, g in one_round_corpus(r, 10, base_seed=400):
+        labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
+        tilde = tilde_global(g, r).tilde
+        _, pruned = prune_one_round(adjacency_inputs(tilde), sparsity_parameter(g.n, r))
+        assert transcript == pruned, tag
+        assert (labels, forest) == components_and_forest(tilde), tag
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -128,17 +128,15 @@ def test_build_params_cap_exceeded():
     # table shapes: 2**n > p, so the C(n, <=d) decode table would be built
     with pytest.raises(CapExceeded):
         build_params(200, 4)
-    with pytest.raises(CapExceeded):
-        build_params(20, 1, table_cap=10)
 
 
-@pytest.mark.parametrize("n, d, cap", [(64, 8, DEFAULT_TABLE_CAP), (10, 2, 10),
+@pytest.mark.parametrize("n, d, cap", [(64, 8, DEFAULT_TABLE_CAP),
                                        (100, 10, DEFAULT_TABLE_CAP),
                                        (64, 5, DEFAULT_TABLE_CAP)])
 def test_build_params_cap_spares_binary_shapes(n, d, cap):
     # 2**n <= p: encodings are binary numbers and no table is built, so the
     # domain size may exceed the cap
-    params = build_params(n, d, table_cap=cap)
+    params = build_params(n, d)
     assert params.domain_size > cap
     assert params._binary and params.xbar == 2
     assert params._table is None and params.table_entries == 0
