@@ -36,14 +36,6 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _fail(command: str, exc: BcliqueError) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-
-
 def _read_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return load_graph(fh.read())
@@ -62,8 +54,6 @@ def _parse_eps(text: str) -> Fraction:
 def _cmd_params(args) -> tuple[dict, int]:
     params = cached_params(args.n, args.d)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "params",
         "n": args.n,
         "d": args.d,
         "p": str(params.p),
@@ -82,7 +72,7 @@ def _cmd_prune(args) -> tuple[dict, int]:
     wall_ms = (time.perf_counter() - t0) * 1000.0
     params = cached_params(g.n, args.d)
     return _finish(
-        args, "prune", "prune_one_round", g, {"d": args.d}, transcript, wall_ms,
+        args, "prune_one_round", g, {"d": args.d}, transcript, wall_ms,
         verify.prune_ok(g, args.d, result, transcript),
         labels=None,
         forest=None,
@@ -101,7 +91,7 @@ def _cmd_components(args) -> tuple[dict, int]:
     labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), args.eps)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return _finish(
-        args, "components", "spanning_forest_multiround", g, {"eps": str(args.eps)},
+        args, "spanning_forest_multiround", g, {"eps": str(args.eps)},
         transcript, wall_ms,
         verify.forest_ok(g, args.eps, labels, forest, transcript),
         labels=list(labels),
@@ -122,7 +112,7 @@ def _cmd_one_round(args) -> tuple[dict, int]:
     # each node sketched its row of the short-cycle-free subgraph
     kept_edges = sum(m.payload.degree for m in transcript.rounds[0]) // 2
     return _finish(
-        args, "one-round", "connectivity_one_round_r", g, {"r": args.r, "s": s},
+        args, "connectivity_one_round_r", g, {"r": args.r, "s": s},
         transcript, wall_ms,
         verify.one_round_ok(g, args.r, labels, forest, transcript),
         labels=list(labels),
@@ -134,13 +124,11 @@ def _cmd_one_round(args) -> tuple[dict, int]:
     )
 
 
-def _finish(args, command: str, protocol: str, g, parameters: dict, transcript,
+def _finish(args, protocol: str, g, parameters: dict, transcript,
             wall_ms: float, agree: bool, **fields) -> tuple[dict, int]:
     """The report of one protocol run.  wall_ms goes to stderr, so repeated
     runs print byte-identical documents."""
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
         "protocol": protocol,
         "n": g.n,
         "parameters": parameters,
@@ -171,8 +159,6 @@ def _cmd_gen(args) -> tuple[dict, int]:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gen",
         "kind": args.kind,
         "n": args.n,
         "seed": args.seed,
@@ -186,8 +172,6 @@ def _cmd_gen(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     result = verify.run_suite(args.suite)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
         "suite": args.suite,
         "passed": result["passed"],
         "case_count": len(result["cases"]),
@@ -252,12 +236,11 @@ def run_command(argv) -> int:
     try:
         doc, code = args.handler(args)
     except BcliqueError as exc:
-        _emit(_fail(args.command, exc))
-        return 1
+        doc, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(doc)
+    _emit({"schema_version": SCHEMA_VERSION, "command": args.command, **doc})
     return code
 
 

@@ -49,8 +49,8 @@ class Message:
     bits: int
 
 
-def message_bits(msg, n: int, p: int | None = None) -> int:
-    """Exact encoded size of a message.
+def message_bits(payload, n: int, p: int | None = None) -> int:
+    """Exact encoded size of a message payload.
 
     NeighborList: a length field of ceil(log2(n+1)) bits plus ceil(log2 n)
     bits per id.  DegreeAndSketch: ceil(log2 n) bits for the degree plus
@@ -58,7 +58,6 @@ def message_bits(msg, n: int, p: int | None = None) -> int:
     """
     if n < 1:
         raise BadParams("node count must be >= 1")
-    payload = msg.payload if isinstance(msg, Message) else msg
     if isinstance(payload, NeighborList):
         return ceil_log2(n + 1) + len(payload.ids) * ceil_log2(n)
     if isinstance(payload, DegreeAndSketch):

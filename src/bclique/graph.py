@@ -22,6 +22,11 @@ Edge = tuple[int, int]
 # at desk scale.
 MAX_NODES = 10**6
 
+# Most node pairs that the generators visiting every pair (complete, gnp)
+# accept, checked before a pair is built or a random number drawn; it
+# admits n <= 3162.
+MAX_PAIRS = 5 * 10**6
+
 
 def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -291,8 +296,9 @@ def tilde_global(g: Graph, r: int) -> TildeResult:
     return TildeResult(tilde=tilde, removed=removed)
 
 
-def tilde_row_local(ball_of_v: Ball, v: int, r: int) -> tuple[int, ...]:
-    """Row of the short-cycle-free subgraph at v, computed from v's ball only.
+def tilde_row_local(b: Ball) -> tuple[int, ...]:
+    """Row of the short-cycle-free subgraph at b's center, computed from
+    that node's radius-r ball only.
 
     Edge (v, u) is dropped exactly when v reaches u in at most 2r-1 steps
     over edges smaller than (v, u), the rule tilde_global applies.  Such a
@@ -301,12 +307,10 @@ def tilde_row_local(ball_of_v: Ball, v: int, r: int) -> tuple[int, ...]:
     ball finds it and the row equals tilde_global's without any global
     knowledge.
     """
-    if r < 1:
+    if b.radius < 1:
         raise BadParams("radius must be >= 1")
-    if ball_of_v.center != v:
-        raise BadParams(f"ball is centered at {ball_of_v.center}, not {v}")
-    adj = ball_of_v.adj
-    return tuple(u for u in adj[v] if not _closes_short_cycle(adj, v, u, 2 * r - 1))
+    v = b.center
+    return tuple(u for u in b.adj[v] if not _closes_short_cycle(b.adj, v, u, 2 * b.radius - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +327,15 @@ def _gen_cycle(n, rng, params):
     return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 
 
+def _check_pairs(n):
+    """Refuse to visit every node pair when there are more than MAX_PAIRS."""
+    if n * (n - 1) // 2 > MAX_PAIRS:
+        raise BadParams(f"{n} nodes have {n * (n - 1) // 2} node pairs, "
+                        f"more than the bound {MAX_PAIRS}")
+
+
 def _gen_complete(n, rng, params):
+    _check_pairs(n)
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
@@ -335,6 +347,7 @@ def _gen_gnp(n, rng, params):
     q = params.pop("q", 0.3)
     if not isinstance(q, (int, float)) or not 0 <= q <= 1:
         raise BadParams(f"edge probability q={q!r} outside [0, 1]")
+    _check_pairs(n)
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < q]
 
 

@@ -71,27 +71,21 @@ class SupernodePartition:
 
 
 def merge_step(part: SupernodePartition, announced) -> SupernodePartition:
-    """Merge supernodes joined by announced edges.
+    """Merge supernodes joined by announced (u, w) edges, with a union-find
+    over supernode labels.
 
     Edges are processed in ascending edge order; each one joining two
     distinct supernodes goes into the forest.
     """
-    n = len(part.assignment)
-    pending = sorted(normalize_edge(u, v) for u, v in announced)
-    if not pending:
-        return part
-    uf = _UnionFind(n)
-    for v in range(n):
-        uf.union(v, part.assignment[v])
+    labels = part.assignment
+    uf = _UnionFind(len(labels))
     forest = list(part.forest)
-    for u, v in pending:
-        if uf.union(u, v):
+    for u, v in sorted({normalize_edge(u, w) for u, w in announced}):
+        if uf.union(labels[u], labels[v]):
             forest.append((u, v))
-    label_of_root: dict[int, int] = {}
-    assignment = []
-    for v in range(n):
-        assignment.append(label_of_root.setdefault(uf.find(v), v))
-    return SupernodePartition(tuple(assignment), tuple(forest))
+    first: dict[int, int] = {}
+    assignment = tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels))
+    return SupernodePartition(assignment, tuple(forest))
 
 
 class _SpanningForestProtocol(Protocol):
@@ -106,19 +100,17 @@ class _SpanningForestProtocol(Protocol):
         return SupernodePartition.singletons(n)
 
     def message(self, node, row, part, rnd):
-        mine = part.assignment[node]
-        best: dict[int, int] = {}
+        labels = part.assignment
+        mine = labels[node]
+        first: dict[int, int] = {}  # rows are sorted: the smallest neighbor per label
         for w in row:
-            lbl = part.assignment[w]
-            if lbl != mine and (lbl not in best or w < best[lbl]):
-                best[lbl] = w
-        chosen = sorted(best)[: self.cap]
-        ids = tuple(sorted(best[lbl] for lbl in chosen))
+            first.setdefault(labels[w], w)
+        first.pop(mine, None)
+        ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
         return make_message(NeighborList(ids), self.n)
 
     def deliver(self, part, rnd, messages):
-        announced = {normalize_edge(u, w)
-                     for u, m in enumerate(messages) for w in m.payload.ids}
+        announced = [(u, w) for u, m in enumerate(messages) for w in m.payload.ids]
         if not announced:
             return part, True
         return merge_step(part, announced), False
@@ -134,6 +126,9 @@ class _SpanningForestProtocol(Protocol):
 def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     """Connected components and a spanning forest in at most ceil(1/eps)
     rounds of at most ceil(n**eps) announced neighbors per node.
+
+    rows[v] is node v's sorted neighbor row (clique.adjacency_inputs), so the
+    first neighbor met in a supernode is its smallest, the one announced.
 
     eps is an exact rational in (0, 1]; pass a Fraction, an int, or a
     string such as "1/3" (floats are refused to keep round and cap counts
@@ -190,7 +185,6 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
     live = [True] * n
     eligible = [v for v in range(n) if degrees[v] <= d]  # ascending, so a heap
     sequence: list[tuple[int, tuple[int, ...]]] = []
-    edges: list[Edge] = []
     while eligible:
         k = heapq.heappop(eligible)
         try:
@@ -209,11 +203,11 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
                 heapq.heappush(eligible, j)
             values[j] = (values[j] - basis_k) % params.p
         sequence.append((k, nbrs))
-        edges.extend(normalize_edge(k, j) for j in nbrs)
     remaining = tuple(v for v in range(n) if live[v])
     residual = tuple((v, degrees[v]) for v in remaining)
     full = not remaining
-    reconstructed = Graph.from_edges(n, edges) if full else None
+    reconstructed = (Graph.from_edges(n, ((k, j) for k, nbrs in sequence for j in nbrs))
+                     if full else None)
     return PruningResult(tuple(sequence), remaining, residual, full, reconstructed)
 
 
@@ -269,11 +263,11 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     """
     if r < 1:
         raise BadParams("r must be >= 1")
-    for b in balls:  # tilde_row_local checks each ball's center
-        if b.radius != r:
-            raise BadParams(f"ball of node {b.center} has radius {b.radius}, expected {r}")
+    for v, b in enumerate(balls):
+        if b.center != v or b.radius != r:
+            raise BadParams(f"input {v} is not the radius-{r} ball of node {v}")
     s = sparsity_parameter(len(balls), r)
-    rows = [tilde_row_local(b, v, r) for v, b in enumerate(balls)]
+    rows = [tilde_row_local(b) for b in balls]
     peel, transcript = prune_one_round(rows, s)
     if peel.remaining:
         raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")

@@ -48,8 +48,6 @@ def smallest_prime_above(m: int) -> int:
         return 2
     c = m + 1
     if c % 2 == 0:
-        if c == 2:
-            return 2
         c += 1
     while not is_prime(c):
         c += 2
@@ -66,7 +64,7 @@ class SketchParams:
     threads.
     """
 
-    __slots__ = ("n", "d", "p", "xbar", "powers", "domain_size", "_binary", "_table")
+    __slots__ = ("n", "d", "p", "xbar", "powers", "domain_size", "_table")
 
     def __init__(self, n, d, p, xbar, powers, domain_size, table):
         self.n = n
@@ -75,9 +73,8 @@ class SketchParams:
         self.xbar = xbar
         self.powers = powers
         self.domain_size = domain_size
-        # xbar == 2 with 2**n <= p means encodings are plain binary values,
-        # so decoding is bit extraction and no table is ever materialized.
-        self._binary = xbar == 2 and (1 << n) <= p
+        # None on the binary path: xbar == 2 with 2**n <= p, so encodings
+        # are plain binary values and decoding is bit extraction.
         self._table = table
 
     @property
@@ -92,7 +89,7 @@ class SketchParams:
     def table_entries(self) -> int:
         """Size of the decode table: C(n, <=d), or 0 on the binary path,
         which never builds one."""
-        return 0 if self._binary else self.domain_size
+        return len(self._table) if self._table is not None else 0
 
 
 def _injective_at(n: int, d: int, x: int, p: int):
@@ -146,23 +143,16 @@ def build_params(n: int, d: int) -> SketchParams:
             f"{domain_size} sparse vectors exceed the table cap {DEFAULT_TABLE_CAP} "
             f"for n={n}, d={d}"
         )
-    xbar = None
-    table = None
-    for x in range(p):
-        if d == 0:
-            # single-vector domain: any point separates it
-            xbar, table = x, {0: 0}
-            break
-        if x == 2 and (1 << n) <= p:
+    for xbar in range(p):
+        if xbar == 2 and (1 << n) <= p:
             # encodings are distinct binary numbers below p: injective,
             # and decoding never needs a table
-            xbar = x
+            table = None
             break
-        table = _injective_at(n, d, x, p)
+        table = _injective_at(n, d, xbar, p)
         if table is not None:
-            xbar = x
             break
-    if xbar is None:  # impossible by the counting argument above
+    else:  # impossible by the counting argument above
         raise RuntimeError(f"no separating point below p for n={n}, d={d}")
     powers = tuple(pow(xbar, i, p) for i in range(n))
     return SketchParams(n, d, p, xbar, powers, domain_size, table)
@@ -218,7 +208,7 @@ def decode_support(params: SketchParams, y: FieldElement,
     """
     if not 0 <= y < params.p:
         raise BadParams(f"field element {y} outside 0..p-1")
-    if params._binary:
+    if params._table is None:
         if y >= (1 << params.n):
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
         mask = y

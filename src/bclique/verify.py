@@ -174,7 +174,7 @@ def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:
     components and have no cycle of length <= 2r."""
     oracle_labels, _ = components_and_forest(g)
     tr = tilde_global(g, r)
-    local_rows = tuple(tilde_row_local(ball(g, v, r), v, r) for v in range(g.n))
+    local_rows = tuple(tilde_row_local(ball(g, v, r)) for v in range(g.n))
     s = sparsity_parameter(g.n, r)
     return (labels == oracle_labels
             and transcript.rounds_used == 1

@@ -138,7 +138,7 @@ def test_criterion_7_one_round_connectivity():
             if 2 * r >= 3:
                 assert not has_short_cycle(result.tilde, 2 * r), (tag, r)
             for v in range(g.n):
-                assert tilde_row_local(ball(g, v, r), v, r) == result.tilde.rows[v], (tag, r, v)
+                assert tilde_row_local(ball(g, v, r)) == result.tilde.rows[v], (tag, r, v)
             oracle_labels, _ = components_and_forest(g)
             assert components_and_forest(result.tilde)[0] == oracle_labels, (tag, r)
             # the protocol itself: one round, oracle labeling, no stall

@@ -124,6 +124,14 @@ def test_absurd_node_counts_reported_as_json(capsys, tmp_path):
     assert doc["error"]["type"] == "BadParams"
 
 
+def test_quadratic_generators_refused_as_json(capsys):
+    for kind in ("complete", "gnp"):
+        code, doc = run_json(capsys, ["gen", "--kind", kind, "--n", "1000000"])
+        assert code == 1
+        assert doc["command"] == "gen" and doc["schema_version"] == 1
+        assert doc["error"]["type"] == "BadParams"
+
+
 def test_gen_unknown_kind_is_module_error(capsys):
     code, doc = run_json(capsys, ["gen", "--kind", "moebius", "--n", "8"])
     assert code == 1

@@ -26,12 +26,6 @@ def test_message_bits_examples():
     assert message_bits(DegreeAndSketch(2, 10), n=4, p=101) == 9
 
 
-def test_message_bits_accepts_wrapped_message():
-    msg = make_message(NeighborList((0, 1)), n=9)
-    assert msg.bits == 4 + 2 * 4
-    assert message_bits(msg, n=9) == msg.bits
-
-
 def test_message_bits_argument_checks():
     with pytest.raises(ValueError):
         message_bits(DegreeAndSketch(1, 3), n=4)  # p missing

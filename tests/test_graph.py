@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bclique import graph, verify
 from bclique.graph import (
+    Ball,
     Graph,
     ball,
     components_and_forest,
@@ -100,6 +101,35 @@ def test_node_counts_above_the_bound_are_refused(monkeypatch):
         load_graph("6\n")
     with pytest.raises(BadParams):
         gen_graph("cycle", 6)
+
+
+def test_generators_refuse_quadratic_work_before_drawing(monkeypatch):
+    # complete and gnp visit every node pair; above MAX_PAIRS they raise
+    # before building a pair or drawing a random number
+    for kind, extras in (("complete", {}), ("gnp", {"q": 0.5})):
+        for n in (3163, graph.MAX_NODES):
+            with pytest.raises(BadParams, match="node pairs"):
+                gen_graph(kind, n, **extras)
+    assert 3000 * 2999 // 2 <= graph.MAX_PAIRS < 3163 * 3162 // 2
+    monkeypatch.setattr(graph, "MAX_PAIRS", 10)
+    assert len(gen_graph("complete", 5).edges()) == 10
+    with pytest.raises(BadParams):
+        gen_graph("complete", 6)
+    with pytest.raises(BadParams):
+        gen_graph("gnp", 6, q=0.5)
+
+
+@given(st.text(alphabet="0123456789 -+_.#x\n\r\t\x0b\u0663", max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_load_graph_fuzz_raises_only_package_errors(text):
+    # a lower node bound keeps a long digit run from allocating 10**6 rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "MAX_NODES", 1000)
+        try:
+            g = load_graph(text)
+        except (ParseError, InvalidEdge):
+            return
+        assert load_graph(serialize_graph(g)) == g
 
 
 @given(graph_indices)
@@ -289,7 +319,7 @@ def test_tilde_local_rows_match_global(idx, r):
     g = seeded_graph(idx)
     res = tilde_global(g, r)
     for v in range(g.n):
-        assert tilde_row_local(ball(g, v, r), v, r) == res.tilde.rows[v]
+        assert tilde_row_local(ball(g, v, r)) == res.tilde.rows[v]
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=3))
@@ -300,7 +330,7 @@ def test_tilde_matches_cycle_enumeration(idx, r):
     assert tilde_global(g, r).removed == dropped
     for v in range(g.n):
         row = tuple(u for u in g.rows[v] if tuple(sorted((u, v))) not in dropped)
-        assert tilde_row_local(ball(g, v, r), v, r) == row
+        assert tilde_row_local(ball(g, v, r)) == row
 
 
 def test_tilde_global_beyond_enumeration_scale():
@@ -312,16 +342,16 @@ def test_tilde_global_beyond_enumeration_scale():
 
 def test_tilde_local_examples():
     c4 = gen_graph("cycle", 4)
-    assert tilde_row_local(ball(c4, 2, 2), 2, 2) == (1,)
-    assert tilde_row_local(ball(c4, 0, 2), 0, 2) == (1, 3)
+    assert tilde_row_local(ball(c4, 2, 2)) == (1,)
+    assert tilde_row_local(ball(c4, 0, 2)) == (1, 3)
     c5 = gen_graph("cycle", 5)
-    assert tilde_row_local(ball(c5, 0, 2), 0, 2) == (1, 4)
+    assert tilde_row_local(ball(c5, 0, 2)) == (1, 4)
 
 
 def test_tilde_local_argument_checks():
-    c4 = gen_graph("cycle", 4)
+    # a radius-0 ball holds its center alone; ball() refuses to build one
     with pytest.raises(BadParams):
-        tilde_row_local(ball(c4, 2, 2), 1, 2)  # ball centered elsewhere
+        tilde_row_local(Ball(center=0, radius=0, nodes=(0,), adj={0: ()}))
 
 
 def test_degeneracy_bound_at_64_nodes():

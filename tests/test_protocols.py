@@ -96,6 +96,27 @@ def test_spanning_forest_small_corpus(eps):
                 assert len(msg.payload.ids) <= cap, tag
 
 
+def interleaved_cliques(k: int, m: int) -> Graph:
+    """k cliques of m nodes each on nodes 0..k*m-1, clique i holding the ids
+    congruent to i mod k, with consecutive cliques joined by one edge
+    between their largest members."""
+    n = k * m
+    edges = [(u, v) for u in range(n) for v in range(u + k, n, k)]
+    edges += [(n - k + i, n - k + i + 1) for i in range(k - 1)]
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+@pytest.mark.parametrize("k, m", [(2, 10), (3, 12), (4, 16)])
+def test_spanning_forest_merges_supernodes_in_the_second_round(eps, k, m):
+    # round 0 merges each clique; the bridges sit behind the cap until the
+    # cliques are supernodes, so round 1 must merge supernode labels
+    g = interleaved_cliques(k, m)
+    labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
+    assert all(any(msg.payload.ids for msg in rnd) for rnd in transcript.rounds[:2])
+    assert verify.forest_ok(g, eps, labels, forest, transcript)
+
+
 def test_forest_ok_rejects_messages_above_the_bit_bound():
     # the bound is the analytic length field plus ceil(n**eps) ids, not the
     # message_bits formula that sized the messages

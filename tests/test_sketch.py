@@ -138,7 +138,7 @@ def test_build_params_cap_spares_binary_shapes(n, d, cap):
     # domain size may exceed the cap
     params = build_params(n, d)
     assert params.domain_size > cap
-    assert params._binary and params.xbar == 2
+    assert params.table_entries == 0 and params.xbar == 2
     assert params._table is None and params.table_entries == 0
     support = tuple(range(0, n, n // d))[:d]
     assert decode_support(params, encode_support(params, support)) == support
@@ -259,7 +259,7 @@ def test_decode_rejects_out_of_field_values():
 def test_decode_not_decodable_on_table_path():
     # (16, 1) has p = 4637 < 2**16, so decoding goes through the lookup table
     params = cached_params(16, 1)
-    assert not params._binary
+    assert params.table_entries != 0
     with pytest.raises(NotDecodable):
         decode(params, 3)  # 1 + 2 is a weight-2 encoding, outside d = 1
 
@@ -267,7 +267,7 @@ def test_decode_not_decodable_on_table_path():
 def test_both_decode_paths_round_trip():
     table_path = cached_params(16, 1)
     binary_path = cached_params(16, 3)
-    assert not table_path._binary and binary_path._binary
+    assert table_path.table_entries != 0 and binary_path.table_entries == 0
     for params in (table_path, binary_path):
         for k in range(16):
             e_k = tuple(1 if i == k else 0 for i in range(16))
@@ -291,7 +291,7 @@ def test_support_functions_agree_with_dense_ones_on_both_paths():
     for n in range(1, 17):
         for d in range(0, min(n, 2) + 1):
             params = cached_params(n, d)
-            paths.add(params._binary)
+            paths.add(params.table_entries == 0)
             for w in range(d + 1):
                 for support in itertools.combinations(range(n), w):
                     vec = tuple(1 if i in support else 0 for i in range(n))
@@ -326,13 +326,13 @@ def test_xbar_is_minimal():
 
 
 TABLE_SHAPES = [(n, d) for n in range(1, 17) for d in range(0, min(n, 3) + 1)
-                if not cached_params(n, d)._binary] + [(24, 2), (40, 3)]
+                if cached_params(n, d).table_entries != 0] + [(24, 2), (40, 3)]
 
 
 @pytest.mark.parametrize("n, d", TABLE_SHAPES)
 def test_layered_table_matches_enumeration(n, d):
     params = cached_params(n, d)
-    assert not params._binary
+    assert params.table_entries != 0
     table = sketch._injective_at(n, d, params.xbar, params.p)
     expected = enumerated_table(n, d, params.xbar, params.p)
     assert list(table.items()) == list(expected.items())
