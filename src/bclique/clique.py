@@ -32,18 +32,18 @@ def ball_inputs(g: Graph, r: int) -> list[Ball]:
     return [make_ball(g, v, r) for v in range(g.n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeighborList:
     ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeAndSketch:
     degree: int
     sketch: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     payload: NeighborList | DegreeAndSketch
     bits: int
@@ -114,6 +114,11 @@ class Protocol:
     deliver and output see the public knowledge alone, so all nodes agree on
     the halt flag and the answer by construction.  Subclasses set name and
     round_budget and implement message.
+
+    A message's size depends only on its kind, n, p and its number of ids,
+    so a protocol computes each size it needs once per run with
+    message_bits, the single size formula, and builds each
+    Message(payload, bits) directly.
     """
 
     name = "?"

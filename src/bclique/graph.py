@@ -9,6 +9,7 @@ rule that produces the short-cycle-free subgraph).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .errors import BadParams, IndexOutOfRange, InvalidEdge, ParseError, UnknownKind
@@ -116,6 +117,17 @@ class _UnionFind:
 # edge-list files
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(field: str) -> int:
+    """A plain ASCII decimal integer.  int() alone also takes '1_0', '+1'
+    and non-ASCII digits, which the file format does not allow."""
+    if not _DECIMAL.fullmatch(field):
+        raise ValueError(f"not a decimal integer: {field!r}")
+    return int(field)
+
+
 def load_graph(text: str) -> Graph:
     """Parse the edge-list format: first payload line is n, then "u v" lines.
 
@@ -133,7 +145,7 @@ def load_graph(text: str) -> Graph:
             if len(fields) != 1:
                 raise ParseError(f"line {lineno}: expected a single node count")
             try:
-                n = int(fields[0])
+                n = _decimal(fields[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: node count is not an integer") from None
             if not 0 <= n <= MAX_NODES:
@@ -142,7 +154,7 @@ def load_graph(text: str) -> Graph:
         if len(fields) != 2:
             raise ParseError(f"line {lineno}: expected 'u v'")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
             raise ParseError(f"line {lineno}: endpoints are not integers") from None
         edges.append((u, v))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sketch
-from .clique import DegreeAndSketch, NeighborList, Protocol, make_message, run_protocol
+from .clique import DegreeAndSketch, Message, NeighborList, Protocol, message_bits, run_protocol
 from .errors import BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable, WeightMismatch
 from .graph import (
     Ball,
@@ -95,19 +95,30 @@ class _SpanningForestProtocol(Protocol):
         self.n = n
         self.cap = cap
         self.round_budget = budget
+        # Message size by id count, filled on first use: a table over
+        # 0..cap up front would cost O(cap**2) at eps = 1.
+        self.bits: dict[int, int] = {}
 
     def start(self, n):
         return SupernodePartition.singletons(n)
 
     def message(self, node, row, part, rnd):
         labels = part.assignment
-        mine = labels[node]
-        first: dict[int, int] = {}  # rows are sorted: the smallest neighbor per label
+        # Rows are sorted, so first holds the smallest neighbor per label,
+        # inserted in ascending id order.
+        first: dict[int, int] = {}
         for w in row:
             first.setdefault(labels[w], w)
-        first.pop(mine, None)
-        ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
-        return make_message(NeighborList(ids), self.n)
+        first.pop(labels[node], None)
+        if len(first) <= self.cap:
+            ids = tuple(first.values())
+        else:
+            ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
+        payload = NeighborList(ids)
+        bits = self.bits.get(len(ids))
+        if bits is None:
+            bits = self.bits[len(ids)] = message_bits(payload, self.n)
+        return Message(payload, bits)
 
     def deliver(self, part, rnd, messages):
         announced = [(u, w) for u, m in enumerate(messages) for w in m.payload.ids]
@@ -216,13 +227,13 @@ class _PruneProtocol(Protocol):
     round_budget = 1
 
     def __init__(self, n: int, d: int, params: sketch.SketchParams):
-        self.n = n
         self.d = d
         self.params = params
+        self.bits = message_bits(DegreeAndSketch(0, 0), n, params.p)
 
     def message(self, node, row, known, rnd):
         payload = DegreeAndSketch(len(row), sketch.encode_support(self.params, row))
-        return make_message(payload, self.n, self.params.p)
+        return Message(payload, self.bits)
 
     def deliver(self, known, rnd, messages):
         pairs = [(m.payload.degree, m.payload.sketch) for m in messages]

@@ -76,7 +76,8 @@ def test_load_graph_comments_and_blanks():
     assert load_graph(text) == gen_graph("path", 3)
 
 
-@pytest.mark.parametrize("text", ["", "#only comments\n", "x\n", "2 3\n", "3\n0\n", "3\n0 1 2\n", "3\na b\n"])
+@pytest.mark.parametrize("text", ["", "#only comments\n", "x\n", "2 3\n", "3\n0\n", "3\n0 1 2\n", "3\na b\n",
+                                  "1_0\n", "3\n+1 2\n", "4\n1 \u0663\n"])
 def test_load_graph_parse_errors(text):
     with pytest.raises(ParseError):
         load_graph(text)

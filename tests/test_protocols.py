@@ -1,5 +1,6 @@
 """The three protocols against their oracles, plus the shared peel machinery."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bclique import protocols, verify
-from bclique.clique import Message, Transcript, adjacency_inputs, ball_inputs
+from bclique.clique import (
+    DegreeAndSketch,
+    Message,
+    NeighborList,
+    Transcript,
+    adjacency_inputs,
+    ball_inputs,
+    message_bits,
+)
 from bclique.errors import BadParams, DegeneracyExceeded, InvalidTranscript
 from bclique.graph import Graph, components_and_forest, core_peel, gen_graph, tilde_global
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
     PruningResult,
     SupernodePartition,
+    _SpanningForestProtocol,
     connectivity_one_round_r,
     merge_step,
     peel_from_messages,
@@ -115,6 +125,35 @@ def test_spanning_forest_merges_supernodes_in_the_second_round(eps, k, m):
     labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
     assert all(any(msg.payload.ids for msg in rnd) for rnd in transcript.rounds[:2])
     assert verify.forest_ok(g, eps, labels, forest, transcript)
+
+
+@st.composite
+def forest_message_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    node = draw(st.integers(min_value=0, max_value=n - 1))
+    others = [w for w in range(n) if w != node]
+    row = tuple(sorted(draw(st.sets(st.sampled_from(others))) if others else ()))
+    labels = tuple(draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                 min_size=n, max_size=n)))
+    cap = draw(st.integers(min_value=1, max_value=n))
+    return n, node, row, labels, cap
+
+
+@given(forest_message_cases())
+@settings(max_examples=300, deadline=None)
+def test_forest_message_announces_the_smallest_foreign_labels(case):
+    # reference: the cap smallest foreign labels, each with its smallest
+    # neighbor, ids in ascending order; built without relying on row order
+    n, node, row, labels, cap = case
+    smallest: dict[int, int] = {}
+    for w in row:
+        if labels[w] != labels[node]:
+            smallest[labels[w]] = min(smallest.get(labels[w], w), w)
+    expected = tuple(sorted(smallest[lbl] for lbl in sorted(smallest)[:cap]))
+    msg = _SpanningForestProtocol(n, cap, 1).message(
+        node, row, SupernodePartition(labels, ()), 0)
+    assert msg.payload == NeighborList(expected)
+    assert msg.bits == message_bits(msg.payload, n)
 
 
 def test_forest_ok_rejects_messages_above_the_bit_bound():
@@ -447,3 +486,31 @@ def test_pruning_result_is_plain_data():
     clone = PruningResult(result.sequence, result.remaining, result.residual_degrees,
                           result.fully_reconstructed, result.reconstructed)
     assert clone == result
+
+
+def test_messages_are_sized_by_message_bits():
+    # protocols size their messages once per run; every size must still be
+    # what the single formula gives for that payload
+    graphs = [gen_graph("gnp", 24, seed=seed, q=0.2) for seed in (1, 2, 3)]
+    graphs.append(interleaved_cliques(3, 12))
+    for g in graphs:
+        rows = adjacency_inputs(g)
+        runs = [(spanning_forest_multiround(rows, eps)[2], None)
+                for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3))]
+        runs.append((prune_one_round(rows, 2)[1], cached_params(g.n, 2).p))
+        for r in (2, 3):
+            p = cached_params(g.n, sparsity_parameter(g.n, r)).p
+            runs.append((connectivity_one_round_r(ball_inputs(g, r), r)[2], p))
+        for transcript, p in runs:
+            for rnd in transcript.rounds:
+                for m in rnd:
+                    assert m.bits == message_bits(m.payload, g.n, p)
+
+    payloads = (NeighborList((1, 2)), DegreeAndSketch(2, 7))
+    for obj in (*payloads, Message(payloads[0], 12)):
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+    assert NeighborList((1, 2)) == payloads[0] and hash(NeighborList((1, 2))) == hash(payloads[0])
+    assert hash(DegreeAndSketch(2, 7)) == hash(payloads[1])
+    assert hash(Message(NeighborList((1, 2)), 12)) == hash(Message(payloads[0], 12))
