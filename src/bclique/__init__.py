@@ -51,7 +51,6 @@ from .graph import (
 )
 from .protocols import (
     PruningResult,
-    SupernodePartition,
     connectivity_one_round_r,
     merge_step,
     peel_from_messages,

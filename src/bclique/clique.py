@@ -3,9 +3,10 @@
 Every round, each node computes one message (Protocol.message) from its own
 input and the public knowledge; the full ordered message vector then goes
 to every node.  Since all nodes receive the same vector, one shared step
-(Protocol.deliver) per round turns it into the next public knowledge, and
-the common output (Protocol.output) is read off that.  Message sizes follow
-fixed encoding rules so protocol budgets can be checked to the bit.
+(Protocol.deliver) per round turns it into the next public knowledge.  The
+engine returns the final public knowledge, and each protocol entry point
+reads its answer off it.  Message sizes follow fixed encoding rules so
+protocol budgets can be checked to the bit.
 
 A node's input is what its model lets it see, with no wrapper: its sorted
 neighbor row (adjacency_inputs) or its radius-r Ball (ball_inputs).  The
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadParams, RoundBudgetExceeded
+from .errors import BadParams
 from .graph import Ball, Graph, ball as make_ball
 from .intmath import ceil_log2
 
@@ -111,8 +112,8 @@ class Protocol:
 
     A node knows its own input plus the public knowledge `known`, which every
     node builds identically from the broadcasts.  Only message sees a node;
-    deliver and output see the public knowledge alone, so all nodes agree on
-    the halt flag and the answer by construction.  Subclasses set name and
+    deliver sees the public knowledge alone, so all nodes agree on the halt
+    flag and the final knowledge by construction.  Subclasses set
     round_budget and implement message.
 
     A message's size depends only on its kind, n, p and its number of ids,
@@ -121,33 +122,26 @@ class Protocol:
     Message(payload, bits) directly.
     """
 
-    name = "?"
     round_budget = 1
 
     def start(self, n: int):
         """Public knowledge before round 0."""
         return None
 
-    def message(self, node: int, node_input, known, rnd: int) -> Message:
+    def message(self, node: int, node_input, known) -> Message:
         raise NotImplementedError
 
-    def deliver(self, known, rnd: int, messages: tuple[Message, ...]):
+    def deliver(self, known, messages: tuple[Message, ...]):
         """(new public knowledge, halt) after one delivered message vector."""
         return known, True
-
-    def node_finished(self, node: int, node_input, known) -> bool:
-        """Whether this node is done; checked when the budget runs out
-        without an early halt."""
-        return True
-
-    def output(self, known):
-        """The answer every node outputs."""
-        return known
 
 
 def run_protocol(protocol: Protocol, inputs: Sequence,
                  eval_order: Sequence[int] | None = None):
-    """Run a protocol to completion and return (common output, transcript).
+    """Run a protocol and return (final public knowledge, transcript).
+
+    The run stops when deliver halts or after round_budget rounds; whether
+    a run that used its whole budget finished is the protocol's own check.
 
     eval_order only permutes the order the per-node message hook is invoked
     in; messages are computed before any delivery, so it must never change
@@ -164,20 +158,13 @@ def run_protocol(protocol: Protocol, inputs: Sequence,
 
     known = protocol.start(n)
     rounds: list[tuple[Message, ...]] = []
-    for rnd in range(protocol.round_budget):
+    for _ in range(protocol.round_budget):
         msgs: list[Message | None] = [None] * n
         for i in order:
-            msgs[i] = protocol.message(i, inputs[i], known, rnd)
+            msgs[i] = protocol.message(i, inputs[i], known)
         delivered = tuple(msgs)
         rounds.append(delivered)
-        known, halt = protocol.deliver(known, rnd, delivered)
+        known, halt = protocol.deliver(known, delivered)
         if halt:
             break
-    else:
-        unfinished = [i for i in range(n) if not protocol.node_finished(i, inputs[i], known)]
-        if unfinished:
-            raise RoundBudgetExceeded(
-                f"{protocol.name}: nodes {unfinished} unfinished after "
-                f"{protocol.round_budget} round(s)"
-            )
-    return protocol.output(known), Transcript(tuple(rounds))
+    return known, Transcript(tuple(rounds))

@@ -71,13 +71,12 @@ class Graph:
 class Ball:
     """Induced subgraph of everything within a fixed distance of one node.
 
-    Node ids are the original ids; adj maps each contained node to its
-    neighbors inside the ball.
+    Node ids are the original ids; adj maps each contained node, in
+    ascending id order, to its neighbors inside the ball.
     """
 
     center: int
     radius: int
-    nodes: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
 
 
@@ -223,6 +222,8 @@ def ball(g: Graph, v: int, r: int) -> Ball:
     dist = {v: 0}
     frontier = [v]
     for depth in range(1, r + 1):
+        if not frontier:
+            break  # the whole component is in: further levels add nothing
         nxt = []
         for u in frontier:
             for w in g.rows[u]:
@@ -233,7 +234,7 @@ def ball(g: Graph, v: int, r: int) -> Ball:
     members = tuple(sorted(dist))
     inside = set(members)
     adj = {u: tuple(w for w in g.rows[u] if w in inside) for u in members}
-    return Ball(center=v, radius=r, nodes=members, adj=adj)
+    return Ball(center=v, radius=r, adj=adj)
 
 
 def _closes_short_cycle(adj, u: int, w: int, hops: int) -> bool:

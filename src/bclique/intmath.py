@@ -37,6 +37,8 @@ def nth_root_ceil(x: int, k: int) -> int:
         return 0
     if x == 1 or k == 1:
         return x if k == 1 else 1
+    if k >= x.bit_length():
+        return 2  # 1**k < x < 2**k, found without building 2**k
     hi = 1
     while hi**k < x:
         hi *= 2

@@ -26,7 +26,8 @@ from typing import Sequence
 
 from . import sketch
 from .clique import DegreeAndSketch, Message, NeighborList, Protocol, message_bits, run_protocol
-from .errors import BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable, WeightMismatch
+from .errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
+                     RoundBudgetExceeded, WeightMismatch)
 from .graph import (
     Ball,
     Edge,
@@ -37,6 +38,13 @@ from .graph import (
     tilde_row_local,
 )
 from .intmath import ceil_log2, nth_root_ceil, pow_ceil
+
+
+# Largest eps numerator spanning_forest_multiround accepts: the neighbor cap
+# ceil(n**eps) raises n to the numerator, so a larger one is refused before
+# that work starts.  At n = 10**6 and eps = 65535/65536 the cap takes about
+# 1.4 s on a 2-core host with Python 3.11.
+MAX_EPS_NUMERATOR = 2**16
 
 
 def forest_round_budget(eps: Fraction) -> int:
@@ -54,42 +62,26 @@ def sketch_bits_bound(n: int, d: int) -> int:
     return 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
 
 
-@dataclass(frozen=True)
-class SupernodePartition:
-    """Grouping of nodes into supernodes, labeled by minimum member id.
-
-    forest accumulates the original-graph edges whose announcement caused a
-    merge; it stays acyclic.
-    """
-
-    assignment: tuple[int, ...]
-    forest: tuple[Edge, ...]
-
-    @staticmethod
-    def singletons(n: int) -> "SupernodePartition":
-        return SupernodePartition(tuple(range(n)), ())
-
-
-def merge_step(part: SupernodePartition, announced) -> SupernodePartition:
+def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
     """Merge supernodes joined by announced (u, w) edges, with a union-find
-    over supernode labels.
+    over supernode labels, and return the new (labels, forest).
 
-    Edges are processed in ascending edge order; each one joining two
-    distinct supernodes goes into the forest.
+    labels[v] is the minimum member id of v's supernode; forest holds the
+    original-graph edges whose announcement caused a merge, so it stays
+    acyclic.  Edges are processed in ascending edge order; each one joining
+    two distinct supernodes goes into the forest.
     """
-    labels = part.assignment
     uf = _UnionFind(len(labels))
-    forest = list(part.forest)
+    forest = list(forest)
     for u, v in sorted({normalize_edge(u, w) for u, w in announced}):
         if uf.union(labels[u], labels[v]):
             forest.append((u, v))
     first: dict[int, int] = {}
-    assignment = tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels))
-    return SupernodePartition(assignment, tuple(forest))
+    return tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels)), tuple(forest)
 
 
 class _SpanningForestProtocol(Protocol):
-    name = "spanning_forest_multiround"
+    """Public knowledge is (labels, forest), as merge_step takes it."""
 
     def __init__(self, n: int, cap: int, budget: int):
         self.n = n
@@ -100,10 +92,10 @@ class _SpanningForestProtocol(Protocol):
         self.bits: dict[int, int] = {}
 
     def start(self, n):
-        return SupernodePartition.singletons(n)
+        return tuple(range(n)), ()
 
-    def message(self, node, row, part, rnd):
-        labels = part.assignment
+    def message(self, node, row, known):
+        labels = known[0]
         # Rows are sorted, so first holds the smallest neighbor per label,
         # inserted in ascending id order.
         first: dict[int, int] = {}
@@ -120,18 +112,11 @@ class _SpanningForestProtocol(Protocol):
             bits = self.bits[len(ids)] = message_bits(payload, self.n)
         return Message(payload, bits)
 
-    def deliver(self, part, rnd, messages):
+    def deliver(self, known, messages):
         announced = [(u, w) for u, m in enumerate(messages) for w in m.payload.ids]
         if not announced:
-            return part, True
-        return merge_step(part, announced), False
-
-    def node_finished(self, node, row, part):
-        mine = part.assignment[node]
-        return all(part.assignment[w] == mine for w in row)
-
-    def output(self, part):
-        return part.assignment, tuple(sorted(part.forest))
+            return known, True
+        return merge_step(*known, announced), False
 
 
 def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
@@ -143,17 +128,31 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
 
     eps is an exact rational in (0, 1]; pass a Fraction, an int, or a
     string such as "1/3" (floats are refused to keep round and cap counts
-    exact).
+    exact).  Its numerator may not exceed MAX_EPS_NUMERATOR (BadParams).
+
+    The run halts early once no node sees a neighbor in another supernode.
+    If it uses all ceil(1/eps) rounds and some node still does, it raises
+    RoundBudgetExceeded.
     """
     if isinstance(eps, float):
         raise TypeError("pass eps as Fraction, int, or string, not float")
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise BadParams("eps must be in (0, 1]")
+    if eps.numerator > MAX_EPS_NUMERATOR:
+        raise BadParams(f"eps numerator {eps.numerator} exceeds {MAX_EPS_NUMERATOR}")
     n = len(rows)
-    proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
+    budget = forest_round_budget(eps)
+    proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget)
     (labels, forest), transcript = run_protocol(proto, rows)
-    return labels, forest, transcript
+    # a run that halted saw no foreign label; one whose last round still
+    # announced was stopped by the budget, so some nodes may be unfinished
+    if any(m.payload.ids for m in transcript.rounds[-1]):
+        unfinished = [v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
+        if unfinished:
+            raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
+                                      f"unfinished after {budget} round(s)")
+    return labels, tuple(sorted(forest)), transcript
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,11 @@ class PruningResult:
     sequence: tuple[tuple[int, tuple[int, ...]], ...]
     remaining: tuple[int, ...]
     residual_degrees: tuple[tuple[int, int], ...]
-    fully_reconstructed: bool
     reconstructed: Graph | None
+
+    @property
+    def fully_reconstructed(self) -> bool:
+        return not self.remaining
 
 
 def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResult:
@@ -216,14 +218,12 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
         sequence.append((k, nbrs))
     remaining = tuple(v for v in range(n) if live[v])
     residual = tuple((v, degrees[v]) for v in remaining)
-    full = not remaining
-    reconstructed = (Graph.from_edges(n, ((k, j) for k, nbrs in sequence for j in nbrs))
-                     if full else None)
-    return PruningResult(tuple(sequence), remaining, residual, full, reconstructed)
+    reconstructed = (None if remaining else
+                     Graph.from_edges(n, ((k, j) for k, nbrs in sequence for j in nbrs)))
+    return PruningResult(tuple(sequence), remaining, residual, reconstructed)
 
 
 class _PruneProtocol(Protocol):
-    name = "prune_one_round"
     round_budget = 1
 
     def __init__(self, n: int, d: int, params: sketch.SketchParams):
@@ -231,11 +231,11 @@ class _PruneProtocol(Protocol):
         self.params = params
         self.bits = message_bits(DegreeAndSketch(0, 0), n, params.p)
 
-    def message(self, node, row, known, rnd):
+    def message(self, node, row, known):
         payload = DegreeAndSketch(len(row), sketch.encode_support(self.params, row))
         return Message(payload, self.bits)
 
-    def deliver(self, known, rnd, messages):
+    def deliver(self, known, messages):
         pairs = [(m.payload.degree, m.payload.sketch) for m in messages]
         return peel_from_messages(pairs, self.params, self.d), True
 

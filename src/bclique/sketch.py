@@ -20,6 +20,7 @@ with Python 3.11.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -54,6 +55,7 @@ def smallest_prime_above(m: int) -> int:
     return c
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SketchParams:
     """Frozen parameters of one sketch: dimension n, sparsity bound d,
     modulus p, evaluation point xbar, and the power table xbar**i mod p.
@@ -64,26 +66,20 @@ class SketchParams:
     threads.
     """
 
-    __slots__ = ("n", "d", "p", "xbar", "powers", "domain_size", "_table")
-
-    def __init__(self, n, d, p, xbar, powers, domain_size, table):
-        self.n = n
-        self.d = d
-        self.p = p
-        self.xbar = xbar
-        self.powers = powers
-        self.domain_size = domain_size
-        # None on the binary path: xbar == 2 with 2**n <= p, so encodings
-        # are plain binary values and decoding is bit extraction.
-        self._table = table
+    n: int
+    d: int
+    p: int
+    xbar: int
+    powers: tuple[int, ...] = field(repr=False)
+    domain_size: int = field(repr=False)
+    # None on the binary path: xbar == 2 with 2**n <= p, so encodings are
+    # plain binary values and decoding is bit extraction.
+    _table: dict[int, int] | None = field(repr=False)
 
     @property
     def p_bits(self) -> int:
         """Bits needed to transmit one field element."""
         return ceil_log2(self.p)
-
-    def __repr__(self):
-        return f"SketchParams(n={self.n}, d={self.d}, p={self.p}, xbar={self.xbar})"
 
     @property
     def table_entries(self) -> int:

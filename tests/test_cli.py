@@ -1,9 +1,14 @@
 """Command line: report contents, exit codes, and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bclique
 from bclique.cli import run_command
 from bclique.graph import gen_graph, load_graph, serialize_graph
 
@@ -98,6 +103,7 @@ def test_module_error_reported_as_json(capsys, tmp_path):
     ("p4", ["prune", "--d", "9"]),
     ("p4", ["prune", "--d", "-1"]),
     ("p4", ["one-round", "--r", "0"]),
+    ("p4", ["components", "--eps", "0.999999999999"]),
     ("empty", ["components", "--eps", "1/2"]),
     ("empty", ["prune", "--d", "0"]),
     ("empty", ["one-round", "--r", "1"]),
@@ -130,6 +136,28 @@ def test_quadratic_generators_refused_as_json(capsys):
         assert code == 1
         assert doc["command"] == "gen" and doc["schema_version"] == 1
         assert doc["error"]["type"] == "BadParams"
+
+
+def test_huge_radius_finishes_at_once(tmp_path):
+    # the ball stops at an empty frontier and the sparsity bound is 2
+    # without building 2**r; a timeout turns a regression into a failure
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(gen_graph("gnp", 20, seed=1, q=0.2)))
+    src = str(Path(bclique.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "bclique.cli", "one-round", "--graph",
+                           str(path), "--r", str(10**12)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["oracle_agreement"] is True and doc["parameters"]["s"] == 2
+
+
+def test_tiny_eps_finishes_at_once(capsys, p4_file):
+    code, doc = run_json(capsys, ["components", "--graph", p4_file, "--eps", "1e-12"])
+    assert code == 0
+    assert doc["neighbor_cap"] == 2 and doc["oracle_agreement"] is True
 
 
 def test_gen_unknown_kind_is_module_error(capsys):

@@ -224,15 +224,17 @@ def test_core_peel_remaining_is_permutation_invariant(idx, d, rng):
 def test_ball_examples():
     p4 = gen_graph("path", 4)
     b = ball(p4, 1, 1)
-    assert b.nodes == (0, 1, 2)
+    assert tuple(b.adj) == (0, 1, 2)
     assert b.adj == {0: (1,), 1: (0, 2), 2: (1,)}
 
     whole = ball(p4, 0, 5)  # radius beyond the diameter
-    assert whole.nodes == (0, 1, 2, 3)
+    assert tuple(whole.adj) == (0, 1, 2, 3)
     assert whole.adj == {v: p4.rows[v] for v in range(4)}
+    # levels past the last reached node are skipped, not walked
+    assert ball(p4, 0, 10**12).adj == ball(p4, 0, p4.n).adj
 
     lonely = ball(Graph.from_edges(3, [(0, 1)]), 2, 3)
-    assert lonely.nodes == (2,) and lonely.adj == {2: ()}
+    assert lonely.adj == {2: ()}
 
 
 def test_ball_argument_checks():
@@ -251,8 +253,8 @@ def test_ball_matches_networkx_ego(idx, r):
     for v in range(g.n):
         b = ball(g, v, r)
         ego = nx.ego_graph(h, v, radius=r)
-        assert set(b.nodes) == set(ego.nodes)
-        assert {normalize_edge(u, w) for u in b.nodes for w in b.adj[u]} == \
+        assert set(b.adj) == set(ego.nodes)
+        assert {normalize_edge(u, w) for u in b.adj for w in b.adj[u]} == \
             {normalize_edge(u, w) for u, w in ego.edges}
 
 
@@ -352,7 +354,7 @@ def test_tilde_local_examples():
 def test_tilde_local_argument_checks():
     # a radius-0 ball holds its center alone; ball() refuses to build one
     with pytest.raises(BadParams):
-        tilde_row_local(Ball(center=0, radius=0, nodes=(0,), adj={0: ()}))
+        tilde_row_local(Ball(center=0, radius=0, adj={0: ()}))
 
 
 def test_degeneracy_bound_at_64_nodes():

@@ -17,12 +17,11 @@ from bclique.clique import (
     ball_inputs,
     message_bits,
 )
-from bclique.errors import BadParams, DegeneracyExceeded, InvalidTranscript
+from bclique.errors import BadParams, DegeneracyExceeded, InvalidTranscript, RoundBudgetExceeded
 from bclique.graph import Graph, components_and_forest, core_peel, gen_graph, tilde_global
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
     PruningResult,
-    SupernodePartition,
     _SpanningForestProtocol,
     connectivity_one_round_r,
     merge_step,
@@ -41,16 +40,14 @@ from conftest import bfs_component_labels, edges_of_sequence, forest_ok
 # --- merge_step -----------------------------------------------------------------
 
 def test_merge_step_examples():
-    part = SupernodePartition.singletons(3)
-    merged = merge_step(part, {(0, 1), (1, 2)})
-    assert merged.assignment == (0, 0, 0)
-    assert merged.forest == ((0, 1), (1, 2))
+    singletons = ((0, 1, 2), ())
+    merged = merge_step(*singletons, {(0, 1), (1, 2)})
+    assert merged == ((0, 0, 0), ((0, 1), (1, 2)))
 
-    assert merge_step(part, set()) == part
+    assert merge_step(*singletons, set()) == singletons
 
-    again = merge_step(merged, {(0, 1)})  # cycle edge changes nothing
-    assert again.assignment == merged.assignment
-    assert again.forest == merged.forest
+    again = merge_step(*merged, {(0, 1)})  # cycle edge changes nothing
+    assert again == merged
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -88,6 +85,21 @@ def test_spanning_forest_argument_checks():
         spanning_forest_multiround(rows, Fraction(3, 2))
     with pytest.raises(BadParams):
         spanning_forest_multiround(rows, 0)
+    # the neighbor cap raises n to the numerator, so a huge one would hang
+    top = protocols.MAX_EPS_NUMERATOR
+    assert spanning_forest_multiround(rows, Fraction(top, top + 1))[0] == (0, 0, 0)
+    for eps in (Fraction(top + 1, top + 2), Fraction(10**12 - 1, 10**12)):
+        with pytest.raises(BadParams):
+            spanning_forest_multiround(rows, eps)
+
+
+def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
+    # with merging broken, every round announces the same foreign neighbors
+    # and the run stops at its budget with nodes unfinished
+    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, announced: (labels, forest))
+    rows = adjacency_inputs(gen_graph("path", 5))
+    with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
+        spanning_forest_multiround(rows, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
@@ -150,8 +162,7 @@ def test_forest_message_announces_the_smallest_foreign_labels(case):
         if labels[w] != labels[node]:
             smallest[labels[w]] = min(smallest.get(labels[w], w), w)
     expected = tuple(sorted(smallest[lbl] for lbl in sorted(smallest)[:cap]))
-    msg = _SpanningForestProtocol(n, cap, 1).message(
-        node, row, SupernodePartition(labels, ()), 0)
+    msg = _SpanningForestProtocol(n, cap, 1).message(node, row, (labels, ()))
     assert msg.payload == NeighborList(expected)
     assert msg.bits == message_bits(msg.payload, n)
 
@@ -484,8 +495,8 @@ def test_one_round_small_corpus(r):
 def test_pruning_result_is_plain_data():
     result, _ = prune_one_round(adjacency_inputs(gen_graph("path", 4)), 1)
     clone = PruningResult(result.sequence, result.remaining, result.residual_degrees,
-                          result.fully_reconstructed, result.reconstructed)
-    assert clone == result
+                          result.reconstructed)
+    assert clone == result and clone.fully_reconstructed
 
 
 def test_messages_are_sized_by_message_bits():

@@ -1,7 +1,9 @@
 """Sketch map: prime search, parameter derivation, encode/decode laws."""
 
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -17,7 +19,7 @@ from bclique.errors import (
     NotDecodable,
     WeightMismatch,
 )
-from bclique.intmath import ceil_log2, is_prime
+from bclique.intmath import ceil_log2, is_prime, nth_root_ceil, pow_ceil
 from bclique.sketch import (
     DEFAULT_TABLE_CAP,
     build_params,
@@ -91,12 +93,40 @@ def test_is_prime_matches_sympy_at_scale():
         assert is_prime(k) == sympy.isprime(k), k
 
 
+def _least_power_at_least(x, k):
+    s = 0
+    while s**k < x:
+        s += 1
+    return s
+
+
+def test_integer_roots_match_brute_force():
+    # k runs past x.bit_length(), where the answer is 2 for every x >= 2
+    for x in range(70):
+        for k in range(1, 10):
+            assert nth_root_ceil(x, k) == _least_power_at_least(x, k), (x, k)
+    for base in range(12):
+        for num in range(4):
+            for den in range(1, 6):
+                assert pow_ceil(base, Fraction(num, den)) == \
+                    _least_power_at_least(base**num, den), (base, num, den)
+
+
+def test_integer_roots_of_huge_order_are_immediate():
+    assert nth_root_ceil(10**6, 10**12) == 2
+    assert nth_root_ceil(1, 10**12) == 1 and nth_root_ceil(0, 10**12) == 0
+    assert pow_ceil(40, Fraction(1, 10**12)) == 2
+
+
 # --- build_params ------------------------------------------------------------
 
 @pytest.mark.parametrize("n, d, p, xbar", [(2, 1, 19, 2), (4, 1, 101, 2), (4, 2, 2503, 2)])
 def test_build_params_examples(n, d, p, xbar):
     params = build_params(n, d)
     assert (params.p, params.xbar) == (p, xbar)
+    assert repr(params) == f"SketchParams(n={n}, d={d}, p={p}, xbar={xbar})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.p = 7
     assert params.powers == tuple(pow(xbar, i, p) for i in range(n))
 
 
