@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import verify
 from .clique import adjacency_inputs, ball_inputs
-from .errors import BcliqueError
+from .errors import BcliqueError, ParseError
 from .graph import gen_graph, load_graph, serialize_graph
 from .protocols import (
     connectivity_one_round_r,
@@ -38,7 +38,12 @@ def _emit(doc: dict) -> None:
 
 def _read_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return load_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return load_graph(text)
 
 
 def _parse_eps(text: str) -> Fraction:

@@ -8,6 +8,7 @@ rule that produces the short-cycle-free subgraph).
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -243,17 +244,32 @@ def _closes_short_cycle(adj, u: int, w: int, hops: int) -> bool:
 
     That holds exactly when u reaches w in at most `hops` steps over edges
     smaller than (u, w): such a walk contains a simple path, which the edge
-    closes into the cycle.  adj maps every node reached to its neighbors.
+    closes into the cycle.  adj maps every node reached, and w, to its
+    neighbors, and is symmetric, as a ball's induced subgraph is.
+
+    The walk enters w from one of its entries: a neighbor other than u
+    whose edge to w is smaller than (u, w).  A w with none, such as a leaf
+    of the ball, closes nothing and returns at once, before any BFS; else the
+    BFS runs hops - 1 levels and stops at the first entry it reaches, so it
+    never builds the last, widest level and never steps onto u or w.  With
+    (lo, hi) = sorted((u, w)), a step from a to any other node b is over an
+    edge smaller than (u, w) exactly when b < cap(a): no bound for a < lo,
+    hi for a == lo and lo for a > lo.  That is one integer comparison per
+    neighbor, which builds no normalized tuple and reads no order of a row.
     """
-    top = normalize_edge(u, w)
+    lo, hi = (u, w) if u < w else (w, u)
+    entries = {b for b in adj[w] if b < (hi if w == lo else lo)}
+    if not entries:
+        return False
     seen = {u}
     frontier = [u]
-    for _ in range(hops):
+    for _ in range(hops - 1):
         nxt = []
         for a in frontier:
+            cap = math.inf if a < lo else hi if a == lo else lo
             for b in adj[a]:
-                if b not in seen and normalize_edge(a, b) < top:
-                    if b == w:
+                if b < cap and b not in seen:
+                    if b in entries:
                         return True
                     seen.add(b)
                     nxt.append(b)

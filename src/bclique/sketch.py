@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from . import graph
 from .errors import (
     BadParams,
     CapExceeded,
@@ -128,19 +129,25 @@ def build_params(n: int, d: int) -> SketchParams:
     """
     if n < 1:
         raise BadParams("n must be >= 1")
+    if n > graph.MAX_NODES:
+        # refused before the prime search or the domain count allocates
+        raise BadParams(f"n must be <= {graph.MAX_NODES}")
     if not 0 <= d <= n:
         raise BadParams("d must satisfy 0 <= d <= n")
     domain_size = sum(math.comb(n, w) for w in range(d + 1))
     p = smallest_prime_above((1 + n) ** (2 * d) * n)
+    # 2**n <= p exactly when n < p.bit_length(); comparing bit lengths
+    # never builds 2**n.
+    binary = n < p.bit_length()
     # Binary shapes never build a table: for n >= 2 and d >= 1, x = 0 and
     # x = 1 collide within the first three supports, and x = 2 needs none.
-    if (1 << n) > p and domain_size > DEFAULT_TABLE_CAP:
+    if not binary and domain_size > DEFAULT_TABLE_CAP:
         raise CapExceeded(
             f"{domain_size} sparse vectors exceed the table cap {DEFAULT_TABLE_CAP} "
             f"for n={n}, d={d}"
         )
     for xbar in range(p):
-        if xbar == 2 and (1 << n) <= p:
+        if xbar == 2 and binary:
             # encodings are distinct binary numbers below p: injective,
             # and decoding never needs a table
             table = None
@@ -205,7 +212,7 @@ def decode_support(params: SketchParams, y: FieldElement,
     if not 0 <= y < params.p:
         raise BadParams(f"field element {y} outside 0..p-1")
     if params._table is None:
-        if y >= (1 << params.n):
+        if y.bit_length() > params.n:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
         mask = y
     else:

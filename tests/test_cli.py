@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bclique
+from bclique import graph
 from bclique.cli import run_command
 from bclique.graph import gen_graph, load_graph, serialize_graph
 
@@ -115,6 +116,24 @@ def test_bad_params_reported_as_json(capsys, tmp_path, graph, argv):
         path.write_text({"p4": serialize_graph(gen_graph("path", 4)), "empty": "0\n"}[graph])
         argv = argv[:1] + ["--graph", str(path)] + argv[1:]
     code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert doc["error"]["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("argv", [["prune", "--d", "1"], ["components", "--eps", "1/2"],
+                                  ["one-round", "--r", "2"]], ids=lambda v: v[0])
+def test_non_utf8_graph_file_reported_as_json(capsys, tmp_path, argv):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"3\n0 1\n\xff\n")
+    code, doc = run_json(capsys, argv[:1] + ["--graph", str(path)] + argv[1:])
+    assert code == 1
+    assert doc["command"] == argv[0]
+    assert doc["error"]["type"] == "ParseError"
+    assert "not UTF-8" in doc["error"]["message"]
+
+
+def test_params_above_max_nodes_reported_as_json(capsys):
+    code, doc = run_json(capsys, ["params", "--n", str(graph.MAX_NODES + 1), "--d", "1"])
     assert code == 1
     assert doc["error"]["type"] == "BadParams"
 

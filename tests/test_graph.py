@@ -285,7 +285,114 @@ def test_verify_catches_a_short_cycle_search_one_hop_short(monkeypatch):
     real = graph._closes_short_cycle
     monkeypatch.setattr(graph, "_closes_short_cycle",
                         lambda adj, u, w, hops: real(adj, u, w, hops - 1))
+    # both tilde functions look the search up by module global, so the cut
+    # reaches them: the 4-cycle keeps its largest edge (2, 3)
+    c4 = gen_graph("cycle", 4)
+    assert tilde_global(c4, 2).removed == frozenset()
+    assert tilde_row_local(ball(c4, 2, 2)) == (1, 3)
     assert verify.run_suite("small")["passed"] is False
+
+
+# Reference for the search behind both tilde functions: a plain BFS of
+# `hops` levels that compares normalized edge tuples and stops on reaching w.
+def reference_closes_short_cycle(adj, u, w, hops):
+    top = normalize_edge(u, w)
+    seen = {u}
+    frontier = [u]
+    for _ in range(hops):
+        nxt = []
+        for a in frontier:
+            for b in adj[a]:
+                if b not in seen and normalize_edge(a, b) < top:
+                    if b == w:
+                        return True
+                    seen.add(b)
+                    nxt.append(b)
+        if not nxt:
+            break
+        frontier = nxt
+    return False
+
+
+def reference_row(b: Ball) -> tuple[int, ...]:
+    v = b.center
+    return tuple(u for u in b.adj[v]
+                 if not reference_closes_short_cycle(b.adj, v, u, 2 * b.radius - 1))
+
+
+def reference_removed(g: Graph, r: int) -> frozenset:
+    return frozenset(e for e in g.edges()
+                     if reference_closes_short_cycle(g.rows, *e, 2 * r - 1))
+
+
+def shuffled_ball(b: Ball, rng) -> Ball:
+    adj = {}
+    for u, row in b.adj.items():
+        row = list(row)
+        rng.shuffle(row)
+        adj[u] = tuple(row)
+    return Ball(center=b.center, radius=b.radius, adj=adj)
+
+
+@given(graph_indices, st.integers(min_value=1, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_short_cycle_search_matches_reference(idx, r):
+    g = seeded_graph(idx)
+    assert tilde_global(g, r).removed == reference_removed(g, r)
+    for v in range(g.n):
+        b = ball(g, v, r)
+        assert tilde_row_local(b) == reference_row(b)
+
+
+@given(graph_indices, st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_short_cycle_search_ignores_row_order(idx, r, rng):
+    # a hand-built ball may hold its rows in any order; the kept row is the
+    # same set of neighbors
+    g = seeded_graph(idx)
+    for v in range(g.n):
+        b = ball(g, v, r)
+        assert set(tilde_row_local(shuffled_ball(b, rng))) == set(reference_row(b))
+
+
+class _RecordingAdj(dict):
+    """An adjacency map that records every node whose row is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = []
+
+    def __getitem__(self, node):
+        self.reads.append(node)
+        return super().__getitem__(node)
+
+
+@pytest.mark.parametrize("kind, n", [("star", 1), ("star", 2), ("star", 6),
+                                     ("path", 2), ("path", 7)])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_leaf_edges_are_kept_without_a_search(kind, n, r):
+    g = gen_graph(kind, n)
+    assert tilde_global(g, r).removed == reference_removed(g, r) == frozenset()
+    for v in range(n):
+        b = ball(g, v, r)
+        assert tilde_row_local(b) == reference_row(b) == g.rows[v]
+        # an edge into a leaf of the ball reads the leaf's row and nothing else
+        for u in b.adj[v]:
+            if len(b.adj[u]) == 1:
+                adj = _RecordingAdj(b.adj)
+                assert graph._closes_short_cycle(adj, v, u, 2 * r - 1) is False
+                assert adj.reads == [u]
+
+
+def test_short_cycle_search_examples_against_reference():
+    # the cycle closes only when its largest edge is tested, from either end
+    c5 = gen_graph("cycle", 5)
+    for u, w in c5.edges():
+        for a, b in ((u, w), (w, u)):
+            for hops in range(1, 6):
+                expected = (u, w) == (3, 4) and hops >= 4
+                assert graph._closes_short_cycle(c5.rows, a, b, hops) is expected
+                assert reference_closes_short_cycle(c5.rows, a, b, hops) is expected
 
 
 def test_tilde_examples():

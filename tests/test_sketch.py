@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bclique import sketch, verify
+from bclique import graph, sketch, verify
 from bclique.errors import (
     BadParams,
     CapExceeded,
@@ -181,6 +181,35 @@ def test_build_params_rejects_bad_arguments():
         build_params(4, 5)
     with pytest.raises(ValueError):
         build_params(4, -1)
+
+
+def test_build_params_refuses_n_above_max_nodes(monkeypatch):
+    # refused before the prime search, so no power of n is ever built
+    def no_prime_search(m):
+        raise AssertionError("prime search reached")
+    monkeypatch.setattr(sketch, "smallest_prime_above", no_prime_search)
+    with pytest.raises(BadParams, match="n must be <="):
+        build_params(graph.MAX_NODES + 1, 1)
+
+
+def test_binary_shape_bit_length_test_matches_the_shift():
+    # 2**n > p exactly when n >= p.bit_length(), and y >= 2**n exactly when
+    # y.bit_length() > n; build_params and decode_support use the bit
+    # lengths, which never build 2**n
+    for n in range(1, 65):
+        for d in range(min(n, 3) + 1):
+            p = smallest_prime_above((1 + n) ** (2 * d) * n)
+            assert ((1 << n) > p) == (n >= p.bit_length()), (n, d)
+            for y in ((1 << n) - 1, 1 << n, (1 << n) + 1, p - 1):
+                assert (y >= (1 << n)) == (y.bit_length() > n), (n, y)
+            if n >= 2 and d >= 1:
+                # table shapes are exactly the ones the shift calls non-binary
+                params = cached_params(n, d)
+                assert (params._table is not None) == ((1 << n) > p), (n, d)
+                if params._table is None:
+                    # the least field element with a bit at index n or above
+                    with pytest.raises(NotDecodable):
+                        decode_support(params, 1 << n)
 
 
 def test_degenerate_parameters():
