@@ -28,15 +28,7 @@ from . import sketch
 from .clique import DegreeAndSketch, Message, NeighborList, Protocol, message_bits, run_protocol
 from .errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
                      RoundBudgetExceeded, WeightMismatch)
-from .graph import (
-    Ball,
-    Edge,
-    Graph,
-    _UnionFind,
-    components_and_forest,
-    normalize_edge,
-    tilde_row_local,
-)
+from .graph import Ball, Edge, Graph, components_and_forest, tilde_row_local
 from .intmath import ceil_log2, nth_root_ceil, pow_ceil
 
 
@@ -63,21 +55,38 @@ def sketch_bits_bound(n: int, d: int) -> int:
 
 
 def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
-    """Merge supernodes joined by announced (u, w) edges, with a union-find
-    over supernode labels, and return the new (labels, forest).
+    """Merge supernodes joined by announced (u, w) edges and return the new
+    (labels, forest).
 
     labels[v] is the minimum member id of v's supernode; forest holds the
     original-graph edges whose announcement caused a merge, so it stays
     acyclic.  Edges are processed in ascending edge order; each one joining
     two distinct supernodes goes into the forest.
+
+    The union-find runs over the labels themselves: parent is indexed by
+    label, finds halve their paths, and a union links the larger root under
+    the smaller.  So parent[x] <= x throughout, and the root of each merged
+    set is its smallest label, which is the new minimum member id.  One
+    ascending pass then points every entry straight at its root, and the
+    new label of v is parent[labels[v]].
     """
-    uf = _UnionFind(len(labels))
+    parent = list(range(len(labels)))
     forest = list(forest)
-    for u, v in sorted({normalize_edge(u, w) for u, w in announced}):
-        if uf.union(labels[u], labels[v]):
+    for u, v in sorted({(u, w) if u < w else (w, u) for u, w in announced}):
+        a, b = labels[u], labels[v]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
             forest.append((u, v))
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels)), tuple(forest)
+    for x in range(len(parent)):  # parent[x] <= x already points at its root
+        parent[x] = parent[parent[x]]
+    return tuple([parent[lbl] for lbl in labels]), tuple(forest)
 
 
 class _SpanningForestProtocol(Protocol):
@@ -90,22 +99,46 @@ class _SpanningForestProtocol(Protocol):
         # Message size by id count, filled on first use: a table over
         # 0..cap up front would cost O(cap**2) at eps = 1.
         self.bits: dict[int, int] = {}
+        # Message and NeighborList are frozen, so every node with nothing
+        # to announce can send this one object.
+        self.empty = Message(NeighborList(()), message_bits(NeighborList(()), n))
+        self.singletons: tuple[int, ...] | None = None
 
     def start(self, n):
-        return tuple(range(n)), ()
+        self.singletons = tuple(range(n))
+        return self.singletons, ()
 
     def message(self, node, row, known):
+        """Announce the smallest neighbor in each of the cap smallest foreign
+        supernodes, ids ascending.  row is node's sorted neighbor row.
+
+        Two shortcuts skip the per-label dict.  Labels that are the very
+        tuple start() returned (tested by identity, not equality: other
+        labels may well equal it) are the identity, so every neighbor is
+        the sole member of its own foreign label and the message is
+        row[:cap].  A node whose neighbors all share its label sends the
+        shared empty message.
+        """
         labels = known[0]
-        # Rows are sorted, so first holds the smallest neighbor per label,
-        # inserted in ascending id order.
-        first: dict[int, int] = {}
-        for w in row:
-            first.setdefault(labels[w], w)
-        first.pop(labels[node], None)
-        if len(first) <= self.cap:
-            ids = tuple(first.values())
+        if labels is self.singletons:
+            ids = tuple(row[: self.cap])
         else:
-            ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
+            own = labels[node]
+            for w in row:
+                if labels[w] != own:
+                    break
+            else:
+                return self.empty
+            # Rows are sorted, so first holds the smallest neighbor per
+            # label, inserted in ascending id order.
+            first: dict[int, int] = {}
+            for w in row:
+                first.setdefault(labels[w], w)
+            first.pop(own, None)
+            if len(first) <= self.cap:
+                ids = tuple(first.values())
+            else:
+                ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
         payload = NeighborList(ids)
         bits = self.bits.get(len(ids))
         if bits is None:
@@ -123,8 +156,9 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     """Connected components and a spanning forest in at most ceil(1/eps)
     rounds of at most ceil(n**eps) announced neighbors per node.
 
-    rows[v] is node v's sorted neighbor row (clique.adjacency_inputs), so the
-    first neighbor met in a supernode is its smallest, the one announced.
+    rows[v] is node v's sorted neighbor row (clique.adjacency_inputs), which
+    never holds v itself, so the first neighbor met in a supernode is its
+    smallest, the one announced.
 
     eps is an exact rational in (0, 1]; pass a Fraction, an int, or a
     string such as "1/3" (floats are refused to keep round and cap counts

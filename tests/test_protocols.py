@@ -1,6 +1,7 @@
 """The three protocols against their oracles, plus the shared peel machinery."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,14 +17,25 @@ from bclique.clique import (
     adjacency_inputs,
     ball_inputs,
     message_bits,
+    run_protocol,
 )
 from bclique.errors import BadParams, DegeneracyExceeded, InvalidTranscript, RoundBudgetExceeded
-from bclique.graph import Graph, components_and_forest, core_peel, gen_graph, tilde_global
+from bclique.graph import (
+    Graph,
+    _UnionFind,
+    components_and_forest,
+    core_peel,
+    gen_graph,
+    normalize_edge,
+    tilde_global,
+)
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
     PruningResult,
     _SpanningForestProtocol,
     connectivity_one_round_r,
+    forest_neighbor_cap,
+    forest_round_budget,
     merge_step,
     peel_from_messages,
     prune_one_round,
@@ -48,6 +60,43 @@ def test_merge_step_examples():
 
     again = merge_step(*merged, {(0, 1)})  # cycle edge changes nothing
     assert again == merged
+
+
+# Reference for merge_step: a size-linked union-find over node ids, with a
+# dict that maps each root to the first node met in id order.
+def reference_merge_step(labels, forest, announced):
+    uf = _UnionFind(len(labels))
+    forest = list(forest)
+    for u, v in sorted({normalize_edge(u, w) for u, w in announced}):
+        if uf.union(labels[u], labels[v]):
+            forest.append((u, v))
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels)), tuple(forest)
+
+
+@st.composite
+def merge_chains(draw):
+    """n and 1-3 lists of announced pairs: both orientations, duplicates
+    and pairs inside one supernode all occur."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    steps = draw(st.lists(st.lists(pair, max_size=2 * n), min_size=1, max_size=3))
+    return n, steps
+
+
+@given(merge_chains())
+@settings(max_examples=300, deadline=None)
+def test_merge_step_matches_reference(case):
+    n, steps = case
+    known = (tuple(range(n)), ())
+    for announced in steps:
+        merged = merge_step(*known, announced)
+        assert merged == reference_merge_step(*known, announced)
+        labels = merged[0]
+        for v in range(n):
+            assert labels[v] == min(u for u in range(n) if labels[u] == labels[v])
+        known = merged
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -165,6 +214,64 @@ def test_forest_message_announces_the_smallest_foreign_labels(case):
     msg = _SpanningForestProtocol(n, cap, 1).message(node, row, (labels, ()))
     assert msg.payload == NeighborList(expected)
     assert msg.bits == message_bits(msg.payload, n)
+
+
+@given(forest_message_cases())
+@settings(max_examples=300, deadline=None)
+def test_forest_message_singletons_shortcut_matches_general_path(case):
+    # only the very tuple start() returned takes the shortcut; an equal
+    # tuple built separately goes through the per-label dict
+    n, node, row, _, cap = case
+    proto = _SpanningForestProtocol(n, cap, 1)
+    singletons = proto.start(n)
+    identity = tuple(range(n))
+    assert identity is not singletons[0]
+    msg = proto.message(node, row, singletons)
+    assert msg == proto.message(node, row, (identity, ()))
+    assert msg.payload.ids == row[:cap]
+
+
+@given(forest_message_cases())
+@settings(max_examples=100, deadline=None)
+def test_forest_message_without_foreign_neighbors_is_shared(case):
+    n, node, row, labels, cap = case
+    labels = list(labels)
+    for w in row:
+        labels[w] = labels[node]
+    proto = _SpanningForestProtocol(n, cap, 1)
+    msg = proto.message(node, row, (tuple(labels), ()))
+    assert msg is proto.empty
+    assert msg.payload == NeighborList(())
+    assert msg.bits == message_bits(NeighborList(()), n)
+
+
+def test_spanning_forest_first_round_takes_the_singletons_shortcut():
+    # at eps = 1 no row is cut, so the shortcut announces each row object
+    rows = adjacency_inputs(gen_graph("gnp", 30, seed=4, q=0.1))
+    _, _, transcript = spanning_forest_multiround(rows, 1)
+    assert all(m.payload.ids is row for m, row in zip(transcript.rounds[0], rows))
+
+
+def test_spanning_forest_final_round_sends_one_shared_message():
+    g = interleaved_cliques(3, 12)
+    _, _, transcript = spanning_forest_multiround(adjacency_inputs(g), Fraction(1, 3))
+    last = transcript.rounds[-1]
+    assert not last[0].payload.ids
+    assert all(m is last[0] for m in last)
+
+
+@pytest.mark.parametrize("g", [interleaved_cliques(3, 12), gen_graph("gnp", 40, seed=9, q=0.08)],
+                         ids=["interleaved_cliques", "gnp"])
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+def test_spanning_forest_ignores_evaluation_order(g, eps):
+    n = g.n
+    runs = []
+    for order in (list(range(n)), list(reversed(range(n))),
+                  random.Random(4).sample(range(n), n)):
+        proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
+        known, transcript = run_protocol(proto, adjacency_inputs(g), eval_order=order)
+        runs.append((known, transcript.to_json_dict()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_forest_ok_rejects_messages_above_the_bit_bound():
