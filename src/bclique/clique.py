@@ -152,9 +152,12 @@ def run_protocol(protocol: Protocol, inputs: Sequence,
         raise BadParams("need at least one node")
     if protocol.round_budget < 1:
         raise BadParams("round budget must be >= 1")
-    order = list(range(n)) if eval_order is None else list(eval_order)
-    if sorted(order) != list(range(n)):
-        raise BadParams("eval_order must be a permutation of the nodes")
+    if eval_order is None:
+        order = range(n)
+    else:
+        order = list(eval_order)
+        if sorted(order) != list(range(n)):
+            raise BadParams("eval_order must be a permutation of the nodes")
 
     known = protocol.start(n)
     rounds: list[tuple[Message, ...]] = []

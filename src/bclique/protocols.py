@@ -218,42 +218,61 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
     eligible once it is; each node enters the heap once, at the start or
     when its degree falls to d, and popping the heap yields the smallest
     eligible id, as a scan over all nodes would.
+
+    A node at residual degree 0 skips the decoder: the only encoding of
+    weight 0 is 0, so its neighborhood is empty and any other sketch is
+    inconsistent.  The reconstruction is built inside the loop: each edge
+    is recorded once, from its earlier-peeled end, in both endpoints' rows.
+    The peel has already refused dead, self and negative-degree neighbors,
+    so the rows need no second validation pass.
     """
     n = params.n
+    p = params.p
     if len(msgs) != n:
         raise InvalidTranscript(f"expected {n} messages, got {len(msgs)}")
-    degrees = []
-    values = []
-    for node, (deg, val) in enumerate(msgs):
-        if deg < 0 or not 0 <= val < params.p:
-            raise InvalidTranscript(f"message of node {node} is out of range")
-        degrees.append(deg)
-        values.append(val)
+    degrees = [deg for deg, _ in msgs]
+    values = [val for _, val in msgs]
+    if min(degrees) < 0 or min(values) < 0 or max(values) >= p:
+        node = next(v for v in range(n) if degrees[v] < 0 or not 0 <= values[v] < p)
+        raise InvalidTranscript(f"message of node {node} is out of range")
     live = [True] * n
+    rows: list[list[int]] = [[] for _ in range(n)]
     eligible = [v for v in range(n) if degrees[v] <= d]  # ascending, so a heap
     sequence: list[tuple[int, tuple[int, ...]]] = []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    decode_support = sketch.decode_support
     while eligible:
-        k = heapq.heappop(eligible)
-        try:
-            nbrs = sketch.decode_support(params, values[k], expected_weight=degrees[k])
-        except (NotDecodable, WeightMismatch) as exc:
-            raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
+        k = heappop(eligible)
+        if degrees[k]:
+            try:
+                nbrs = decode_support(params, values[k], degrees[k])
+            except (NotDecodable, WeightMismatch) as exc:
+                raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
+        elif values[k]:
+            raise InvalidTranscript(f"sketch of node {k} is inconsistent: "
+                                    f"{values[k]} is nonzero at residual degree 0")
+        else:
+            nbrs = ()
         live[k] = False
         basis_k = sketch.encode_basis(params, k)
         for j in nbrs:
             if not live[j]:
                 raise InvalidTranscript(f"node {k} decoded dead or self neighbor {j}")
-            degrees[j] -= 1
-            if degrees[j] < 0:
-                raise InvalidTranscript(f"residual degree of node {j} went negative")
-            if degrees[j] == d:
-                heapq.heappush(eligible, j)
-            values[j] = (values[j] - basis_k) % params.p
+            dj = degrees[j] - 1
+            if dj <= d:
+                if dj < 0:
+                    raise InvalidTranscript(f"residual degree of node {j} went negative")
+                if dj == d:
+                    heappush(eligible, j)
+            degrees[j] = dj
+            v = values[j] - basis_k
+            values[j] = v + p if v < 0 else v
+            rows[j].append(k)
+        rows[k].extend(nbrs)
         sequence.append((k, nbrs))
     remaining = tuple(v for v in range(n) if live[v])
     residual = tuple((v, degrees[v]) for v in remaining)
-    reconstructed = (None if remaining else
-                     Graph.from_edges(n, ((k, j) for k, nbrs in sequence for j in nbrs)))
+    reconstructed = None if remaining else Graph(n, tuple(tuple(sorted(r)) for r in rows))
     return PruningResult(tuple(sequence), remaining, residual, reconstructed)
 
 

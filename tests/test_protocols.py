@@ -1,6 +1,7 @@
 """The three protocols against their oracles, plus the shared peel machinery."""
 
 import dataclasses
+import heapq
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bclique import protocols, verify
+from bclique import protocols, sketch, verify
 from bclique.clique import (
     DegreeAndSketch,
     Message,
@@ -19,7 +20,8 @@ from bclique.clique import (
     message_bits,
     run_protocol,
 )
-from bclique.errors import BadParams, DegeneracyExceeded, InvalidTranscript, RoundBudgetExceeded
+from bclique.errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
+                            RoundBudgetExceeded, WeightMismatch)
 from bclique.graph import (
     Graph,
     _UnionFind,
@@ -400,6 +402,104 @@ def test_peel_from_messages_fuzzed_transcripts(case):
     peeled = [k for k, _ in result.sequence]
     assert sorted(peeled + list(result.remaining)) == list(range(params.n))
     assert all(deg > d for _, deg in result.residual_degrees)
+
+
+# Reference for peel_from_messages: a plain peel that decodes every node,
+# degree 0 included, and rebuilds the graph through Graph.from_edges, which
+# validates every edge on its own.
+def reference_peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResult:
+    n = params.n
+    if len(msgs) != n:
+        raise InvalidTranscript(f"expected {n} messages, got {len(msgs)}")
+    degrees = []
+    values = []
+    for node, (deg, val) in enumerate(msgs):
+        if deg < 0 or not 0 <= val < params.p:
+            raise InvalidTranscript(f"message of node {node} is out of range")
+        degrees.append(deg)
+        values.append(val)
+    live = [True] * n
+    eligible = [v for v in range(n) if degrees[v] <= d]  # ascending, so a heap
+    sequence: list[tuple[int, tuple[int, ...]]] = []
+    while eligible:
+        k = heapq.heappop(eligible)
+        try:
+            nbrs = sketch.decode_support(params, values[k], expected_weight=degrees[k])
+        except (NotDecodable, WeightMismatch) as exc:
+            raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
+        live[k] = False
+        basis_k = sketch.encode_basis(params, k)
+        for j in nbrs:
+            if not live[j]:
+                raise InvalidTranscript(f"node {k} decoded dead or self neighbor {j}")
+            degrees[j] -= 1
+            if degrees[j] < 0:
+                raise InvalidTranscript(f"residual degree of node {j} went negative")
+            if degrees[j] == d:
+                heapq.heappush(eligible, j)
+            values[j] = (values[j] - basis_k) % params.p
+        sequence.append((k, nbrs))
+    remaining = tuple(v for v in range(n) if live[v])
+    residual = tuple((v, degrees[v]) for v in remaining)
+    reconstructed = (None if remaining else
+                     Graph.from_edges(n, ((k, j) for k, nbrs in sequence for j in nbrs)))
+    return PruningResult(tuple(sequence), remaining, residual, reconstructed)
+
+
+def _peel_outcome(peel, msgs, params, d):
+    try:
+        return peel(msgs, params, d)
+    except InvalidTranscript:
+        return InvalidTranscript
+
+
+@given(fuzzed_messages())
+@settings(max_examples=300, deadline=None)
+def test_peel_from_messages_matches_reference(case):
+    params, d, msgs = case
+    assert (_peel_outcome(peel_from_messages, msgs, params, d)
+            == _peel_outcome(reference_peel_from_messages, msgs, params, d))
+
+
+@pytest.mark.parametrize("params", FUZZ_PARAMS, ids=("table", "binary"))
+def test_peel_from_messages_nonzero_sketch_at_degree_zero(params):
+    # node 0 announces degree 0 but a nonzero sketch; the reference decodes
+    # it and fails, the peel fails without decoding
+    msgs = [(0, params.powers[1])] + [(0, 0)] * (params.n - 1)
+    for peel in (peel_from_messages, reference_peel_from_messages):
+        with pytest.raises(InvalidTranscript, match="node 0"):
+            peel(msgs, params, params.d)
+    # node 1 falls to residual degree 0 with node 0's basis still in its sketch
+    msgs = [(1, params.powers[1]), (1, 2 * params.powers[0] % params.p)]
+    msgs += [(0, 0)] * (params.n - 2)
+    for peel in (peel_from_messages, reference_peel_from_messages):
+        with pytest.raises(InvalidTranscript, match="node 1"):
+            peel(msgs, params, params.d)
+
+
+@pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (0, P4_PARAMS.p), (-3, P4_PARAMS.p + 5)])
+@pytest.mark.parametrize("first", [1, 2])
+def test_peel_from_messages_names_the_first_out_of_range_node(bad, first):
+    msgs = list(P4_MESSAGES)
+    msgs[first] = bad
+    msgs[3] = (-1, -1)  # a later bad node is not the one named
+    for peel in (peel_from_messages, reference_peel_from_messages):
+        with pytest.raises(InvalidTranscript, match=f"message of node {first} is out of range"):
+            peel(msgs, P4_PARAMS, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_peel_reconstruction_matches_the_independent_builder(d):
+    rebuilt = 0
+    for tag, g in protocol_corpus(40, (4, 6, 9, 14, 20, 28), base_seed=60 + d):
+        result, _ = prune_one_round(adjacency_inputs(g), d)
+        if not result.fully_reconstructed:
+            assert result.reconstructed is None, tag
+            continue
+        rebuilt += 1
+        assert result.reconstructed == Graph.from_edges(g.n, edges_of_sequence(result.sequence)), tag
+        assert result.reconstructed == g, tag
+    assert rebuilt >= 10
 
 
 # --- prune_one_round ----------------------------------------------------------------

@@ -77,6 +77,13 @@ def test_smallest_prime_above_matches_trial_division(m):
     assert smallest_prime_above(m) == next_prime_trial_division(m)
 
 
+@pytest.mark.parametrize("n", [10, 17, 25, 32, 40])
+def test_smallest_prime_above_matches_sympy_on_full_degree_moduli(n):
+    # the moduli of full-degree shapes lie far above the gcd pre-sieve's bound
+    m = (1 + n) ** (2 * n) * n
+    assert smallest_prime_above(m) == sympy.nextprime(m)
+
+
 def test_smallest_prime_above_rejects_zero():
     with pytest.raises(BadParams):
         smallest_prime_above(0)
