@@ -23,11 +23,10 @@ from .protocols import (
     forest_neighbor_cap,
     forest_round_budget,
     prune_one_round,
-    sketch_bits_bound,
     spanning_forest_multiround,
     sparsity_parameter,
 )
-from .sketch import cached_params
+from .sketch import cached_params, sketch_bits_bound
 
 SCHEMA_VERSION = 1
 

@@ -136,36 +136,22 @@ class Protocol:
         return known, True
 
 
-def run_protocol(protocol: Protocol, inputs: Sequence,
-                 eval_order: Sequence[int] | None = None):
+def run_protocol(protocol: Protocol, inputs: Sequence):
     """Run a protocol and return (final public knowledge, transcript).
 
     The run stops when deliver halts or after round_budget rounds; whether
     a run that used its whole budget finished is the protocol's own check.
-
-    eval_order only permutes the order the per-node message hook is invoked
-    in; messages are computed before any delivery, so it must never change
-    the result (tests assert this).
     """
     n = len(inputs)
     if n < 1:
         raise BadParams("need at least one node")
     if protocol.round_budget < 1:
         raise BadParams("round budget must be >= 1")
-    if eval_order is None:
-        order = range(n)
-    else:
-        order = list(eval_order)
-        if sorted(order) != list(range(n)):
-            raise BadParams("eval_order must be a permutation of the nodes")
 
     known = protocol.start(n)
     rounds: list[tuple[Message, ...]] = []
     for _ in range(protocol.round_budget):
-        msgs: list[Message | None] = [None] * n
-        for i in order:
-            msgs[i] = protocol.message(i, inputs[i], known)
-        delivered = tuple(msgs)
+        delivered = tuple([protocol.message(i, inputs[i], known) for i in range(n)])
         rounds.append(delivered)
         known, halt = protocol.deliver(known, delivered)
         if halt:

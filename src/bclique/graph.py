@@ -81,14 +81,6 @@ class Ball:
     adj: dict[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class TildeResult:
-    """A graph with all short cycles broken, plus the edges that were dropped."""
-
-    tilde: Graph
-    removed: frozenset[Edge]
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -220,21 +212,19 @@ def ball(g: Graph, v: int, r: int) -> Ball:
         raise IndexOutOfRange(f"node {v} outside 0..{g.n - 1}")
     if r < 1:
         raise BadParams("radius must be >= 1")
-    dist = {v: 0}
+    inside = {v}
     frontier = [v]
-    for depth in range(1, r + 1):
+    for _ in range(r):
         if not frontier:
             break  # the whole component is in: further levels add nothing
         nxt = []
         for u in frontier:
             for w in g.rows[u]:
-                if w not in dist:
-                    dist[w] = depth
+                if w not in inside:
+                    inside.add(w)
                     nxt.append(w)
         frontier = nxt
-    members = tuple(sorted(dist))
-    inside = set(members)
-    adj = {u: tuple(w for w in g.rows[u] if w in inside) for u in members}
+    adj = {u: tuple(w for w in g.rows[u] if w in inside) for u in sorted(inside)}
     return Ball(center=v, radius=r, adj=adj)
 
 
@@ -287,10 +277,9 @@ def has_short_cycle(g: Graph, length_bound: int) -> bool:
     tree closes a walk of length dist[a] + dist[b] + 1 through the root,
     which contains a cycle; from a root on a shortest cycle, one such walk
     is no longer than that cycle.  A node at depth k closes no walk shorter than 2k, so the
-    search stops past depth length_bound // 2.
+    search stops past depth length_bound // 2.  A simple graph has no cycle
+    shorter than 3, and the search returns False for any bound below 3.
     """
-    if length_bound < 3:
-        raise BadParams("length bound must be >= 3")
     for root in range(g.n):
         dist = {root: 0}
         parent = {root: root}
@@ -311,7 +300,7 @@ def has_short_cycle(g: Graph, length_bound: int) -> bool:
     return False
 
 
-def tilde_global(g: Graph, r: int) -> TildeResult:
+def tilde_global(g: Graph, r: int) -> Graph:
     """Drop, for every simple cycle of length <= 2r, its largest edge.
 
     Edge (u, w) is dropped exactly when u reaches w in at most 2r-1 steps
@@ -320,9 +309,8 @@ def tilde_global(g: Graph, r: int) -> TildeResult:
     """
     if r < 1:
         raise BadParams("radius must be >= 1")
-    removed = frozenset(e for e in g.edges() if _closes_short_cycle(g.rows, *e, 2 * r - 1))
-    tilde = Graph.from_edges(g.n, (e for e in g.edges() if e not in removed))
-    return TildeResult(tilde=tilde, removed=removed)
+    return Graph.from_edges(
+        g.n, (e for e in g.edges() if not _closes_short_cycle(g.rows, *e, 2 * r - 1)))
 
 
 def tilde_row_local(b: Ball) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from .clique import DegreeAndSketch, Message, NeighborList, Protocol, message_bi
 from .errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
                      RoundBudgetExceeded, WeightMismatch)
 from .graph import Ball, Edge, Graph, components_and_forest, tilde_row_local
-from .intmath import ceil_log2, nth_root_ceil, pow_ceil
+from .intmath import nth_root_ceil, pow_ceil
 
 
 # Largest eps numerator spanning_forest_multiround accepts: the neighbor cap
@@ -47,11 +47,6 @@ def forest_round_budget(eps: Fraction) -> int:
 def forest_neighbor_cap(n: int, eps: Fraction) -> int:
     """Most neighbors one node announces per forest round: ceil(n**eps), at least 1."""
     return max(1, pow_ceil(n, eps))
-
-
-def sketch_bits_bound(n: int, d: int) -> int:
-    """Analytic bound on the bits of one sketch element for (n, d)."""
-    return 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
 
 
 def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
@@ -93,15 +88,15 @@ class _SpanningForestProtocol(Protocol):
     """Public knowledge is (labels, forest), as merge_step takes it."""
 
     def __init__(self, n: int, cap: int, budget: int):
-        self.n = n
         self.cap = cap
         self.round_budget = budget
-        # Message size by id count, filled on first use: a table over
-        # 0..cap up front would cost O(cap**2) at eps = 1.
-        self.bits: dict[int, int] = {}
+        # message_bits is linear in the id count: a fixed head plus per_id
+        # bits for each announced id.
+        self.head = message_bits(NeighborList(()), n)
+        self.per_id = message_bits(NeighborList((0,)), n) - self.head
         # Message and NeighborList are frozen, so every node with nothing
         # to announce can send this one object.
-        self.empty = Message(NeighborList(()), message_bits(NeighborList(()), n))
+        self.empty = Message(NeighborList(()), self.head)
         self.singletons: tuple[int, ...] | None = None
 
     def start(self, n):
@@ -139,11 +134,7 @@ class _SpanningForestProtocol(Protocol):
                 ids = tuple(first.values())
             else:
                 ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
-        payload = NeighborList(ids)
-        bits = self.bits.get(len(ids))
-        if bits is None:
-            bits = self.bits[len(ids)] = message_bits(payload, self.n)
-        return Message(payload, bits)
+        return Message(NeighborList(ids), self.head + len(ids) * self.per_id)
 
     def deliver(self, known, messages):
         announced = [(u, w) for u, m in enumerate(messages) for w in m.payload.ids]
@@ -162,7 +153,7 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
 
     eps is an exact rational in (0, 1]; pass a Fraction, an int, or a
     string such as "1/3" (floats are refused to keep round and cap counts
-    exact).  Its numerator may not exceed MAX_EPS_NUMERATOR (BadParams).
+    exact).  An unparsable eps or a numerator above MAX_EPS_NUMERATOR raises BadParams.
 
     The run halts early once no node sees a neighbor in another supernode.
     If it uses all ceil(1/eps) rounds and some node still does, it raises
@@ -170,7 +161,10 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     """
     if isinstance(eps, float):
         raise TypeError("pass eps as Fraction, int, or string, not float")
-    eps = Fraction(eps)
+    try:
+        eps = Fraction(eps)
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"cannot parse eps {eps!r}") from None
     if not 0 < eps <= 1:
         raise BadParams("eps must be in (0, 1]")
     if eps.numerator > MAX_EPS_NUMERATOR:
@@ -279,10 +273,9 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
 class _PruneProtocol(Protocol):
     round_budget = 1
 
-    def __init__(self, n: int, d: int, params: sketch.SketchParams):
-        self.d = d
+    def __init__(self, params: sketch.SketchParams):
         self.params = params
-        self.bits = message_bits(DegreeAndSketch(0, 0), n, params.p)
+        self.bits = message_bits(DegreeAndSketch(0, 0), params.n, params.p)
 
     def message(self, node, row, known):
         payload = DegreeAndSketch(len(row), sketch.encode_support(self.params, row))
@@ -290,16 +283,14 @@ class _PruneProtocol(Protocol):
 
     def deliver(self, known, messages):
         pairs = [(m.payload.degree, m.payload.sketch) for m in messages]
-        return peel_from_messages(pairs, self.params, self.d), True
+        return peel_from_messages(pairs, self.params, self.params.d), True
 
 
 def prune_one_round(rows: Sequence[tuple[int, ...]], d: int):
     """One broadcast round of (degree, sketch), then a shared local peel."""
     if d < 0:
         raise BadParams("degree bound must be >= 0")
-    n = len(rows)
-    params = sketch.cached_params(n, d)
-    return run_protocol(_PruneProtocol(n, d, params), rows)
+    return run_protocol(_PruneProtocol(sketch.cached_params(len(rows), d)), rows)
 
 
 def sparsity_parameter(n: int, r: int) -> int:

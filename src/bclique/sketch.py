@@ -14,7 +14,8 @@ table of all C(n, <=d) sparse vectors, built in weight layers; shapes whose
 table would exceed ``DEFAULT_TABLE_CAP`` entries raise CapExceeded, and
 binary shapes are never capped.  The table build takes about 0.2 s at
 (n, d) = (112, 3), 0.6 s at (64, 4) and 1.4 s at (200, 3) on a 2-core host
-with Python 3.11.
+with Python 3.11.  Shapes whose modulus may exceed ``MAX_MODULUS_BITS`` bits
+raise CapExceeded before any work, as the prime search would run for hours.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ FieldElement = int
 
 DEFAULT_TABLE_CAP = 5_000_000
 
+# Largest sketch_bits_bound that build_params accepts; it admits d = n up to
+# n = 340.  n = d = 300 (5,411 bits) takes about 47 s, while at n = d = 1000
+# one modular exponentiation on a 19,945-bit prime candidate takes 22 s, and
+# hundreds of candidates need one (2-core host, Python 3.11).
+MAX_MODULUS_BITS = 6144
+
 # A candidate above _SIEVE_BOUND that shares a factor with the product of the
 # odd primes below it is composite; one gcd rules it out before is_prime
 # runs its Miller-Rabin rounds.  This cuts build_params(100, 100), whose
@@ -50,6 +57,11 @@ DEFAULT_TABLE_CAP = 5_000_000
 _SIEVE_BOUND = 2**12
 _ODD_PRIMORIAL = math.prod(q for q in range(3, _SIEVE_BOUND, 2)
                            if all(q % r for r in range(3, math.isqrt(q) + 1, 2)))
+
+
+def sketch_bits_bound(n: int, d: int) -> int:
+    """Analytic bound on the bits of one sketch element for (n, d)."""
+    return 2 * d * ceil_log2(n + 1) + ceil_log2(n) + 2
 
 
 def smallest_prime_above(m: int) -> int:
@@ -144,6 +156,11 @@ def build_params(n: int, d: int) -> SketchParams:
         raise BadParams(f"n must be <= {graph.MAX_NODES}")
     if not 0 <= d <= n:
         raise BadParams("d must satisfy 0 <= d <= n")
+    bound = sketch_bits_bound(n, d)
+    if bound > MAX_MODULUS_BITS:
+        # refused before the domain count and the prime search
+        raise CapExceeded(f"the modulus for n={n}, d={d} may take {bound} bits, "
+                          f"more than the bound {MAX_MODULUS_BITS}")
     domain_size = sum(math.comb(n, w) for w in range(d + 1))
     p = smallest_prime_above((1 + n) ** (2 * d) * n)
     # 2**n <= p exactly when n < p.bit_length(); comparing bit lengths

@@ -33,7 +33,6 @@ from .protocols import (
     forest_neighbor_cap,
     forest_round_budget,
     prune_one_round,
-    sketch_bits_bound,
     spanning_forest_multiround,
     sparsity_parameter,
 )
@@ -112,7 +111,7 @@ def check_sketch_grid(max_n: int, max_d: int, extra_shapes=()):
     grid = [(n, d) for n in range(1, max_n + 1) for d in range(0, min(max_d, n) + 1)]
     for n, d in grid + list(extra_shapes):
         params = sketch.cached_params(n, d)
-        if params.p_bits > sketch_bits_bound(n, d):
+        if params.p_bits > sketch.sketch_bits_bound(n, d):
             size_violations += 1
         seen = {}
         for support in itertools.chain.from_iterable(
@@ -146,7 +145,7 @@ def prune_ok(g: Graph, d: int, result, transcript) -> bool:
     ok = (result.sequence == seq
           and result.remaining == remaining
           and transcript.rounds_used == 1
-          and transcript.per_node_bits <= ceil_log2(g.n) + sketch_bits_bound(g.n, d))
+          and transcript.per_node_bits <= ceil_log2(g.n) + sketch.sketch_bits_bound(g.n, d))
     if ok and not remaining:
         ok = result.fully_reconstructed and result.reconstructed == g
     return ok
@@ -173,17 +172,17 @@ def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:
     each node's local row against the global subgraph, which must keep the
     components and have no cycle of length <= 2r."""
     oracle_labels, _ = components_and_forest(g)
-    tr = tilde_global(g, r)
+    tilde = tilde_global(g, r)
     local_rows = tuple(tilde_row_local(ball(g, v, r)) for v in range(g.n))
     s = sparsity_parameter(g.n, r)
     return (labels == oracle_labels
             and transcript.rounds_used == 1
-            and transcript.per_node_bits <= ceil_log2(g.n) + sketch_bits_bound(g.n, s)
-            and local_rows == tr.tilde.rows
-            and components_and_forest(tr.tilde)[0] == oracle_labels
+            and transcript.per_node_bits <= ceil_log2(g.n) + sketch.sketch_bits_bound(g.n, s)
+            and local_rows == tilde.rows
+            and components_and_forest(tilde)[0] == oracle_labels
             and forest_is_valid(g, labels, forest)
-            and set(forest) <= set(tr.tilde.edges())
-            and (2 * r < 3 or not has_short_cycle(tr.tilde, 2 * r)))
+            and set(forest) <= set(tilde.edges())
+            and not has_short_cycle(tilde, 2 * r))
 
 
 def _check_cases(run, cases):
@@ -212,21 +211,6 @@ def _run_forest(g, eps):
 
 def _run_one_round(g, r):
     return one_round_ok(g, r, *connectivity_one_round_r(ball_inputs(g, r), r))
-
-
-def check_prune(graphs, ds):
-    # sketch parameters require d <= n
-    return _check_cases(_run_prune, ((f"{tag} d={d}", (g, d))
-                                     for tag, g in graphs for d in ds if d <= g.n))
-
-
-def check_multiround(graphs, eps_values):
-    return _check_cases(_run_forest, ((f"{tag} eps={Fraction(eps)}", (g, Fraction(eps)))
-                                      for tag, g in graphs for eps in eps_values))
-
-
-def check_one_round(r: int, graphs):
-    return _check_cases(_run_one_round, ((f"{tag} r={r}", (g, r)) for tag, g in graphs))
 
 
 def _detail(total: int, failures: list[str]) -> str:
@@ -271,15 +255,18 @@ def run_suite(name: str) -> dict:
     count, sizes, seed = cfg["corpus"]
     graphs = protocol_corpus(count, sizes, base_seed=seed)
 
-    ok, detail = check_prune(graphs, cfg["ds"])
+    # sketch parameters require d <= n
+    ok, detail = _check_cases(_run_prune, ((f"{tag} d={d}", (g, d))
+                                           for tag, g in graphs for d in cfg["ds"] if d <= g.n))
     cases.append({"name": "prune_matches_core_peel", "ok": ok, "detail": detail})
 
-    ok, detail = check_multiround(graphs, cfg["eps"])
+    ok, detail = _check_cases(_run_forest, ((f"{tag} eps={Fraction(eps)}", (g, Fraction(eps)))
+                                            for tag, g in graphs for eps in cfg["eps"]))
     cases.append({"name": "multiround_matches_components", "ok": ok, "detail": detail})
 
     for r, cnt in sorted(cfg["one_round"].items()):
-        ok, detail = check_one_round(
-            r, one_round_corpus(r, cnt, base_seed=seed, max_n=cfg["one_round_max_n"]))
+        corpus = one_round_corpus(r, cnt, base_seed=seed, max_n=cfg["one_round_max_n"])
+        ok, detail = _check_cases(_run_one_round, ((f"{tag} r={r}", (g, r)) for tag, g in corpus))
         cases.append({"name": f"one_round_r{r}", "ok": ok, "detail": detail})
 
     return {"passed": all(c["ok"] for c in cases), "cases": cases}

@@ -4,10 +4,12 @@ the package's own implementations."""
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 
 import networkx as nx
 
+from bclique.clique import Transcript
 from bclique.graph import Graph, normalize_edge
 
 
@@ -80,6 +82,31 @@ def short_cycles(g: Graph, bound: int):
 def short_cycle_top_edges(g: Graph, bound: int) -> frozenset:
     """Largest edge of every simple cycle of length <= bound."""
     return frozenset(top for _, top in short_cycles(g, bound))
+
+
+def dropped_edges(g: Graph, tilde: Graph) -> frozenset:
+    """Edges of g that the short-cycle-free subgraph tilde does not keep."""
+    return g.edge_set() - tilde.edge_set()
+
+
+def shuffled_run(proto, inputs, seed):
+    """Reference engine: run_protocol's loop, but each round calls the
+    message hooks in a fresh shuffled node order.  Messages are all computed
+    before the delivery, so the result must equal run_protocol's."""
+    rng = random.Random(seed)
+    n = len(inputs)
+    known = proto.start(n)
+    rounds = []
+    for _ in range(proto.round_budget):
+        msgs = [None] * n
+        for i in rng.sample(range(n), n):
+            msgs[i] = proto.message(i, inputs[i], known)
+        delivered = tuple(msgs)
+        rounds.append(delivered)
+        known, halt = proto.deliver(known, delivered)
+        if halt:
+            break
+    return known, Transcript(tuple(rounds))
 
 
 def residual_core(g: Graph, d: int) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from bclique.protocols import (
 from bclique.sketch import cached_params, decode, encode
 from bclique.verify import forest_is_valid, one_round_corpus, protocol_corpus
 
-from conftest import short_cycle_top_edges
+from conftest import dropped_edges, short_cycle_top_edges
 
 GRID = [(n, d) for n in range(1, 17) for d in range(0, min(n, 3) + 1)]
 
@@ -133,20 +133,19 @@ def test_criterion_7_one_round_connectivity():
     runs = 0
     for r, count in split.items():
         for tag, g in one_round_corpus(r, count, base_seed=700):
-            result = tilde_global(g, r)
-            assert result.removed == short_cycle_top_edges(g, 2 * r), (tag, r)
-            if 2 * r >= 3:
-                assert not has_short_cycle(result.tilde, 2 * r), (tag, r)
+            tilde = tilde_global(g, r)
+            assert dropped_edges(g, tilde) == short_cycle_top_edges(g, 2 * r), (tag, r)
+            assert not has_short_cycle(tilde, 2 * r), (tag, r)
             for v in range(g.n):
-                assert tilde_row_local(ball(g, v, r)) == result.tilde.rows[v], (tag, r, v)
+                assert tilde_row_local(ball(g, v, r)) == tilde.rows[v], (tag, r, v)
             oracle_labels, _ = components_and_forest(g)
-            assert components_and_forest(result.tilde)[0] == oracle_labels, (tag, r)
+            assert components_and_forest(tilde)[0] == oracle_labels, (tag, r)
             # the protocol itself: one round, oracle labeling, no stall
             labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
             assert transcript.rounds_used == 1, (tag, r)
             assert labels == oracle_labels, (tag, r)
             assert forest_is_valid(g, labels, forest), (tag, r)
-            assert set(forest) <= set(result.tilde.edges()), (tag, r)
+            assert set(forest) <= set(tilde.edges()), (tag, r)
             s = sparsity_parameter(g.n, r)
             params = cached_params(g.n, s)
             bits_bound = (ceil_log2(g.n) if g.n > 1 else 0) + params.p_bits

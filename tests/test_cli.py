@@ -157,20 +157,36 @@ def test_quadratic_generators_refused_as_json(capsys):
         assert doc["error"]["type"] == "BadParams"
 
 
-def test_huge_radius_finishes_at_once(tmp_path):
-    # the ball stops at an empty frontier and the sparsity bound is 2
-    # without building 2**r; a timeout turns a regression into a failure
-    path = tmp_path / "g.txt"
-    path.write_text(serialize_graph(gen_graph("gnp", 20, seed=1, q=0.2)))
+def run_cli_process(argv):
+    """Run the command line in a child process; its timeout turns a hang
+    into a test failure."""
     src = str(Path(bclique.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "bclique.cli", "one-round", "--graph",
-                           str(path), "--r", str(10**12)],
+    proc = subprocess.run([sys.executable, "-m", "bclique.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_huge_radius_finishes_at_once(tmp_path):
+    # the ball stops at an empty frontier and the sparsity bound is 2
+    # without building 2**r
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(gen_graph("gnp", 20, seed=1, q=0.2)))
+    code, doc = run_cli_process(["one-round", "--graph", str(path), "--r", str(10**12)])
+    assert code == 0
     assert doc["oracle_agreement"] is True and doc["parameters"]["s"] == 2
+
+
+def test_full_degree_beyond_the_modulus_bound_fails_fast(tmp_path):
+    # s = n at r = 1: the prime search behind n = 400 or 1000 would run for
+    # hours, so the sketch parameters refuse the shape up front
+    code, doc = run_cli_process(["params", "--n", "1000", "--d", "1000"])
+    assert code == 1 and doc["error"]["type"] == "CapExceeded"
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(gen_graph("gnp", 400, seed=0, q=0.01)))
+    code, doc = run_cli_process(["one-round", "--graph", str(path), "--r", "1"])
+    assert code == 1 and doc["error"]["type"] == "CapExceeded"
 
 
 def test_tiny_eps_finishes_at_once(capsys, p4_file):

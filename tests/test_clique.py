@@ -1,7 +1,6 @@
 """Broadcast engine: message sizing, delivery semantics, output contracts."""
 
 import json
-import random
 
 import pytest
 
@@ -16,8 +15,11 @@ from bclique.clique import (
     message_bits,
     run_protocol,
 )
-from bclique.errors import BadParams
 from bclique.graph import gen_graph
+from bclique.protocols import _PruneProtocol
+from bclique.sketch import cached_params
+
+from conftest import shuffled_run
 
 
 def test_message_bits_examples():
@@ -63,25 +65,15 @@ def test_broadcast_symmetry_and_transcript_shape():
 
 def test_run_protocol_is_deterministic_and_order_free():
     g = gen_graph("gnp", 12, seed=5, q=0.3)
-
-    from bclique.protocols import _PruneProtocol
-    from bclique.sketch import cached_params
-
     params = cached_params(12, 2)
-    runs = []
-    for order in (None, list(reversed(range(12))), random.Random(3).sample(range(12), 12)):
-        proto = _PruneProtocol(12, 2, params)
-        runs.append(run_protocol(proto, adjacency_inputs(g), eval_order=order))
-    (out0, tr0), (out1, tr1), (out2, tr2) = runs
-    assert out0 == out1 == out2
-    assert tr0 == tr1 == tr2
-    assert json.dumps(tr0.to_json_dict()) == json.dumps(tr1.to_json_dict())
-
-
-def test_run_protocol_rejects_bad_eval_order():
-    proto = CountdownProtocol(rounds=1)
-    with pytest.raises(BadParams):
-        run_protocol(proto, [1, 1], eval_order=[0, 0])
+    out0, tr0 = run_protocol(_PruneProtocol(params), adjacency_inputs(g))
+    out1, tr1 = run_protocol(_PruneProtocol(params), adjacency_inputs(g))
+    assert out0 == out1 and tr0 == tr1
+    # no message may depend on the order in which the nodes compute theirs
+    for seed in (3, 4):
+        out2, tr2 = shuffled_run(_PruneProtocol(params), adjacency_inputs(g), seed)
+        assert out2 == out0 and tr2 == tr0
+        assert json.dumps(tr2.to_json_dict()) == json.dumps(tr0.to_json_dict())
 
 
 def test_run_protocol_needs_a_node():

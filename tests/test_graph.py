@@ -31,6 +31,7 @@ from bclique.protocols import sparsity_parameter
 
 from conftest import (
     bfs_component_labels,
+    dropped_edges,
     forest_ok,
     girth_leq,
     relabel,
@@ -267,8 +268,10 @@ def test_has_short_cycle_examples():
     forest = gen_graph("random_forest", 20, seed=3)
     for bound in (3, 4, 5, 6):
         assert not has_short_cycle(forest, bound)
-    with pytest.raises(BadParams):
-        has_short_cycle(c4, 2)
+    # a simple graph has no cycle shorter than 3, whatever the bound
+    for bound in (-1, 0, 1, 2):
+        assert not has_short_cycle(c4, bound)
+        assert not has_short_cycle(gen_graph("complete", 5), bound)
 
 
 @given(graph_indices, st.integers(min_value=3, max_value=6))
@@ -288,7 +291,7 @@ def test_verify_catches_a_short_cycle_search_one_hop_short(monkeypatch):
     # both tilde functions look the search up by module global, so the cut
     # reaches them: the 4-cycle keeps its largest edge (2, 3)
     c4 = gen_graph("cycle", 4)
-    assert tilde_global(c4, 2).removed == frozenset()
+    assert tilde_global(c4, 2) == c4
     assert tilde_row_local(ball(c4, 2, 2)) == (1, 3)
     assert verify.run_suite("small")["passed"] is False
 
@@ -338,7 +341,7 @@ def shuffled_ball(b: Ball, rng) -> Ball:
 @settings(max_examples=80, deadline=None)
 def test_short_cycle_search_matches_reference(idx, r):
     g = seeded_graph(idx)
-    assert tilde_global(g, r).removed == reference_removed(g, r)
+    assert dropped_edges(g, tilde_global(g, r)) == reference_removed(g, r)
     for v in range(g.n):
         b = ball(g, v, r)
         assert tilde_row_local(b) == reference_row(b)
@@ -372,7 +375,8 @@ class _RecordingAdj(dict):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_leaf_edges_are_kept_without_a_search(kind, n, r):
     g = gen_graph(kind, n)
-    assert tilde_global(g, r).removed == reference_removed(g, r) == frozenset()
+    assert tilde_global(g, r) == g
+    assert reference_removed(g, r) == frozenset()
     for v in range(n):
         b = ball(g, v, r)
         assert tilde_row_local(b) == reference_row(b) == g.rows[v]
@@ -397,39 +401,39 @@ def test_short_cycle_search_examples_against_reference():
 
 def test_tilde_examples():
     c4 = gen_graph("cycle", 4)
-    res = tilde_global(c4, 2)
-    assert res.removed == frozenset({(2, 3)})
-    assert res.tilde.edges() == ((0, 1), (0, 3), (1, 2))
+    tilde = tilde_global(c4, 2)
+    assert dropped_edges(c4, tilde) == frozenset({(2, 3)})
+    assert tilde.edges() == ((0, 1), (0, 3), (1, 2))
 
     c5 = gen_graph("cycle", 5)
-    assert tilde_global(c5, 2).removed == frozenset()
+    assert tilde_global(c5, 2) == c5
 
     triangle = gen_graph("cycle", 3)
-    assert tilde_global(triangle, 1).removed == frozenset()
+    assert tilde_global(triangle, 1) == triangle
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_tilde_properties(idx, r):
     g = seeded_graph(idx)
-    res = tilde_global(g, r)
-    # partition of the original edge set
-    assert res.removed | set(res.tilde.edges()) == set(g.edges())
-    assert res.removed.isdisjoint(res.tilde.edges())
+    tilde = tilde_global(g, r)
+    # a subgraph on the same nodes
+    assert tilde.n == g.n
+    assert tilde.edge_set() <= g.edge_set()
     # short-cycle-free at the stated bound
     if 2 * r >= 3:
-        assert not girth_leq(res.tilde, 2 * r)
+        assert not girth_leq(tilde, 2 * r)
     # same components
-    assert bfs_component_labels(res.tilde) == bfs_component_labels(g)
+    assert bfs_component_labels(tilde) == bfs_component_labels(g)
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=3))
 @settings(max_examples=50, deadline=None)
 def test_tilde_local_rows_match_global(idx, r):
     g = seeded_graph(idx)
-    res = tilde_global(g, r)
+    tilde = tilde_global(g, r)
     for v in range(g.n):
-        assert tilde_row_local(ball(g, v, r)) == res.tilde.rows[v]
+        assert tilde_row_local(ball(g, v, r)) == tilde.rows[v]
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=3))
@@ -437,7 +441,7 @@ def test_tilde_local_rows_match_global(idx, r):
 def test_tilde_matches_cycle_enumeration(idx, r):
     g = seeded_graph(idx)
     dropped = short_cycle_top_edges(g, 2 * r)
-    assert tilde_global(g, r).removed == dropped
+    assert dropped_edges(g, tilde_global(g, r)) == dropped
     for v in range(g.n):
         row = tuple(u for u in g.rows[v] if tuple(sorted((u, v))) not in dropped)
         assert tilde_row_local(ball(g, v, r)) == row
@@ -445,7 +449,7 @@ def test_tilde_matches_cycle_enumeration(idx, r):
 
 def test_tilde_global_beyond_enumeration_scale():
     g = gen_graph("gnp", 200, seed=1, q=0.05)
-    tilde = tilde_global(g, 3).tilde
+    tilde = tilde_global(g, 3)
     assert nx.girth(to_nx(tilde)) > 6
     assert components_and_forest(tilde)[0] == components_and_forest(g)[0]
 
@@ -470,7 +474,7 @@ def test_degeneracy_bound_at_64_nodes():
         s = sparsity_parameter(64, r)
         for seed in range(6):
             g = gen_graph("gnp", 64, seed=seed, q=0.08)
-            tilde = tilde_global(g, r).tilde
+            tilde = tilde_global(g, r)
             _, remaining = core_peel(tilde, s)
             assert remaining == (), (r, seed)
 

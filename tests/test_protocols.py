@@ -2,7 +2,6 @@
 
 import dataclasses
 import heapq
-import random
 from fractions import Fraction
 
 import pytest
@@ -42,13 +41,13 @@ from bclique.protocols import (
     peel_from_messages,
     prune_one_round,
     spanning_forest_multiround,
-    sketch_bits_bound,
     sparsity_parameter,
 )
-from bclique.sketch import cached_params, encode, encode_support
+from bclique.sketch import cached_params, encode, encode_support, sketch_bits_bound
 from bclique.verify import one_round_corpus, protocol_corpus
 
-from conftest import bfs_component_labels, edges_of_sequence, forest_ok
+from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, forest_ok,
+                      shuffled_run)
 
 
 # --- merge_step -----------------------------------------------------------------
@@ -142,6 +141,14 @@ def test_spanning_forest_argument_checks():
     for eps in (Fraction(top + 1, top + 2), Fraction(10**12 - 1, 10**12)):
         with pytest.raises(BadParams):
             spanning_forest_multiround(rows, eps)
+
+
+@pytest.mark.parametrize("eps", ["abc", "1/0", "", "1/"])
+def test_spanning_forest_refuses_unparsable_eps(eps):
+    # BadParams is a ValueError, so callers catching ValueError still work
+    rows = adjacency_inputs(gen_graph("path", 3))
+    with pytest.raises(BadParams, match="cannot parse eps"):
+        spanning_forest_multiround(rows, eps)
 
 
 def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
@@ -267,13 +274,15 @@ def test_spanning_forest_final_round_sends_one_shared_message():
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
 def test_spanning_forest_ignores_evaluation_order(g, eps):
     n = g.n
-    runs = []
-    for order in (list(range(n)), list(reversed(range(n))),
-                  random.Random(4).sample(range(n), n)):
-        proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
-        known, transcript = run_protocol(proto, adjacency_inputs(g), eval_order=order)
-        runs.append((known, transcript.to_json_dict()))
-    assert runs[0] == runs[1] == runs[2]
+
+    def proto():
+        return _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
+
+    known, transcript = run_protocol(proto(), adjacency_inputs(g))
+    for seed in (4, 5):
+        shuffled_known, shuffled = shuffled_run(proto(), adjacency_inputs(g), seed)
+        assert shuffled_known == known
+        assert shuffled.to_json_dict() == transcript.to_json_dict()
 
 
 def test_forest_ok_rejects_messages_above_the_bit_bound():
@@ -645,7 +654,7 @@ def test_one_round_two_pentagon_components():
     labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, 2), 2)
     assert labels == (0,) * 5 + (5,) * 5
     assert len(forest) == 8
-    assert tilde_global(g, 2).removed == frozenset()  # girth 5 > 4
+    assert dropped_edges(g, tilde_global(g, 2)) == frozenset()  # girth 5 > 4
     assert set(forest) <= set(g.edges())
 
 
@@ -680,7 +689,7 @@ def test_one_round_is_prune_on_the_short_cycle_free_graph(r):
     # prune_one_round's on that graph at s, and the answer is read off it
     for tag, g in one_round_corpus(r, 10, base_seed=400):
         labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
-        tilde = tilde_global(g, r).tilde
+        tilde = tilde_global(g, r)
         _, pruned = prune_one_round(adjacency_inputs(tilde), sparsity_parameter(g.n, r))
         assert transcript == pruned, tag
         assert (labels, forest) == components_and_forest(tilde), tag
@@ -693,7 +702,7 @@ def test_one_round_small_corpus(r):
         assert labels == bfs_component_labels(g), tag
         assert forest_ok(g, labels, forest), tag
         assert transcript.rounds_used == 1, tag
-        assert set(forest) <= set(tilde_global(g, r).tilde.edges()), tag
+        assert set(forest) <= set(tilde_global(g, r).edges()), tag
         s = sparsity_parameter(g.n, r)
         params = cached_params(g.n, s)
         assert transcript.per_node_bits == ceil_log2(g.n) + params.p_bits, tag

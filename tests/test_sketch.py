@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,35 @@ def test_build_params_refuses_n_above_max_nodes(monkeypatch):
     monkeypatch.setattr(sketch, "smallest_prime_above", no_prime_search)
     with pytest.raises(BadParams, match="n must be <="):
         build_params(graph.MAX_NODES + 1, 1)
+
+
+@pytest.mark.parametrize("n", [341, 10**5])
+def test_build_params_refuses_moduli_above_the_bound(monkeypatch, n):
+    # full-degree shapes past the bound would take minutes to hours in the
+    # domain count and the prime search; both come after the refusal
+    def no_prime_search(m):
+        raise AssertionError("prime search reached")
+    monkeypatch.setattr(sketch, "smallest_prime_above", no_prime_search)
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="more than the bound"):
+        build_params(n, n)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_modulus_bound_admits_full_degree_up_to_340(monkeypatch):
+    assert sketch.sketch_bits_bound(300, 300) == 5411
+    assert sketch.sketch_bits_bound(340, 340) <= sketch.MAX_MODULUS_BITS
+    assert sketch.sketch_bits_bound(341, 341) > sketch.MAX_MODULUS_BITS
+
+    # (340, 340) passes the check and reaches the prime search, stopped here
+    class Reached(Exception):
+        pass
+
+    def stop(m):
+        raise Reached
+    monkeypatch.setattr(sketch, "smallest_prime_above", stop)
+    with pytest.raises(Reached):
+        build_params(340, 340)
 
 
 def test_binary_shape_bit_length_test_matches_the_shift():
