@@ -114,7 +114,7 @@ def _cmd_one_round(args) -> tuple[dict, int]:
     s = sparsity_parameter(g.n, args.r)
     params = cached_params(g.n, s)
     # each node sketched its row of the short-cycle-free subgraph
-    kept_edges = sum(m.payload.degree for m in transcript.rounds[0]) // 2
+    kept_edges = sum(m.degree for m in transcript.rounds[0]) // 2
     return _finish(
         args, "connectivity_one_round_r", g, {"r": args.r, "s": s},
         transcript, wall_ms,

@@ -16,7 +16,7 @@ engine passes inputs[v] to node v, so the position is the node id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadParams
 from .graph import Ball, Graph, ball as make_ball
@@ -33,25 +33,39 @@ def ball_inputs(g: Graph, r: int) -> list[Ball]:
     return [make_ball(g, v, r) for v in range(g.n)]
 
 
-@dataclass(frozen=True, slots=True)
-class NeighborList:
+class NeighborList(NamedTuple):
+    """A broadcast of neighbor ids, with its encoded size in bits."""
+
     ids: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DegreeAndSketch:
-    degree: int
-    sketch: int
-
-
-@dataclass(frozen=True, slots=True)
-class Message:
-    payload: NeighborList | DegreeAndSketch
     bits: int
 
+    @property
+    def payload(self) -> NeighborList:
+        """The record itself, for code that reads a message's payload field."""
+        return self
 
-def message_bits(payload, n: int, p: int | None = None) -> int:
-    """Exact encoded size of a message payload.
+
+class DegreeAndSketch(NamedTuple):
+    """A broadcast of a degree and a sketch field element, with its encoded
+    size in bits."""
+
+    degree: int
+    sketch: int
+    bits: int
+
+    @property
+    def payload(self) -> DegreeAndSketch:
+        """The record itself, for code that reads a message's payload field."""
+        return self
+
+
+# A broadcast is one of the two records; the alias is for annotations.
+Message = NeighborList | DegreeAndSketch
+
+
+def message_bits(record: Message, n: int, p: int | None = None) -> int:
+    """Exact encoded size of a message, from its kind and fields alone (the
+    stored bits are ignored).
 
     NeighborList: a length field of ceil(log2(n+1)) bits plus ceil(log2 n)
     bits per id.  DegreeAndSketch: ceil(log2 n) bits for the degree plus
@@ -59,17 +73,18 @@ def message_bits(payload, n: int, p: int | None = None) -> int:
     """
     if n < 1:
         raise BadParams("node count must be >= 1")
-    if isinstance(payload, NeighborList):
-        return ceil_log2(n + 1) + len(payload.ids) * ceil_log2(n)
-    if isinstance(payload, DegreeAndSketch):
+    if isinstance(record, NeighborList):
+        return ceil_log2(n + 1) + len(record.ids) * ceil_log2(n)
+    if isinstance(record, DegreeAndSketch):
         if p is None:
             raise BadParams("DegreeAndSketch sizing needs the modulus p")
         return ceil_log2(n) + ceil_log2(p)
-    raise TypeError(f"unknown payload {payload!r}")
+    raise TypeError(f"unknown message {record!r}")
 
 
-def make_message(payload, n: int, p: int | None = None) -> Message:
-    return Message(payload, message_bits(payload, n, p))
+def make_message(record: Message, n: int, p: int | None = None) -> Message:
+    """The record with its bits set to message_bits."""
+    return record._replace(bits=message_bits(record, n, p))
 
 
 @dataclass(frozen=True)
@@ -92,14 +107,14 @@ class Transcript:
         for rnd in self.rounds:
             out = []
             for m in rnd:
-                if isinstance(m.payload, NeighborList):
+                if isinstance(m, NeighborList):
                     out.append({"kind": "neighbor_list",
-                                "ids": list(m.payload.ids),
+                                "ids": list(m.ids),
                                 "bits": m.bits})
                 else:
                     out.append({"kind": "degree_and_sketch",
-                                "degree": m.payload.degree,
-                                "sketch": str(m.payload.sketch),
+                                "degree": m.degree,
+                                "sketch": str(m.sketch),
                                 "bits": m.bits})
             rounds.append(out)
         return {"rounds_used": self.rounds_used,
@@ -116,10 +131,11 @@ class Protocol:
     flag and the final knowledge by construction.  Subclasses set
     round_budget and implement message.
 
-    A message's size depends only on its kind, n, p and its number of ids,
-    so a protocol computes each size it needs once per run with
-    message_bits, the single size formula, and builds each
-    Message(payload, bits) directly.
+    A message is one immutable record, NeighborList(ids, bits) or
+    DegreeAndSketch(degree, sketch, bits).  Its size depends only on its
+    kind, n, p and its number of ids, so a protocol computes each size it
+    needs once per run with message_bits, the single size formula, and
+    builds each record with its bits directly.
     """
 
     round_budget = 1

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sketch
-from .clique import DegreeAndSketch, Message, NeighborList, Protocol, message_bits, run_protocol
+from .clique import DegreeAndSketch, NeighborList, Protocol, message_bits, run_protocol
 from .errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
                      RoundBudgetExceeded, WeightMismatch)
 from .graph import Ball, Edge, Graph, components_and_forest, tilde_row_local
@@ -92,11 +92,11 @@ class _SpanningForestProtocol(Protocol):
         self.round_budget = budget
         # message_bits is linear in the id count: a fixed head plus per_id
         # bits for each announced id.
-        self.head = message_bits(NeighborList(()), n)
-        self.per_id = message_bits(NeighborList((0,)), n) - self.head
-        # Message and NeighborList are frozen, so every node with nothing
-        # to announce can send this one object.
-        self.empty = Message(NeighborList(()), self.head)
+        self.head = message_bits(NeighborList((), 0), n)
+        self.per_id = message_bits(NeighborList((0,), 0), n) - self.head
+        # A NeighborList is immutable, so every node with nothing to
+        # announce can send this one object.
+        self.empty = NeighborList((), self.head)
         self.singletons: tuple[int, ...] | None = None
 
     def start(self, n):
@@ -134,10 +134,10 @@ class _SpanningForestProtocol(Protocol):
                 ids = tuple(first.values())
             else:
                 ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
-        return Message(NeighborList(ids), self.head + len(ids) * self.per_id)
+        return NeighborList(ids, self.head + len(ids) * self.per_id)
 
     def deliver(self, known, messages):
-        announced = [(u, w) for u, m in enumerate(messages) for w in m.payload.ids]
+        announced = [(u, w) for u, m in enumerate(messages) for w in m.ids]
         if not announced:
             return known, True
         return merge_step(*known, announced), False
@@ -175,7 +175,7 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     (labels, forest), transcript = run_protocol(proto, rows)
     # a run that halted saw no foreign label; one whose last round still
     # announced was stopped by the budget, so some nodes may be unfinished
-    if any(m.payload.ids for m in transcript.rounds[-1]):
+    if any(m.ids for m in transcript.rounds[-1]):
         unfinished = [v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
         if unfinished:
             raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
@@ -199,7 +199,12 @@ class PruningResult:
 
 
 def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResult:
-    """Replay the peel locally from one (degree, sketch) pair per node.
+    """Replay the peel locally from one (degree, sketch) entry per node.
+
+    An entry is read as entry[0] and entry[1], so a DegreeAndSketch message
+    and a plain pair both work.  An entry that cannot be read that way, or
+    whose fields do not compare with integers, raises InvalidTranscript
+    naming its node, as an out-of-range one does.
 
     Repeatedly takes the smallest live node with residual degree <= d,
     decodes its residual neighborhood from its sketch, and subtracts its
@@ -224,11 +229,22 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
     p = params.p
     if len(msgs) != n:
         raise InvalidTranscript(f"expected {n} messages, got {len(msgs)}")
-    degrees = [deg for deg, _ in msgs]
-    values = [val for _, val in msgs]
-    if min(degrees) < 0 or min(values) < 0 or max(values) >= p:
-        node = next(v for v in range(n) if degrees[v] < 0 or not 0 <= values[v] < p)
-        raise InvalidTranscript(f"message of node {node} is out of range")
+    try:
+        degrees = [m[0] for m in msgs]
+        values = [m[1] for m in msgs]
+        in_range = min(degrees) >= 0 and min(values) >= 0 and max(values) < p
+    except (LookupError, TypeError):
+        in_range = False
+    if not in_range:
+        # only a bad vector pays for this per-entry scan
+        for v, m in enumerate(msgs):
+            try:
+                ok = m[0] >= 0 and 0 <= m[1] < p
+            except (LookupError, TypeError):
+                raise InvalidTranscript(f"message of node {v} is malformed") from None
+            if not ok:
+                raise InvalidTranscript(f"message of node {v} is out of range")
+        raise InvalidTranscript("messages are malformed")
     live = [True] * n
     rows: list[list[int]] = [[] for _ in range(n)]
     eligible = [v for v in range(n) if degrees[v] <= d]  # ascending, so a heap
@@ -275,15 +291,13 @@ class _PruneProtocol(Protocol):
 
     def __init__(self, params: sketch.SketchParams):
         self.params = params
-        self.bits = message_bits(DegreeAndSketch(0, 0), params.n, params.p)
+        self.bits = message_bits(DegreeAndSketch(0, 0, 0), params.n, params.p)
 
     def message(self, node, row, known):
-        payload = DegreeAndSketch(len(row), sketch.encode_support(self.params, row))
-        return Message(payload, self.bits)
+        return DegreeAndSketch(len(row), sketch.encode_support(self.params, row), self.bits)
 
     def deliver(self, known, messages):
-        pairs = [(m.payload.degree, m.payload.sketch) for m in messages]
-        return peel_from_messages(pairs, self.params, self.params.d), True
+        return peel_from_messages(messages, self.params, self.params.d), True
 
 
 def prune_one_round(rows: Sequence[tuple[int, ...]], d: int):

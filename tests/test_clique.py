@@ -23,18 +23,22 @@ from conftest import shuffled_run
 
 
 def test_message_bits_examples():
-    assert message_bits(NeighborList((1, 4, 7)), n=9) == 16
-    assert message_bits(NeighborList(()), n=9) == 4
-    assert message_bits(DegreeAndSketch(2, 10), n=4, p=101) == 9
+    assert message_bits(NeighborList((1, 4, 7), 0), n=9) == 16
+    assert message_bits(NeighborList((), 0), n=9) == 4
+    assert message_bits(DegreeAndSketch(2, 10, 0), n=4, p=101) == 9
+    # the stored bits are not read
+    assert message_bits(NeighborList((), 99), n=9) == 4
 
 
 def test_message_bits_argument_checks():
     with pytest.raises(ValueError):
-        message_bits(DegreeAndSketch(1, 3), n=4)  # p missing
+        message_bits(DegreeAndSketch(1, 3, 0), n=4)  # p missing
     with pytest.raises(ValueError):
-        message_bits(NeighborList(()), n=0)
+        message_bits(NeighborList((), 0), n=0)
     with pytest.raises(TypeError):
         message_bits("junk", n=4)
+    with pytest.raises(TypeError):
+        message_bits(((1, 2), 12), n=4)  # a plain tuple is no message
 
 
 class CountdownProtocol(Protocol):
@@ -46,11 +50,11 @@ class CountdownProtocol(Protocol):
         self.received = []
 
     def message(self, node, node_input, known):
-        return make_message(NeighborList((node_input,)), n=64)
+        return make_message(NeighborList((node_input,), 0), n=64)
 
     def deliver(self, known, messages):
         self.received.append(messages)
-        return min(m.payload.ids[0] for m in messages), False
+        return min(m.ids[0] for m in messages), False
 
 
 def test_broadcast_symmetry_and_transcript_shape():
@@ -87,7 +91,7 @@ class NeverDoneProtocol(Protocol):
     round_budget = 2
 
     def message(self, node, node_input, known):
-        return make_message(NeighborList((node,)), n=8)
+        return make_message(NeighborList((node,), 0), n=8)
 
     def deliver(self, known, messages):
         return known, False
@@ -103,8 +107,8 @@ def test_round_budget_exceeded():
 
 def test_transcript_json_serialization():
     transcript = Transcript((
-        (make_message(NeighborList((3, 5)), n=9),
-         make_message(DegreeAndSketch(2, 12345678901234567890), n=9, p=2**64)),
+        (make_message(NeighborList((3, 5), 0), n=9),
+         make_message(DegreeAndSketch(2, 12345678901234567890, 0), n=9, p=2**64)),
     ))
     doc = transcript.to_json_dict()
     assert doc["rounds_used"] == 1
@@ -121,3 +125,36 @@ def test_ball_inputs_share_one_radius():
     inputs = ball_inputs(g, 2)
     assert [b.center for b in inputs] == list(range(6))
     assert {b.radius for b in inputs} == {2}
+
+
+def test_messages_are_immutable_records():
+    records = (NeighborList((1, 2), 12), DegreeAndSketch(2, 7, 12))
+    for m in records:
+        assert m.payload is m
+        for field in m._fields:
+            with pytest.raises(AttributeError):
+                setattr(m, field, getattr(m, field))
+        with pytest.raises(AttributeError):
+            m.extra = 1
+    # equal records hash equal; the two kinds never compare equal
+    assert NeighborList((1, 2), 12) == records[0]
+    assert hash(NeighborList((1, 2), 12)) == hash(records[0])
+    assert hash(DegreeAndSketch(2, 7, 12)) == hash(records[1])
+    assert NeighborList((), 0) != DegreeAndSketch(0, 0, 0)
+    assert NeighborList((2, 7), 12) != DegreeAndSketch(2, 7, 12)
+    with pytest.raises(TypeError):
+        NeighborList((1, 2))  # bits has no default
+
+
+@pytest.mark.parametrize("record, n, p", [
+    (NeighborList((), 0), 1, None),
+    (NeighborList((3, 5, 8), 0), 9, None),
+    (NeighborList(tuple(range(40)), 7), 1000, None),
+    (DegreeAndSketch(0, 0, 0), 1, 2),
+    (DegreeAndSketch(2, 12345678901234567890, 3), 9, 2**64),
+])
+def test_make_message_fills_exactly_message_bits(record, n, p):
+    m = make_message(record, n, p)
+    assert type(m) is type(record)
+    assert m[:-1] == record[:-1]
+    assert m.bits == message_bits(record, n, p)

@@ -1,6 +1,5 @@
 """The three protocols against their oracles, plus the shared peel machinery."""
 
-import dataclasses
 import heapq
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from bclique import protocols, sketch, verify
 from bclique.clique import (
     DegreeAndSketch,
-    Message,
     NeighborList,
     Transcript,
     adjacency_inputs,
@@ -173,7 +171,7 @@ def test_spanning_forest_small_corpus(eps):
         assert transcript.per_node_bits <= ceil_log2(g.n + 1) + cap * per_id, tag
         for rnd in transcript.rounds:
             for msg in rnd:
-                assert len(msg.payload.ids) <= cap, tag
+                assert len(msg.ids) <= cap, tag
 
 
 def interleaved_cliques(k: int, m: int) -> Graph:
@@ -193,7 +191,7 @@ def test_spanning_forest_merges_supernodes_in_the_second_round(eps, k, m):
     # cliques are supernodes, so round 1 must merge supernode labels
     g = interleaved_cliques(k, m)
     labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
-    assert all(any(msg.payload.ids for msg in rnd) for rnd in transcript.rounds[:2])
+    assert all(any(msg.ids for msg in rnd) for rnd in transcript.rounds[:2])
     assert verify.forest_ok(g, eps, labels, forest, transcript)
 
 
@@ -221,8 +219,8 @@ def test_forest_message_announces_the_smallest_foreign_labels(case):
             smallest[labels[w]] = min(smallest.get(labels[w], w), w)
     expected = tuple(sorted(smallest[lbl] for lbl in sorted(smallest)[:cap]))
     msg = _SpanningForestProtocol(n, cap, 1).message(node, row, (labels, ()))
-    assert msg.payload == NeighborList(expected)
-    assert msg.bits == message_bits(msg.payload, n)
+    assert msg.ids == expected
+    assert msg.bits == message_bits(msg, n)
 
 
 @given(forest_message_cases())
@@ -237,7 +235,7 @@ def test_forest_message_singletons_shortcut_matches_general_path(case):
     assert identity is not singletons[0]
     msg = proto.message(node, row, singletons)
     assert msg == proto.message(node, row, (identity, ()))
-    assert msg.payload.ids == row[:cap]
+    assert msg.ids == row[:cap]
 
 
 @given(forest_message_cases())
@@ -250,22 +248,32 @@ def test_forest_message_without_foreign_neighbors_is_shared(case):
     proto = _SpanningForestProtocol(n, cap, 1)
     msg = proto.message(node, row, (tuple(labels), ()))
     assert msg is proto.empty
-    assert msg.payload == NeighborList(())
-    assert msg.bits == message_bits(NeighborList(()), n)
+    assert msg == NeighborList((), message_bits(NeighborList((), 0), n))
 
 
 def test_spanning_forest_first_round_takes_the_singletons_shortcut():
     # at eps = 1 no row is cut, so the shortcut announces each row object
     rows = adjacency_inputs(gen_graph("gnp", 30, seed=4, q=0.1))
     _, _, transcript = spanning_forest_multiround(rows, 1)
-    assert all(m.payload.ids is row for m, row in zip(transcript.rounds[0], rows))
+    assert all(m.ids is row for m, row in zip(transcript.rounds[0], rows))
+
+
+def test_spanning_forest_sends_one_empty_message_object():
+    # every node with nothing to announce, in any round, sends proto.empty
+    g = interleaved_cliques(3, 12)
+    eps = Fraction(1, 3)
+    proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps))
+    _, transcript = run_protocol(proto, adjacency_inputs(g))
+    empty = [m for rnd in transcript.rounds for m in rnd if not m.ids]
+    assert len(empty) > g.n  # the confirming round and some earlier ones
+    assert all(m is proto.empty for m in empty)
 
 
 def test_spanning_forest_final_round_sends_one_shared_message():
     g = interleaved_cliques(3, 12)
     _, _, transcript = spanning_forest_multiround(adjacency_inputs(g), Fraction(1, 3))
     last = transcript.rounds[-1]
-    assert not last[0].payload.ids
+    assert not last[0].ids
     assert all(m is last[0] for m in last)
 
 
@@ -295,9 +303,9 @@ def test_forest_ok_rejects_messages_above_the_bit_bound():
     bound = ceil_log2(9 + 1) + pow_ceil(9, eps) * ceil_log2(9)
     (first, *rest), *later = transcript.rounds
     assert first.bits <= bound
-    at_bound = Transcript(((Message(first.payload, bound), *rest), *later))
+    at_bound = Transcript(((first._replace(bits=bound), *rest), *later))
     assert verify.forest_ok(g, eps, labels, forest, at_bound)
-    above = Transcript(((Message(first.payload, bound + 1), *rest), *later))
+    above = Transcript(((first._replace(bits=bound + 1), *rest), *later))
     assert above.per_node_bits == bound + 1
     assert not verify.forest_ok(g, eps, labels, forest, above)
 
@@ -367,6 +375,32 @@ def test_peel_from_messages_rejects_bad_vector_shape():
         peel_from_messages([(-1, 0)] + P4_MESSAGES[1:], P4_PARAMS, 1)
     with pytest.raises(InvalidTranscript):
         peel_from_messages([(1, P4_PARAMS.p)] + P4_MESSAGES[1:], P4_PARAMS, 1)
+
+
+@pytest.mark.parametrize("bad", [(1,), (), None, ("1", 2), (0, "2"), 7, (None, None), {"degree": 0}],
+                         ids=["short", "empty", "none", "str-degree", "str-sketch", "int",
+                              "none-fields", "dict"])
+@pytest.mark.parametrize("node", [0, 1, 2])
+def test_peel_from_messages_names_a_malformed_entry(bad, node):
+    # field reads and comparisons that fail are the transcript's fault
+    msgs = [(0, 0)] * 3
+    msgs[node] = bad
+    with pytest.raises(InvalidTranscript, match=f"message of node {node} is "):
+        peel_from_messages(msgs, cached_params(3, 1), 1)
+
+
+def test_peel_from_messages_names_the_first_bad_entry_of_either_kind():
+    params = cached_params(3, 1)
+    with pytest.raises(InvalidTranscript, match="message of node 0 is out of range"):
+        peel_from_messages([(-1, 0), None, (0, 0)], params, 1)
+    with pytest.raises(InvalidTranscript, match="message of node 0 is malformed"):
+        peel_from_messages([None, (-1, 0), (0, 0)], params, 1)
+
+
+def test_peel_from_messages_reads_records_and_pairs_alike():
+    bits = message_bits(DegreeAndSketch(0, 0, 0), 4, P4_PARAMS.p)
+    records = [DegreeAndSketch(deg, val, bits) for deg, val in P4_MESSAGES]
+    assert peel_from_messages(records, P4_PARAMS, 1) == peel_from_messages(P4_MESSAGES, P4_PARAMS, 1)
 
 
 # (16, 1) decodes through the lookup table, (6, 2) by bit extraction
@@ -543,9 +577,9 @@ def test_prune_ok_rejects_messages_above_the_bit_bound():
     bound = ceil_log2(8) + sketch_bits_bound(8, 1)
     first, *rest = transcript.rounds[0]
     assert first.bits <= bound
-    at_bound = Transcript(((Message(first.payload, bound), *rest),))
+    at_bound = Transcript(((first._replace(bits=bound), *rest),))
     assert verify.prune_ok(g, 1, result, at_bound)
-    above = Transcript(((Message(first.payload, bound + 1), *rest),))
+    above = Transcript(((first._replace(bits=bound + 1), *rest),))
     assert above.per_node_bits == bound + 1
     assert not verify.prune_ok(g, 1, result, above)
 
@@ -717,7 +751,7 @@ def test_pruning_result_is_plain_data():
 
 def test_messages_are_sized_by_message_bits():
     # protocols size their messages once per run; every size must still be
-    # what the single formula gives for that payload
+    # what the single formula gives for that message
     graphs = [gen_graph("gnp", 24, seed=seed, q=0.2) for seed in (1, 2, 3)]
     graphs.append(interleaved_cliques(3, 12))
     for g in graphs:
@@ -731,13 +765,4 @@ def test_messages_are_sized_by_message_bits():
         for transcript, p in runs:
             for rnd in transcript.rounds:
                 for m in rnd:
-                    assert m.bits == message_bits(m.payload, g.n, p)
-
-    payloads = (NeighborList((1, 2)), DegreeAndSketch(2, 7))
-    for obj in (*payloads, Message(payloads[0], 12)):
-        field = dataclasses.fields(obj)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, field, getattr(obj, field))
-    assert NeighborList((1, 2)) == payloads[0] and hash(NeighborList((1, 2))) == hash(payloads[0])
-    assert hash(DegreeAndSketch(2, 7)) == hash(payloads[1])
-    assert hash(Message(NeighborList((1, 2)), 12)) == hash(Message(payloads[0], 12))
+                    assert m.bits == message_bits(m, g.n, p)
