@@ -207,11 +207,18 @@ def core_peel(g: Graph, d: int):
 
 
 def ball(g: Graph, v: int, r: int) -> Ball:
-    """Induced subgraph of all nodes at distance <= r from v."""
+    """Induced subgraph of all nodes at distance <= r from v.
+
+    A member at depth < r has all its neighbors inside the ball, so its
+    entry in adj is g.rows[u] itself, not a copy; only the depth-r members'
+    rows are filtered.  Sharing is safe because rows are tuples: neither
+    the graph nor a ball can change a row the other holds.
+    """
     if not 0 <= v < g.n:
         raise IndexOutOfRange(f"node {v} outside 0..{g.n - 1}")
     if r < 1:
         raise BadParams("radius must be >= 1")
+    rows = g.rows
     inside = {v}
     frontier = [v]
     for _ in range(r):
@@ -219,12 +226,17 @@ def ball(g: Graph, v: int, r: int) -> Ball:
             break  # the whole component is in: further levels add nothing
         nxt = []
         for u in frontier:
-            for w in g.rows[u]:
+            for w in rows[u]:
                 if w not in inside:
                     inside.add(w)
                     nxt.append(w)
         frontier = nxt
-    adj = {u: tuple(w for w in g.rows[u] if w in inside) for u in sorted(inside)}
+    # frontier now holds the depth-r members, or nothing if the component
+    # ran out first; replacing a key's value keeps the ascending key order
+    adj = {u: rows[u] for u in sorted(inside)}
+    keep = inside.__contains__
+    for u in frontier:
+        adj[u] = tuple(filter(keep, rows[u]))
     return Ball(center=v, radius=r, adj=adj)
 
 

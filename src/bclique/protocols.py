@@ -256,7 +256,9 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
         if degrees[k]:
             try:
                 nbrs = decode_support(params, values[k], degrees[k])
-            except (NotDecodable, WeightMismatch) as exc:
+            except (NotDecodable, WeightMismatch, AttributeError) as exc:
+                # a float sketch passes the range check; on a binary shape
+                # it has no bit_length, which raises AttributeError
                 raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
         elif values[k]:
             raise InvalidTranscript(f"sketch of node {k} is inconsistent: "

@@ -12,10 +12,13 @@ When ``2**n <= p`` the evaluation point is 2, encodings are plain binary
 numbers and decoding is bit extraction.  Otherwise decoding goes through a
 table of all C(n, <=d) sparse vectors, built in weight layers; shapes whose
 table would exceed ``DEFAULT_TABLE_CAP`` entries raise CapExceeded, and
-binary shapes are never capped.  The table build takes about 0.2 s at
-(n, d) = (112, 3), 0.6 s at (64, 4) and 1.4 s at (200, 3) on a 2-core host
-with Python 3.11.  Shapes whose modulus may exceed ``MAX_MODULUS_BITS`` bits
-raise CapExceeded before any work, as the prime search would run for hours.
+binary shapes are never capped.  The table maps each encoding to the top
+index of its support, and decoding walks the support down from there.
+Building it takes about 0.1 s at (n, d) = (112, 3), 0.4 s at (64, 4) and
+0.8 s at (200, 3), and the built table holds about 17, 41 and 81 MB
+(tracemalloc), on a 2-core host with Python 3.11.  Shapes whose modulus
+may exceed ``MAX_MODULUS_BITS`` bits raise CapExceeded before any work, as
+the prime search would run for hours.
 """
 
 from __future__ import annotations
@@ -84,9 +87,11 @@ class SketchParams:
     modulus p, evaluation point xbar, and the power table xbar**i mod p.
 
     Construct through :func:`build_params`, which also builds the
-    value->support-mask decode table (None on binary shapes, which decode
-    by bit extraction).  Instances are immutable and safe to share across
-    threads.
+    value->top-index decode table (None on binary shapes, which decode by
+    bit extraction).  The table maps the encoding of each support of weight
+    <= d to its largest index, and 0 to -1; decode_support recovers the
+    rest of the support from y - powers[top].  Instances are immutable and
+    safe to share across threads.
     """
 
     n: int
@@ -112,31 +117,33 @@ class SketchParams:
 
 
 def _injective_at(n: int, d: int, x: int, p: int):
-    """Return the value->support-mask table if x separates the whole sparse
+    """Return the value->top-index table if x separates the whole sparse
     Boolean family, or None on the first collision.
 
-    Built in weight layers: each weight-w entry extends a weight-(w-1) entry
-    (value, mask) by one index i above the mask's top bit, so every support
-    is reached once, in the lexicographic order of itertools.combinations,
-    at the cost of one addition.
+    Each encoding maps to the largest index of its support, and the empty
+    support's 0 to -1.  Built in weight layers: each weight-w entry extends
+    a weight-(w-1) entry (value, top) by one index i above top, so every
+    support is reached once, in the lexicographic order of
+    itertools.combinations, at the cost of one addition.  The index is a
+    small int that the layer loop already holds, so an entry allocates no
+    int besides its key.
     """
     powers = [pow(x, i, p) for i in range(n)]
-    table = {0: 0}
-    layer = [(0, 0)]
+    table = {0: -1}
+    layer = [(0, -1)]
     for w in range(1, d + 1):
         grown = []
-        for value, mask in layer:
-            for i in range(mask.bit_length(), n):
+        for value, top in layer:
+            for i in range(top + 1, n):
                 s = value + powers[i]
                 # an int sum keeps a spare digit; the subtraction allocates
                 # an exact-size key, so the table takes no more memory
                 s = s - p if s >= p else s - 0
                 if s in table:
                     return None
-                m = mask | 1 << i
-                table[s] = m
+                table[s] = i
                 if w < d:
-                    grown.append((s, m))
+                    grown.append((s, i))
         layer = grown
     return table
 
@@ -234,30 +241,50 @@ def decode_support(params: SketchParams, y: FieldElement,
 
     Raises BadParams when y is not a field element, NotDecodable when no
     such vector exists and WeightMismatch when one exists but its weight
-    differs from expected_weight.
+    differs from expected_weight.  y is an int; a float within range gets
+    NotDecodable or a support of weight <= d, which may be wrong when the
+    walk's float subtractions round.
     """
     if not 0 <= y < params.p:
         raise BadParams(f"field element {y} outside 0..p-1")
-    if params._table is None:
+    table = params._table
+    if table is None:
         if y.bit_length() > params.n:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
-        mask = y
+        weight = y.bit_count()
     else:
-        mask = params._table.get(y)
-        if mask is None:
-            raise NotDecodable(f"{y} is not a sparse Boolean encoding")
-    weight = mask.bit_count()
+        # Walk the support down from its top index: y - powers[top] mod p
+        # encodes the rest of the support, whose top is smaller.  Every link
+        # is looked up with get and the tops must fall, so a value that is
+        # no encoding, or a float that stops matching a key as the walk
+        # subtracts, raises NotDecodable, never KeyError, and never loops.
+        powers = params.powers
+        p = params.p
+        support = []
+        last = params.n
+        rest = y
+        while rest:
+            top = table.get(rest, last)
+            if top >= last:
+                raise NotDecodable(f"{y} is not a sparse Boolean encoding")
+            support.append(top)
+            last = top
+            rest = (rest - powers[top]) % p
+        support.reverse()
+        weight = len(support)
     if weight > params.d:
         raise NotDecodable(f"{y} encodes a vector of weight {weight} > d={params.d}")
     if expected_weight is not None and weight != expected_weight:
         raise WeightMismatch(
             f"decoded weight {weight} but {expected_weight} was announced"
         )
+    if table is not None:
+        return tuple(support)
     support = []
-    while mask:
-        low = mask & -mask
+    while y:
+        low = y & -y
         support.append(low.bit_length() - 1)
-        mask ^= low
+        y ^= low
     return tuple(support)
 
 

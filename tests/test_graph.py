@@ -259,6 +259,52 @@ def test_ball_matches_networkx_ego(idx, r):
             {normalize_edge(u, w) for u, w in ego.edges}
 
 
+def reference_ball(g: Graph, v: int, r: int) -> Ball:
+    """The copying ball() that the current one replaced, kept verbatim: every
+    member's row is filtered into a new tuple."""
+    if not 0 <= v < g.n:
+        raise IndexOutOfRange(f"node {v} outside 0..{g.n - 1}")
+    if r < 1:
+        raise BadParams("radius must be >= 1")
+    inside = {v}
+    frontier = [v]
+    for _ in range(r):
+        if not frontier:
+            break  # the whole component is in: further levels add nothing
+        nxt = []
+        for u in frontier:
+            for w in g.rows[u]:
+                if w not in inside:
+                    inside.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    adj = {u: tuple(w for w in g.rows[u] if w in inside) for u in sorted(inside)}
+    return Ball(center=v, radius=r, adj=adj)
+
+
+BALL_GRAPHS = [("path", 12, {}), ("cycle", 13, {}), ("star", 9, {}), ("complete", 7, {}),
+               ("gnp", 40, {"q": 0.08}), ("gnp", 64, {"q": 0.05}), ("random_forest", 30, {}),
+               ("random_degenerate", 40, {"d": 3})]
+
+
+@pytest.mark.parametrize("kind, n, extras", BALL_GRAPHS, ids=[k for k, _, _ in BALL_GRAPHS])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ball_matches_the_copying_reference(kind, n, extras, seed):
+    g = gen_graph(kind, n, seed=seed, **extras)
+    h = to_nx(g)
+    for v in range(n):
+        depth = nx.single_source_shortest_path_length(h, v)
+        for r in (1, 2, 3, 4, n):
+            b = ball(g, v, r)
+            expected = reference_ball(g, v, r)
+            assert (b.center, b.radius) == (expected.center, expected.radius)
+            assert list(b.adj.items()) == list(expected.adj.items()), (v, r)
+            # an interior member shares the graph's row instead of a copy
+            for u, row in b.adj.items():
+                if depth[u] < r:
+                    assert row is g.rows[u], (v, r, u)
+
+
 # --- short cycles and the pruned subgraph ----------------------------------------
 
 def test_has_short_cycle_examples():

@@ -397,6 +397,17 @@ def test_peel_from_messages_names_the_first_bad_entry_of_either_kind():
         peel_from_messages([None, (-1, 0), (0, 0)], params, 1)
 
 
+@pytest.mark.parametrize("n, d", [(3, 1), (64, 4)], ids=("binary", "table"))
+def test_peel_from_messages_names_a_float_sketch(n, d):
+    # 2.5 or a key + 0.5 passes the range check; the binary path finds no
+    # bit_length on it and the table path no key equal to it
+    params = cached_params(n, d)
+    assert (params.table_entries != 0) == (n == 64)
+    msgs = [(1, params.powers[1] + 0.5)] + [(0, 0)] * (n - 1)
+    with pytest.raises(InvalidTranscript, match="sketch of node 0 is inconsistent"):
+        peel_from_messages(msgs, params, d)
+
+
 def test_peel_from_messages_reads_records_and_pairs_alike():
     bits = message_bits(DegreeAndSketch(0, 0, 0), 4, P4_PARAMS.p)
     records = [DegreeAndSketch(deg, val, bits) for deg, val in P4_MESSAGES]

@@ -430,7 +430,10 @@ def test_layered_table_matches_enumeration(n, d):
     params = cached_params(n, d)
     assert params.table_entries != 0
     table = sketch._injective_at(n, d, params.xbar, params.p)
-    expected = enumerated_table(n, d, params.xbar, params.p)
+    # the oracle's masks in the decode table's layout: each value mapped to
+    # its support's top index, -1 for the empty support
+    expected = {value: mask.bit_length() - 1
+                for value, mask in enumerated_table(n, d, params.xbar, params.p).items()}
     assert list(table.items()) == list(expected.items())
     assert params._table == expected
     for x in range(params.xbar):
@@ -438,16 +441,55 @@ def test_layered_table_matches_enumeration(n, d):
         assert enumerated_table(n, d, x, params.p) is None, x
 
 
+@pytest.mark.parametrize("n, d", TABLE_SHAPES)
+def test_every_table_entry_decodes_to_its_enumerated_support(n, d):
+    params = cached_params(n, d)
+    oracle = enumerated_table(n, d, params.xbar, params.p)
+    assert len(oracle) == params.table_entries
+    for value, mask in oracle.items():
+        support = tuple(i for i in range(n) if mask >> i & 1)
+        assert decode_support(params, value, expected_weight=len(support)) == support
+
+
+def test_float_keys_raise_only_not_decodable():
+    # (64, 4) has a 55-bit p, so most keys are exact as floats, but the
+    # walk's float subtractions round on some of them, which then miss a
+    # link or land on another key.  A float is no field element: it gets a
+    # support of weight <= d or NotDecodable, never a KeyError or a walk
+    # that does not end.
+    params = cached_params(64, 4)
+    outcomes = set()
+    for value in itertools.islice(params._table, 0, None, 7):
+        if float(value) != value:
+            continue
+        try:
+            support = decode_support(params, float(value))
+        except NotDecodable:
+            outcomes.add("not decodable")
+            continue
+        assert len(support) <= 4 and list(support) == sorted(set(support)), value
+        outcomes.add("decoded")
+    assert outcomes == {"decoded", "not decodable"}
+    for value in (0.5, params.powers[1] + 0.5, params.powers[40] + 0.5):
+        with pytest.raises(NotDecodable):
+            decode_support(params, value)
+
+
 @pytest.fixture
 def broken_decode_table(monkeypatch):
-    """Every decode table built while active has its last two supports
-    decoding to each other."""
+    """Every decode table built while active has its last support and the
+    last support with a different top index decoding to each other's top.
+
+    At d >= 2 the last two supports share top n-1, so swapping them would
+    change nothing that the walk reads."""
     real = sketch._injective_at
 
     def broken(n, d, x, p):
         table = real(n, d, x, p)
         if table is not None and len(table) > 2:
-            y, z = list(table)[-2:]
+            keys = list(table)
+            y = keys[-1]
+            z = next(k for k in reversed(keys) if table[k] != table[y])
             table[y], table[z] = table[z], table[y]
         return table
 
