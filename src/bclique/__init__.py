@@ -37,7 +37,6 @@ from .errors import (
 from .graph import (
     Ball,
     Graph,
-    ball,
     components_and_forest,
     core_peel,
     gen_graph,

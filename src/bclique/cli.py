@@ -109,10 +109,11 @@ def _cmd_components(args) -> tuple[dict, int]:
 def _cmd_one_round(args) -> tuple[dict, int]:
     g = _read_graph(args.graph)
     t0 = time.perf_counter()
-    labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, args.r), args.r)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    # the sketch shape is refused (CapExceeded) before any ball is built
     s = sparsity_parameter(g.n, args.r)
     params = cached_params(g.n, s)
+    labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, args.r), args.r)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
     # each node sketched its row of the short-cycle-free subgraph
     kept_edges = sum(m.degree for m in transcript.rounds[0]) // 2
     return _finish(

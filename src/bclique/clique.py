@@ -19,18 +19,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import BadParams
-from .graph import Ball, Graph, ball as make_ball
+# ball_inputs sits in graph beside the Ball format it builds and the search
+# that reads it; it is re-exported here beside adjacency_inputs
+from .graph import Graph, ball_inputs  # noqa: F401
 from .intmath import ceil_log2
 
 
 def adjacency_inputs(g: Graph) -> list[tuple[int, ...]]:
     """Node inputs of the adjacency model: node v holds its own row."""
     return list(g.rows)
-
-
-def ball_inputs(g: Graph, r: int) -> list[Ball]:
-    """Node inputs of the radius-r model: node v holds its radius-r ball."""
-    return [make_ball(g, v, r) for v in range(g.n)]
 
 
 class NeighborList(NamedTuple):

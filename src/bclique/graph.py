@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .errors import BadParams, IndexOutOfRange, InvalidEdge, ParseError, UnknownKind
+from .errors import BadParams, InvalidEdge, ParseError, UnknownKind
 
 Edge = tuple[int, int]
 
@@ -25,8 +25,9 @@ Edge = tuple[int, int]
 MAX_NODES = 10**6
 
 # Most node pairs that the generators visiting every pair (complete, gnp)
-# accept, checked before a pair is built or a random number drawn; it
-# admits n <= 3162.
+# accept, checked before a pair is built or a random number drawn, and that
+# ball_inputs accepts before it allocates n masks of n bits; it admits
+# n <= 3162.
 MAX_PAIRS = 5 * 10**6
 
 
@@ -68,17 +69,28 @@ class Graph:
         return frozenset(self.edges())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ball:
-    """Induced subgraph of everything within a fixed distance of one node.
+    """Induced subgraph of everything within distance radius of center.
 
-    Node ids are the original ids; adj maps each contained node, in
-    ascending id order, to its neighbors inside the ball.
+    members is the bitmask of the ball's nodes (bit u set for node u) and
+    rim the mask of those at distance exactly radius.  rows is the graph's
+    own row tuple, shared by every ball of the graph: a member inside the
+    rim has all its neighbors in the ball, so its induced row is rows[u]
+    itself, and only a rim member's row reaches past the ball and is read
+    through members.
+
+    Balls are built by ball_inputs from a Graph, whose rows from_edges,
+    load_graph and gen_graph validate, so the induced subgraph is symmetric
+    by construction.  A bare Graph(n, rows) is trusted input: nothing checks
+    its rows, as no protocol entry point checks the rows it is given.
     """
 
     center: int
     radius: int
-    adj: dict[int, tuple[int, ...]]
+    rows: tuple[tuple[int, ...], ...]
+    members: int
+    rim: int
 
 
 class _UnionFind:
@@ -206,78 +218,99 @@ def core_peel(g: Graph, d: int):
     return tuple(sequence), remaining
 
 
-def ball(g: Graph, v: int, r: int) -> Ball:
-    """Induced subgraph of all nodes at distance <= r from v.
+def ball_inputs(g: Graph, r: int) -> list[Ball]:
+    """Node inputs of the radius-r model: node v holds its radius-r ball.
 
-    A member at depth < r has all its neighbors inside the ball, so its
-    entry in adj is g.rows[u] itself, not a copy; only the depth-r members'
-    rows are filtered.  Sharing is safe because rows are tuples: neither
-    the graph nor a ball can change a row the other holds.
+    One pass over the rows per radius builds every ball at once: the
+    members of v within distance k are its members within k - 1, OR-ed with
+    those of each neighbor.  The passes stop early once one adds no member
+    to any ball, since no later pass can, so a radius far past the diameter
+    costs no more than the diameter.  The masks take n bits per ball, n**2
+    bits in all, so graphs with more than MAX_PAIRS node pairs (n > 3162)
+    are refused before anything is allocated.
     """
-    if not 0 <= v < g.n:
-        raise IndexOutOfRange(f"node {v} outside 0..{g.n - 1}")
     if r < 1:
         raise BadParams("radius must be >= 1")
+    _check_pairs(g.n)
     rows = g.rows
-    inside = {v}
-    frontier = [v]
+    reach = [1 << v for v in range(g.n)]
     for _ in range(r):
-        if not frontier:
-            break  # the whole component is in: further levels add nothing
         nxt = []
-        for u in frontier:
-            for w in rows[u]:
-                if w not in inside:
-                    inside.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    # frontier now holds the depth-r members, or nothing if the component
-    # ran out first; replacing a key's value keeps the ascending key order
-    adj = {u: rows[u] for u in sorted(inside)}
-    keep = inside.__contains__
-    for u in frontier:
-        adj[u] = tuple(filter(keep, rows[u]))
-    return Ball(center=v, radius=r, adj=adj)
+        for v, row in enumerate(rows):
+            mask = reach[v]
+            for u in row:
+                mask |= reach[u]
+            nxt.append(mask)
+        if nxt == reach:
+            inner = reach  # no ball grew: each holds its component, with no rim
+            break
+        inner, reach = reach, nxt
+    return [Ball(v, r, rows, mask, mask ^ within)
+            for v, (mask, within) in enumerate(zip(reach, inner))]
 
 
-def _closes_short_cycle(adj, u: int, w: int, hops: int) -> bool:
+def _closes_short_cycle(rows, u: int, w: int, hops: int, ball: Ball | None = None) -> bool:
     """Whether edge (u, w) is the largest edge of a simple cycle of length
     <= hops + 1.
 
     That holds exactly when u reaches w in at most `hops` steps over edges
     smaller than (u, w): such a walk contains a simple path, which the edge
-    closes into the cycle.  adj maps every node reached, and w, to its
-    neighbors, and is symmetric, as a ball's induced subgraph is.
+    closes into the cycle.  rows holds the neighbors of every node reached,
+    and of w, and is symmetric, as a validated Graph's rows are.  Given a
+    ball centered at u, the walk stays inside the ball's induced subgraph.
 
     The walk enters w from one of its entries: a neighbor other than u
     whose edge to w is smaller than (u, w).  A w with none, such as a leaf
-    of the ball, closes nothing and returns at once, before any BFS; else the
-    BFS runs hops - 1 levels and stops at the first entry it reaches, so it
-    never builds the last, widest level and never steps onto u or w.  With
-    (lo, hi) = sorted((u, w)), a step from a to any other node b is over an
-    edge smaller than (u, w) exactly when b < cap(a): no bound for a < lo,
-    hi for a == lo and lo for a > lo.  That is one integer comparison per
-    neighbor, which builds no normalized tuple and reads no order of a row.
+    of the ball, closes nothing and returns at once, before any BFS.  Else
+    the BFS runs hops - 2 levels, stopping at the first entry it reaches,
+    and a last step from the final level looks only for an entry: the nodes
+    it lands on are never expanded, so it records none of them.  It never
+    steps onto u or w.  With (lo, hi) = sorted((u, w)), a step from a to
+    any other node b is over an edge smaller than (u, w) exactly when
+    b < cap(a): no bound for a < lo, hi for a == lo and lo for a > lo.
+    That is one integer comparison per neighbor, which builds no normalized
+    tuple and reads no order of a row.
+
+    In a ball only a rim member has neighbors outside, and a node first met
+    at BFS level i is within distance i of the center, so no rim member is
+    expanded before level ball.radius.  From that level on, a step from a
+    rim member onto a new node tests the node's bit in ball.members, and
+    no other step tests membership.  So only members are expanded and no
+    row outside the ball is read.  The last step needs no test: the entries
+    lie within distance 2 of the center, and a radius-r ball is searched
+    with 2r - 1 >= 2 hops only when r >= 2.
     """
+    if hops < 2:
+        return False  # a simple cycle has at least three edges
     lo, hi = (u, w) if u < w else (w, u)
-    entries = {b for b in adj[w] if b < (hi if w == lo else lo)}
+    entries = {b for b in rows[w] if b < (hi if w == lo else lo)}
     if not entries:
         return False
+    rim_level, rim, members = (ball.radius, ball.rim, ball.members) if ball else (0, 0, 0)
     seen = {u}
     frontier = [u]
-    for _ in range(hops - 1):
+    for level in range(hops - 2):
+        at_rim = rim and level >= rim_level
         nxt = []
         for a in frontier:
             cap = math.inf if a < lo else hi if a == lo else lo
-            for b in adj[a]:
+            leaves_ball = at_rim and rim >> a & 1
+            for b in rows[a]:
                 if b < cap and b not in seen:
                     if b in entries:
                         return True
+                    if leaves_ball and not members >> b & 1:
+                        continue
                     seen.add(b)
                     nxt.append(b)
         if not nxt:
-            break
+            return False
         frontier = nxt
+    for a in frontier:
+        cap = math.inf if a < lo else hi if a == lo else lo
+        for b in rows[a]:
+            if b < cap and b in entries:
+                return True
     return False
 
 
@@ -334,12 +367,14 @@ def tilde_row_local(b: Ball) -> tuple[int, ...]:
     walk closes a cycle of length <= 2r through v, and every node of that
     cycle is within distance r of v, so a search confined to the radius-r
     ball finds it and the row equals tilde_global's without any global
-    knowledge.
+    knowledge.  The search reads only the rows of ball members, although
+    the ball shares the whole graph's row tuple.
     """
     if b.radius < 1:
         raise BadParams("radius must be >= 1")
     v = b.center
-    return tuple(u for u in b.adj[v] if not _closes_short_cycle(b.adj, v, u, 2 * b.radius - 1))
+    hops = 2 * b.radius - 1
+    return tuple(u for u in b.rows[v] if not _closes_short_cycle(b.rows, v, u, hops, b))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +392,7 @@ def _gen_cycle(n, rng, params):
 
 
 def _check_pairs(n):
-    """Refuse to visit every node pair when there are more than MAX_PAIRS."""
+    """Refuse quadratic work when there are more than MAX_PAIRS node pairs."""
     if n * (n - 1) // 2 > MAX_PAIRS:
         raise BadParams(f"{n} nodes have {n * (n - 1) // 2} node pairs, "
                         f"more than the bound {MAX_PAIRS}")

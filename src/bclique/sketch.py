@@ -148,6 +148,14 @@ def _injective_at(n: int, d: int, x: int, p: int):
     return table
 
 
+def _check_table_cap(n: int, d: int, domain_size: int) -> None:
+    if domain_size > DEFAULT_TABLE_CAP:
+        raise CapExceeded(
+            f"{domain_size} sparse vectors exceed the table cap {DEFAULT_TABLE_CAP} "
+            f"for n={n}, d={d}"
+        )
+
+
 def build_params(n: int, d: int) -> SketchParams:
     """Derive (p, xbar, powers) for dimension n and sparsity bound d.
 
@@ -169,17 +177,20 @@ def build_params(n: int, d: int) -> SketchParams:
         raise CapExceeded(f"the modulus for n={n}, d={d} may take {bound} bits, "
                           f"more than the bound {MAX_MODULUS_BITS}")
     domain_size = sum(math.comb(n, w) for w in range(d + 1))
-    p = smallest_prime_above((1 + n) ** (2 * d) * n)
+    m = (1 + n) ** (2 * d) * n
     # 2**n <= p exactly when n < p.bit_length(); comparing bit lengths
-    # never builds 2**n.
+    # never builds 2**n.  p, the least prime above m, is below 2m, so a
+    # shape with n > m.bit_length() is not binary, and its table is refused
+    # before the prime search, which took 52 s at (20000, 142) on a 2-core
+    # host.
+    if n > m.bit_length():
+        _check_table_cap(n, d, domain_size)
+    p = smallest_prime_above(m)
     binary = n < p.bit_length()
     # Binary shapes never build a table: for n >= 2 and d >= 1, x = 0 and
     # x = 1 collide within the first three supports, and x = 2 needs none.
-    if not binary and domain_size > DEFAULT_TABLE_CAP:
-        raise CapExceeded(
-            f"{domain_size} sparse vectors exceed the table cap {DEFAULT_TABLE_CAP} "
-            f"for n={n}, d={d}"
-        )
+    if not binary:
+        _check_table_cap(n, d, domain_size)
     for xbar in range(p):
         if xbar == 2 and binary:
             # encodings are distinct binary numbers below p: injective,

@@ -25,7 +25,6 @@ from .graph import (
     has_short_cycle,
     tilde_global,
     tilde_row_local,
-    ball,
 )
 from .intmath import ceil_log2
 from .protocols import (
@@ -173,7 +172,7 @@ def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:
     components and have no cycle of length <= 2r."""
     oracle_labels, _ = components_and_forest(g)
     tilde = tilde_global(g, r)
-    local_rows = tuple(tilde_row_local(ball(g, v, r)) for v in range(g.n))
+    local_rows = tuple(map(tilde_row_local, ball_inputs(g, r)))
     s = sparsity_parameter(g.n, r)
     return (labels == oracle_labels
             and transcript.rounds_used == 1

@@ -12,7 +12,6 @@ from fractions import Fraction
 from bclique.cli import run_command
 from bclique.clique import adjacency_inputs, ball_inputs
 from bclique.graph import (
-    ball,
     components_and_forest,
     core_peel,
     gen_graph,
@@ -136,12 +135,13 @@ def test_criterion_7_one_round_connectivity():
             tilde = tilde_global(g, r)
             assert dropped_edges(g, tilde) == short_cycle_top_edges(g, 2 * r), (tag, r)
             assert not has_short_cycle(tilde, 2 * r), (tag, r)
-            for v in range(g.n):
-                assert tilde_row_local(ball(g, v, r)) == tilde.rows[v], (tag, r, v)
+            balls = ball_inputs(g, r)
+            for v, b in enumerate(balls):
+                assert tilde_row_local(b) == tilde.rows[v], (tag, r, v)
             oracle_labels, _ = components_and_forest(g)
             assert components_and_forest(tilde)[0] == oracle_labels, (tag, r)
             # the protocol itself: one round, oracle labeling, no stall
-            labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
+            labels, forest, transcript = connectivity_one_round_r(balls, r)
             assert transcript.rounds_used == 1, (tag, r)
             assert labels == oracle_labels, (tag, r)
             assert forest_is_valid(g, labels, forest), (tag, r)

@@ -189,6 +189,16 @@ def test_full_degree_beyond_the_modulus_bound_fails_fast(tmp_path):
     assert code == 1 and doc["error"]["type"] == "CapExceeded"
 
 
+def test_one_round_beyond_the_ball_bound_fails_on_the_table_cap(capsys, tmp_path):
+    # balls refuse n > 3162, where the sketch table cap already refuses
+    # every one-round shape; the command looks the shape up first, so the
+    # error stays CapExceeded, and the table is refused before the prime search
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(gen_graph("path", 20000)))
+    code, doc = run_json(capsys, ["one-round", "--graph", str(path), "--r", "2"])
+    assert code == 1 and doc["error"]["type"] == "CapExceeded"
+
+
 def test_tiny_eps_finishes_at_once(capsys, p4_file):
     code, doc = run_json(capsys, ["components", "--graph", p4_file, "--eps", "1e-12"])
     assert code == 0

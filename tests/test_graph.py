@@ -9,7 +9,7 @@ from bclique import graph, verify
 from bclique.graph import (
     Ball,
     Graph,
-    ball,
+    ball_inputs,
     components_and_forest,
     core_peel,
     gen_graph,
@@ -22,7 +22,6 @@ from bclique.graph import (
 )
 from bclique.errors import (
     BadParams,
-    IndexOutOfRange,
     InvalidEdge,
     ParseError,
     UnknownKind,
@@ -222,28 +221,47 @@ def test_core_peel_remaining_is_permutation_invariant(idx, d, rng):
 
 # --- balls ----------------------------------------------------------------------
 
+def mask(nodes) -> int:
+    return sum(1 << u for u in nodes)
+
+
+def induced_row(b: Ball, u: int) -> tuple[int, ...]:
+    """Member u's row in b's induced subgraph."""
+    return tuple(w for w in b.rows[u] if b.members >> w & 1)
+
+
+def induced_adj(b: Ball) -> dict[int, tuple[int, ...]]:
+    """b's induced subgraph, members in ascending id order."""
+    return {u: induced_row(b, u) for u in range(len(b.rows)) if b.members >> u & 1}
+
+
 def test_ball_examples():
     p4 = gen_graph("path", 4)
-    b = ball(p4, 1, 1)
-    assert tuple(b.adj) == (0, 1, 2)
-    assert b.adj == {0: (1,), 1: (0, 2), 2: (1,)}
+    b = ball_inputs(p4, 1)[1]
+    assert (b.center, b.radius) == (1, 1) and b.rows is p4.rows
+    assert b.members == mask((0, 1, 2)) and b.rim == mask((0, 2))
+    assert induced_adj(b) == {0: (1,), 1: (0, 2), 2: (1,)}
 
-    whole = ball(p4, 0, 5)  # radius beyond the diameter
-    assert tuple(whole.adj) == (0, 1, 2, 3)
-    assert whole.adj == {v: p4.rows[v] for v in range(4)}
-    # levels past the last reached node are skipped, not walked
-    assert ball(p4, 0, 10**12).adj == ball(p4, 0, p4.n).adj
+    whole = ball_inputs(p4, 5)[0]  # radius beyond the diameter
+    assert whole.members == mask(range(4)) and whole.rim == 0
+    assert induced_adj(whole) == {v: p4.rows[v] for v in range(4)}
+    # passes past the last reached node are skipped, not walked
+    assert ball_inputs(p4, 10**12)[0].members == ball_inputs(p4, p4.n)[0].members
 
-    lonely = ball(Graph.from_edges(3, [(0, 1)]), 2, 3)
-    assert lonely.adj == {2: ()}
+    lonely = ball_inputs(Graph.from_edges(3, [(0, 1)]), 3)[2]
+    assert (lonely.members, lonely.rim) == (mask((2,)), 0)
+    assert ball_inputs(Graph.from_edges(0, []), 2) == []
 
 
 def test_ball_argument_checks():
     g = gen_graph("path", 4)
-    with pytest.raises(IndexOutOfRange):
-        ball(g, 4, 1)
     with pytest.raises(ValueError):
-        ball(g, 0, 0)
+        ball_inputs(g, 0)
+    # the masks take n**2 bits in all, so the node-pair bound of the
+    # quadratic generators applies: path 3163 is refused, 3162 is not
+    with pytest.raises(BadParams):
+        ball_inputs(gen_graph("path", 3163), 2)
+    assert len(ball_inputs(gen_graph("path", 3162), 2)) == 3162
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=3))
@@ -251,19 +269,18 @@ def test_ball_argument_checks():
 def test_ball_matches_networkx_ego(idx, r):
     g = seeded_graph(idx)
     h = to_nx(g)
-    for v in range(g.n):
-        b = ball(g, v, r)
+    for v, b in enumerate(ball_inputs(g, r)):
         ego = nx.ego_graph(h, v, radius=r)
-        assert set(b.adj) == set(ego.nodes)
-        assert {normalize_edge(u, w) for u in b.adj for w in b.adj[u]} == \
+        adj = induced_adj(b)
+        assert set(adj) == set(ego.nodes)
+        assert {normalize_edge(u, w) for u in adj for w in adj[u]} == \
             {normalize_edge(u, w) for u, w in ego.edges}
 
 
-def reference_ball(g: Graph, v: int, r: int) -> Ball:
-    """The copying ball() that the current one replaced, kept verbatim: every
-    member's row is filtered into a new tuple."""
-    if not 0 <= v < g.n:
-        raise IndexOutOfRange(f"node {v} outside 0..{g.n - 1}")
+def reference_ball(g: Graph, v: int, r: int):
+    """The per-node BFS that copied every member's row, which ball_inputs
+    replaced.  Returns (adj, rim): each member, in ascending id order, with
+    its row filtered to the members, and the members at distance exactly r."""
     if r < 1:
         raise BadParams("radius must be >= 1")
     inside = {v}
@@ -279,7 +296,7 @@ def reference_ball(g: Graph, v: int, r: int) -> Ball:
                     nxt.append(w)
         frontier = nxt
     adj = {u: tuple(w for w in g.rows[u] if w in inside) for u in sorted(inside)}
-    return Ball(center=v, radius=r, adj=adj)
+    return adj, set(frontier)
 
 
 BALL_GRAPHS = [("path", 12, {}), ("cycle", 13, {}), ("star", 9, {}), ("complete", 7, {}),
@@ -291,18 +308,20 @@ BALL_GRAPHS = [("path", 12, {}), ("cycle", 13, {}), ("star", 9, {}), ("complete"
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ball_matches_the_copying_reference(kind, n, extras, seed):
     g = gen_graph(kind, n, seed=seed, **extras)
-    h = to_nx(g)
-    for v in range(n):
-        depth = nx.single_source_shortest_path_length(h, v)
-        for r in (1, 2, 3, 4, n):
-            b = ball(g, v, r)
-            expected = reference_ball(g, v, r)
-            assert (b.center, b.radius) == (expected.center, expected.radius)
-            assert list(b.adj.items()) == list(expected.adj.items()), (v, r)
-            # an interior member shares the graph's row instead of a copy
-            for u, row in b.adj.items():
-                if depth[u] < r:
-                    assert row is g.rows[u], (v, r, u)
+    for r in (1, 2, 3, 4, n, 10**12):
+        balls = ball_inputs(g, r)
+        assert len(balls) == n
+        for v, b in enumerate(balls):
+            adj, rim = reference_ball(g, v, r)
+            assert (b.center, b.radius) == (v, r)
+            assert b.rows is g.rows
+            assert b.members == mask(adj), (v, r)
+            assert b.rim == mask(rim), (v, r)
+            assert list(induced_adj(b).items()) == list(adj.items()), (v, r)
+            # a member inside the rim shares the graph's row whole
+            for u in adj:
+                if u not in rim:
+                    assert adj[u] == g.rows[u], (v, r, u)
 
 
 # --- short cycles and the pruned subgraph ----------------------------------------
@@ -333,12 +352,12 @@ def test_verify_catches_a_short_cycle_search_one_hop_short(monkeypatch):
     # independent girth BFS in has_short_cycle still finds the kept cycles
     real = graph._closes_short_cycle
     monkeypatch.setattr(graph, "_closes_short_cycle",
-                        lambda adj, u, w, hops: real(adj, u, w, hops - 1))
+                        lambda rows, u, w, hops, ball=None: real(rows, u, w, hops - 1, ball))
     # both tilde functions look the search up by module global, so the cut
     # reaches them: the 4-cycle keeps its largest edge (2, 3)
     c4 = gen_graph("cycle", 4)
     assert tilde_global(c4, 2) == c4
-    assert tilde_row_local(ball(c4, 2, 2)) == (1, 3)
+    assert tilde_row_local(ball_inputs(c4, 2)[2]) == (1, 3)
     assert verify.run_suite("small")["passed"] is False
 
 
@@ -363,10 +382,10 @@ def reference_closes_short_cycle(adj, u, w, hops):
     return False
 
 
-def reference_row(b: Ball) -> tuple[int, ...]:
-    v = b.center
-    return tuple(u for u in b.adj[v]
-                 if not reference_closes_short_cycle(b.adj, v, u, 2 * b.radius - 1))
+def reference_row(g: Graph, v: int, r: int) -> tuple[int, ...]:
+    """v's short-cycle-free row, searched in reference_ball's copied rows."""
+    adj, _ = reference_ball(g, v, r)
+    return tuple(u for u in adj[v] if not reference_closes_short_cycle(adj, v, u, 2 * r - 1))
 
 
 def reference_removed(g: Graph, r: int) -> frozenset:
@@ -375,12 +394,12 @@ def reference_removed(g: Graph, r: int) -> frozenset:
 
 
 def shuffled_ball(b: Ball, rng) -> Ball:
-    adj = {}
-    for u, row in b.adj.items():
+    rows = []
+    for row in b.rows:
         row = list(row)
         rng.shuffle(row)
-        adj[u] = tuple(row)
-    return Ball(center=b.center, radius=b.radius, adj=adj)
+        rows.append(tuple(row))
+    return Ball(b.center, b.radius, tuple(rows), b.members, b.rim)
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=4))
@@ -388,9 +407,8 @@ def shuffled_ball(b: Ball, rng) -> Ball:
 def test_short_cycle_search_matches_reference(idx, r):
     g = seeded_graph(idx)
     assert dropped_edges(g, tilde_global(g, r)) == reference_removed(g, r)
-    for v in range(g.n):
-        b = ball(g, v, r)
-        assert tilde_row_local(b) == reference_row(b)
+    for v, b in enumerate(ball_inputs(g, r)):
+        assert tilde_row_local(b) == reference_row(g, v, r)
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
@@ -399,21 +417,26 @@ def test_short_cycle_search_ignores_row_order(idx, r, rng):
     # a hand-built ball may hold its rows in any order; the kept row is the
     # same set of neighbors
     g = seeded_graph(idx)
-    for v in range(g.n):
-        b = ball(g, v, r)
-        assert set(tilde_row_local(shuffled_ball(b, rng))) == set(reference_row(b))
+    for v, b in enumerate(ball_inputs(g, r)):
+        assert set(tilde_row_local(shuffled_ball(b, rng))) == set(reference_row(g, v, r))
 
 
-class _RecordingAdj(dict):
-    """An adjacency map that records every node whose row is read."""
+class _RecordingRows(tuple):
+    """A row tuple that records every node whose row is read."""
 
-    def __init__(self, rows):
-        super().__init__(rows)
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
         self.reads = []
+        return self
 
     def __getitem__(self, node):
         self.reads.append(node)
         return super().__getitem__(node)
+
+
+def recording(b: Ball) -> Ball:
+    """b with its shared row tuple replaced by a recording copy."""
+    return Ball(b.center, b.radius, _RecordingRows(b.rows), b.members, b.rim)
 
 
 @pytest.mark.parametrize("kind, n", [("star", 1), ("star", 2), ("star", 6),
@@ -423,15 +446,65 @@ def test_leaf_edges_are_kept_without_a_search(kind, n, r):
     g = gen_graph(kind, n)
     assert tilde_global(g, r) == g
     assert reference_removed(g, r) == frozenset()
-    for v in range(n):
-        b = ball(g, v, r)
-        assert tilde_row_local(b) == reference_row(b) == g.rows[v]
-        # an edge into a leaf of the ball reads the leaf's row and nothing else
-        for u in b.adj[v]:
-            if len(b.adj[u]) == 1:
-                adj = _RecordingAdj(b.adj)
-                assert graph._closes_short_cycle(adj, v, u, 2 * r - 1) is False
-                assert adj.reads == [u]
+    for v, b in enumerate(ball_inputs(g, r)):
+        assert tilde_row_local(b) == reference_row(g, v, r) == g.rows[v]
+        # an edge into a leaf of the ball reads the leaf's row and nothing
+        # else; at r = 1 no cycle is short enough, so nothing is read
+        for u in g.rows[v]:
+            if len(induced_row(b, u)) == 1:
+                rec = recording(b)
+                assert graph._closes_short_cycle(rec.rows, v, u, 2 * r - 1, rec) is False
+                assert rec.rows.reads == ([u] if r > 1 else [])
+
+
+@pytest.mark.parametrize("kind, n, extras", [("gnp", 40, {"q": 0.1}), ("gnp", 64, {"q": 0.05}),
+                                             ("cycle", 11, {}), ("complete", 7, {})],
+                         ids=["gnp40", "gnp64", "cycle", "complete"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_local_row_reads_only_ball_members(kind, n, extras, r):
+    # a ball shares the whole graph's row tuple, so the radius-r model rests
+    # on the search reading no row of a node outside the ball
+    g = gen_graph(kind, n, seed=3, **extras)
+    tilde = tilde_global(g, r)
+    for v, b in enumerate(ball_inputs(g, r)):
+        rec = recording(b)
+        assert tilde_row_local(rec) == tilde.rows[v], (v, r)
+        assert rec.rows.reads, (v, r)
+        assert all(b.members >> u & 1 for u in rec.rows.reads), (v, r)
+
+
+def distances_from(g: Graph, v: int) -> dict[int, int]:
+    dist = {v: 0}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in g.rows[a]:
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return dist
+
+
+@given(graph_indices, st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_local_row_ignores_edges_beyond_the_ball(idx, r, data):
+    # locality: edges with no endpoint within distance r - 1 of v, added or
+    # deleted, leave v's short-cycle-free row unchanged
+    g = seeded_graph(idx)
+    v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    dist = distances_from(g, v)
+    far = [u for u in range(g.n) if dist.get(u, r) >= r]
+    if len(far) < 2:
+        return
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(far), st.sampled_from(far)),
+                               max_size=10))
+    toggled = {normalize_edge(a, b) for a, b in pairs if a != b}
+    h = Graph.from_edges(g.n, g.edge_set() ^ toggled)
+    row = tilde_row_local(ball_inputs(g, r)[v])
+    assert tilde_row_local(ball_inputs(h, r)[v]) == row
+    assert row == tilde_global(h, r).rows[v]
 
 
 def test_short_cycle_search_examples_against_reference():
@@ -478,8 +551,8 @@ def test_tilde_properties(idx, r):
 def test_tilde_local_rows_match_global(idx, r):
     g = seeded_graph(idx)
     tilde = tilde_global(g, r)
-    for v in range(g.n):
-        assert tilde_row_local(ball(g, v, r)) == tilde.rows[v]
+    for v, b in enumerate(ball_inputs(g, r)):
+        assert tilde_row_local(b) == tilde.rows[v]
 
 
 @given(graph_indices, st.integers(min_value=1, max_value=3))
@@ -488,9 +561,9 @@ def test_tilde_matches_cycle_enumeration(idx, r):
     g = seeded_graph(idx)
     dropped = short_cycle_top_edges(g, 2 * r)
     assert dropped_edges(g, tilde_global(g, r)) == dropped
-    for v in range(g.n):
+    for v, b in enumerate(ball_inputs(g, r)):
         row = tuple(u for u in g.rows[v] if tuple(sorted((u, v))) not in dropped)
-        assert tilde_row_local(ball(g, v, r)) == row
+        assert tilde_row_local(b) == row
 
 
 def test_tilde_global_beyond_enumeration_scale():
@@ -502,16 +575,16 @@ def test_tilde_global_beyond_enumeration_scale():
 
 def test_tilde_local_examples():
     c4 = gen_graph("cycle", 4)
-    assert tilde_row_local(ball(c4, 2, 2)) == (1,)
-    assert tilde_row_local(ball(c4, 0, 2)) == (1, 3)
+    assert tilde_row_local(ball_inputs(c4, 2)[2]) == (1,)
+    assert tilde_row_local(ball_inputs(c4, 2)[0]) == (1, 3)
     c5 = gen_graph("cycle", 5)
-    assert tilde_row_local(ball(c5, 0, 2)) == (1, 4)
+    assert tilde_row_local(ball_inputs(c5, 2)[0]) == (1, 4)
 
 
 def test_tilde_local_argument_checks():
-    # a radius-0 ball holds its center alone; ball() refuses to build one
+    # a radius-0 ball holds its center alone; ball_inputs refuses to build one
     with pytest.raises(BadParams):
-        tilde_row_local(Ball(center=0, radius=0, adj={0: ()}))
+        tilde_row_local(Ball(center=0, radius=0, rows=((),), members=1, rim=0))
 
 
 def test_degeneracy_bound_at_64_nodes():

@@ -168,6 +168,17 @@ def test_build_params_cap_exceeded():
         build_params(200, 4)
 
 
+@pytest.mark.parametrize("n, d", [(200, 4), (20000, 142)])
+def test_build_params_refuses_the_table_before_the_prime_search(monkeypatch, n, d):
+    # p < 2 * (1+n)**(2d) * n, so n past that bound's bit length settles
+    # 2**n > p without p; (20000, 142) would search primes for about 50 s
+    def no_prime_search(m):
+        raise AssertionError("prime search reached")
+    monkeypatch.setattr(sketch, "smallest_prime_above", no_prime_search)
+    with pytest.raises(CapExceeded, match="table cap"):
+        build_params(n, d)
+
+
 @pytest.mark.parametrize("n, d, cap", [(64, 8, DEFAULT_TABLE_CAP),
                                        (100, 10, DEFAULT_TABLE_CAP),
                                        (64, 5, DEFAULT_TABLE_CAP)])
