@@ -9,8 +9,10 @@ reads its answer off it.  Message sizes follow fixed encoding rules so
 protocol budgets can be checked to the bit.
 
 A node's input is what its model lets it see, with no wrapper: its sorted
-neighbor row (adjacency_inputs) or its radius-r Ball (ball_inputs).  The
-engine passes inputs[v] to node v, so the position is the node id.
+neighbor row (adjacency_inputs) or its radius-r Ball (ball_inputs), the
+mask of the nodes within distance r over the neighbor masks that all balls
+of the graph share.  The engine passes inputs[v] to node v, so the
+position is the node id.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ rule that produces the short-cycle-free subgraph).
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from dataclasses import dataclass
@@ -73,12 +72,11 @@ class Graph:
 class Ball:
     """Induced subgraph of everything within distance radius of center.
 
-    members is the bitmask of the ball's nodes (bit u set for node u) and
-    rim the mask of those at distance exactly radius.  rows is the graph's
-    own row tuple, shared by every ball of the graph: a member inside the
-    rim has all its neighbors in the ball, so its induced row is rows[u]
-    itself, and only a rim member's row reaches past the ball and is read
-    through members.
+    members is the bitmask of the ball's nodes (bit u set for node u).
+    nbrs is the graph's tuple of open-neighborhood masks (bit w of nbrs[u]
+    set for each neighbor w of u), shared by every ball of the graph: a
+    member's induced row is nbrs[u] & members, so the ball needs no rows of
+    its own and no record of which members lie on its rim.
 
     Balls are built by ball_inputs from a Graph, whose rows from_edges,
     load_graph and gen_graph validate, so the induced subgraph is symmetric
@@ -88,9 +86,8 @@ class Ball:
 
     center: int
     radius: int
-    rows: tuple[tuple[int, ...], ...]
+    nbrs: tuple[int, ...]
     members: int
-    rim: int
 
 
 class _UnionFind:
@@ -218,10 +215,23 @@ def core_peel(g: Graph, d: int):
     return tuple(sequence), remaining
 
 
+def neighbor_masks(g: Graph) -> tuple[int, ...]:
+    """Open neighborhood of every node as a bitmask: bit w of the v-th mask
+    is set exactly when w is a neighbor of v."""
+    masks = []
+    for row in g.rows:
+        mask = 0
+        for u in row:
+            mask |= 1 << u
+        masks.append(mask)
+    return tuple(masks)
+
+
 def ball_inputs(g: Graph, r: int) -> list[Ball]:
     """Node inputs of the radius-r model: node v holds its radius-r ball.
 
-    One pass over the rows per radius builds every ball at once: the
+    The first pass over the rows builds every node's neighbor mask, which
+    all the balls share; each further pass grows every ball at once: the
     members of v within distance k are its members within k - 1, OR-ed with
     those of each neighbor.  The passes stop early once one adds no member
     to any ball, since no later pass can, so a radius far past the diameter
@@ -233,8 +243,9 @@ def ball_inputs(g: Graph, r: int) -> list[Ball]:
         raise BadParams("radius must be >= 1")
     _check_pairs(g.n)
     rows = g.rows
-    reach = [1 << v for v in range(g.n)]
-    for _ in range(r):
+    nbrs = neighbor_masks(g)
+    reach = [mask | 1 << v for v, mask in enumerate(nbrs)]
+    for _ in range(r - 1):
         nxt = []
         for v, row in enumerate(rows):
             mask = reach[v]
@@ -242,75 +253,85 @@ def ball_inputs(g: Graph, r: int) -> list[Ball]:
                 mask |= reach[u]
             nxt.append(mask)
         if nxt == reach:
-            inner = reach  # no ball grew: each holds its component, with no rim
-            break
-        inner, reach = reach, nxt
-    return [Ball(v, r, rows, mask, mask ^ within)
-            for v, (mask, within) in enumerate(zip(reach, inner))]
+            break  # no ball grew: each holds its whole component
+        reach = nxt
+    return [Ball(v, r, nbrs, mask) for v, mask in enumerate(reach)]
 
 
-def _closes_short_cycle(rows, u: int, w: int, hops: int, ball: Ball | None = None) -> bool:
+def _closes_short_cycle(nbrs, u: int, w: int, hops: int, members: int) -> bool:
     """Whether edge (u, w) is the largest edge of a simple cycle of length
-    <= hops + 1.
+    <= hops + 1 whose nodes all lie in the mask members.
 
     That holds exactly when u reaches w in at most `hops` steps over edges
-    smaller than (u, w): such a walk contains a simple path, which the edge
-    closes into the cycle.  rows holds the neighbors of every node reached,
-    and of w, and is symmetric, as a validated Graph's rows are.  Given a
-    ball centered at u, the walk stays inside the ball's induced subgraph.
+    smaller than (u, w) and nodes in members: such a walk contains a simple
+    path, which the edge closes into the cycle.  u and w are members, and
+    nbrs holds the neighbor mask of every member, symmetric as a validated
+    Graph's masks are.
 
-    The walk enters w from one of its entries: a neighbor other than u
-    whose edge to w is smaller than (u, w).  A w with none, such as a leaf
-    of the ball, closes nothing and returns at once, before any BFS.  Else
-    the BFS runs hops - 2 levels, stopping at the first entry it reaches,
-    and a last step from the final level looks only for an entry: the nodes
-    it lands on are never expanded, so it records none of them.  It never
-    steps onto u or w.  With (lo, hi) = sorted((u, w)), a step from a to
-    any other node b is over an edge smaller than (u, w) exactly when
-    b < cap(a): no bound for a < lo, hi for a == lo and lo for a > lo.
-    That is one integer comparison per neighbor, which builds no normalized
-    tuple and reads no order of a row.
+    The search is breadth-first from both ends at once, over masks.  With
+    (lo, hi) = sorted((u, w)) and below the mask of the nodes under lo, a
+    step from a to b is over an edge smaller than (u, w) exactly when
+    b < lo, or a < lo, or a == lo and b < hi.  So lo's first step goes to
+    its neighbors under hi and hi's to its neighbors in below; w's is taken
+    first, so an edge into a leaf w reads nbrs[w] alone.  From then on, a
+    frontier node below lo spreads to its whole mask and one above lo only
+    to its mask & below, which leaves out the steps from lo < a < hi back
+    onto lo: a path takes such an edge only as its first, out of lo.  Each
+    new level keeps the members its own side has not seen, and the side
+    with the smaller frontier grows next.  The sides meet within `hops`
+    steps in all exactly when the path exists, and the search stops as soon
+    as one side adds no node.  The seen masks start as the first steps,
+    without u and w: a side reaches the other end only through a node of
+    that end's first step, where the sides have met already, and a side
+    that steps back onto its own end gains nothing new from it, since an
+    end spreads only to its first step.  The last level is only tested
+    against the other side, never stored.
 
-    In a ball only a rim member has neighbors outside, and a node first met
-    at BFS level i is within distance i of the center, so no rim member is
-    expanded before level ball.radius.  From that level on, a step from a
-    rim member onto a new node tests the node's bit in ball.members, and
-    no other step tests membership.  So only members are expanded and no
-    row outside the ball is read.  The last step needs no test: the entries
-    lie within distance 2 of the center, and a radius-r ball is searched
-    with 2r - 1 >= 2 hops only when r >= 2.
+    Masks are read for u, w and frontier nodes, all members, so no mask of
+    a node outside members is read.
     """
     if hops < 2:
         return False  # a simple cycle has at least three edges
-    lo, hi = (u, w) if u < w else (w, u)
-    entries = {b for b in rows[w] if b < (hi if w == lo else lo)}
-    if not entries:
-        return False
-    rim_level, rim, members = (ball.radius, ball.rim, ball.members) if ball else (0, 0, 0)
-    seen = {u}
-    frontier = [u]
-    for level in range(hops - 2):
-        at_rim = rim and level >= rim_level
-        nxt = []
-        for a in frontier:
-            cap = math.inf if a < lo else hi if a == lo else lo
-            leaves_ball = at_rim and rim >> a & 1
-            for b in rows[a]:
-                if b < cap and b not in seen:
-                    if b in entries:
-                        return True
-                    if leaves_ball and not members >> b & 1:
-                        continue
-                    seen.add(b)
-                    nxt.append(b)
-        if not nxt:
+    if u < w:
+        lo, hi = u, w
+        below = (1 << lo) - 1
+        far = nbrs[w] & below & members
+        if not far:
             return False
-        frontier = nxt
-    for a in frontier:
-        cap = math.inf if a < lo else hi if a == lo else lo
-        for b in rows[a]:
-            if b < cap and b in entries:
-                return True
+        near = nbrs[u] & ((1 << hi) - 1) & members
+    else:
+        lo, hi = w, u
+        far = nbrs[w] & ((1 << hi) - 1) & members
+        if not far:
+            return False
+        below = (1 << lo) - 1
+        near = nbrs[u] & below & members
+    if not near:
+        return False
+    if near & far:
+        return True  # a common neighbor closes a triangle
+    seen_near, seen_far = near, far
+    for left in range(hops - 3, -1, -1):
+        if near.bit_count() > far.bit_count():
+            near, far, seen_near, seen_far = far, near, seen_far, seen_near
+        whole = capped = 0
+        while near:
+            a = near.bit_length() - 1
+            if a < lo:
+                whole |= nbrs[a]
+            else:
+                capped |= nbrs[a]
+            near ^= 1 << a
+        near = whole | (capped & below)
+        if near & seen_far:
+            return True
+        if not left:
+            return False
+        near &= members
+        near ^= near & seen_near
+        if not near:
+            return False
+        seen_near |= near
     return False
 
 
@@ -354,8 +375,10 @@ def tilde_global(g: Graph, r: int) -> Graph:
     """
     if r < 1:
         raise BadParams("radius must be >= 1")
+    nbrs = neighbor_masks(g)
+    everyone = (1 << g.n) - 1
     return Graph.from_edges(
-        g.n, (e for e in g.edges() if not _closes_short_cycle(g.rows, *e, 2 * r - 1)))
+        g.n, (e for e in g.edges() if not _closes_short_cycle(nbrs, *e, 2 * r - 1, everyone)))
 
 
 def tilde_row_local(b: Ball) -> tuple[int, ...]:
@@ -365,16 +388,25 @@ def tilde_row_local(b: Ball) -> tuple[int, ...]:
     Edge (v, u) is dropped exactly when v reaches u in at most 2r-1 steps
     over edges smaller than (v, u), the rule tilde_global applies.  Such a
     walk closes a cycle of length <= 2r through v, and every node of that
-    cycle is within distance r of v, so a search confined to the radius-r
-    ball finds it and the row equals tilde_global's without any global
-    knowledge.  The search reads only the rows of ball members, although
-    the ball shares the whole graph's row tuple.
+    cycle is within distance r of v, so a search confined to the ball's
+    members finds it and the row equals tilde_global's without any global
+    knowledge.  The row is read off the bits of nbrs[v] in ascending order,
+    and the search reads only the masks of ball members, although the ball
+    shares the whole graph's mask tuple.
     """
     if b.radius < 1:
         raise BadParams("radius must be >= 1")
-    v = b.center
+    v, nbrs, members = b.center, b.nbrs, b.members
     hops = 2 * b.radius - 1
-    return tuple(u for u in b.rows[v] if not _closes_short_cycle(b.rows, v, u, hops, b))
+    row = []
+    mask = nbrs[v]
+    while mask:
+        low = mask & -mask
+        u = low.bit_length() - 1
+        mask ^= low
+        if not _closes_short_cycle(nbrs, v, u, hops, members):
+            row.append(u)
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------

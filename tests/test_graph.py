@@ -1,5 +1,8 @@
 """Graph representation, file format, generators, and brute-force oracles."""
 
+import math
+from typing import NamedTuple
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from bclique.graph import (
     gen_graph,
     has_short_cycle,
     load_graph,
+    neighbor_masks,
     normalize_edge,
     serialize_graph,
     tilde_global,
@@ -225,31 +229,37 @@ def mask(nodes) -> int:
     return sum(1 << u for u in nodes)
 
 
+def bits(m: int) -> tuple[int, ...]:
+    return tuple(u for u in range(m.bit_length()) if m >> u & 1)
+
+
 def induced_row(b: Ball, u: int) -> tuple[int, ...]:
     """Member u's row in b's induced subgraph."""
-    return tuple(w for w in b.rows[u] if b.members >> w & 1)
+    return bits(b.nbrs[u] & b.members)
 
 
 def induced_adj(b: Ball) -> dict[int, tuple[int, ...]]:
     """b's induced subgraph, members in ascending id order."""
-    return {u: induced_row(b, u) for u in range(len(b.rows)) if b.members >> u & 1}
+    return {u: induced_row(b, u) for u in bits(b.members)}
 
 
 def test_ball_examples():
     p4 = gen_graph("path", 4)
-    b = ball_inputs(p4, 1)[1]
-    assert (b.center, b.radius) == (1, 1) and b.rows is p4.rows
-    assert b.members == mask((0, 1, 2)) and b.rim == mask((0, 2))
+    balls = ball_inputs(p4, 1)
+    b = balls[1]
+    assert (b.center, b.radius) == (1, 1) and b.members == mask((0, 1, 2))
+    assert b.nbrs == neighbor_masks(p4) == (mask((1,)), mask((0, 2)), mask((1, 3)), mask((2,)))
+    assert all(other.nbrs is b.nbrs for other in balls)
     assert induced_adj(b) == {0: (1,), 1: (0, 2), 2: (1,)}
 
     whole = ball_inputs(p4, 5)[0]  # radius beyond the diameter
-    assert whole.members == mask(range(4)) and whole.rim == 0
+    assert whole.members == mask(range(4))
     assert induced_adj(whole) == {v: p4.rows[v] for v in range(4)}
     # passes past the last reached node are skipped, not walked
     assert ball_inputs(p4, 10**12)[0].members == ball_inputs(p4, p4.n)[0].members
 
     lonely = ball_inputs(Graph.from_edges(3, [(0, 1)]), 3)[2]
-    assert (lonely.members, lonely.rim) == (mask((2,)), 0)
+    assert (lonely.members, lonely.nbrs[2]) == (mask((2,)), 0)
     assert ball_inputs(Graph.from_edges(0, []), 2) == []
 
 
@@ -311,17 +321,14 @@ def test_ball_matches_the_copying_reference(kind, n, extras, seed):
     for r in (1, 2, 3, 4, n, 10**12):
         balls = ball_inputs(g, r)
         assert len(balls) == n
+        # every ball shares one tuple of the graph's neighbor masks
+        assert balls[0].nbrs == tuple(mask(row) for row in g.rows)
         for v, b in enumerate(balls):
-            adj, rim = reference_ball(g, v, r)
+            adj, _ = reference_ball(g, v, r)
             assert (b.center, b.radius) == (v, r)
-            assert b.rows is g.rows
+            assert b.nbrs is balls[0].nbrs
             assert b.members == mask(adj), (v, r)
-            assert b.rim == mask(rim), (v, r)
             assert list(induced_adj(b).items()) == list(adj.items()), (v, r)
-            # a member inside the rim shares the graph's row whole
-            for u in adj:
-                if u not in rim:
-                    assert adj[u] == g.rows[u], (v, r, u)
 
 
 # --- short cycles and the pruned subgraph ----------------------------------------
@@ -352,7 +359,7 @@ def test_verify_catches_a_short_cycle_search_one_hop_short(monkeypatch):
     # independent girth BFS in has_short_cycle still finds the kept cycles
     real = graph._closes_short_cycle
     monkeypatch.setattr(graph, "_closes_short_cycle",
-                        lambda rows, u, w, hops, ball=None: real(rows, u, w, hops - 1, ball))
+                        lambda nbrs, u, w, hops, members: real(nbrs, u, w, hops - 1, members))
     # both tilde functions look the search up by module global, so the cut
     # reaches them: the 4-cycle keeps its largest edge (2, 3)
     c4 = gen_graph("cycle", 4)
@@ -393,15 +400,6 @@ def reference_removed(g: Graph, r: int) -> frozenset:
                      if reference_closes_short_cycle(g.rows, *e, 2 * r - 1))
 
 
-def shuffled_ball(b: Ball, rng) -> Ball:
-    rows = []
-    for row in b.rows:
-        row = list(row)
-        rng.shuffle(row)
-        rows.append(tuple(row))
-    return Ball(b.center, b.radius, tuple(rows), b.members, b.rim)
-
-
 @given(graph_indices, st.integers(min_value=1, max_value=4))
 @settings(max_examples=80, deadline=None)
 def test_short_cycle_search_matches_reference(idx, r):
@@ -411,21 +409,119 @@ def test_short_cycle_search_matches_reference(idx, r):
         assert tilde_row_local(b) == reference_row(g, v, r)
 
 
-@given(graph_indices, st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
+# The row-based search that the mask search replaced, copied whole; only its
+# name and the type of its ball changed.  Its ball mode reads radius, members
+# and rim, the mask of the members at distance exactly radius.
+class RowBall(NamedTuple):
+    radius: int
+    members: int
+    rim: int
+
+
+def row_closes_short_cycle(rows, u: int, w: int, hops: int, ball: RowBall | None = None) -> bool:
+    """Whether edge (u, w) is the largest edge of a simple cycle of length
+    <= hops + 1.
+
+    That holds exactly when u reaches w in at most `hops` steps over edges
+    smaller than (u, w): such a walk contains a simple path, which the edge
+    closes into the cycle.  rows holds the neighbors of every node reached,
+    and of w, and is symmetric, as a validated Graph's rows are.  Given a
+    ball centered at u, the walk stays inside the ball's induced subgraph.
+
+    The walk enters w from one of its entries: a neighbor other than u
+    whose edge to w is smaller than (u, w).  A w with none, such as a leaf
+    of the ball, closes nothing and returns at once, before any BFS.  Else
+    the BFS runs hops - 2 levels, stopping at the first entry it reaches,
+    and a last step from the final level looks only for an entry: the nodes
+    it lands on are never expanded, so it records none of them.  It never
+    steps onto u or w.  With (lo, hi) = sorted((u, w)), a step from a to
+    any other node b is over an edge smaller than (u, w) exactly when
+    b < cap(a): no bound for a < lo, hi for a == lo and lo for a > lo.
+    That is one integer comparison per neighbor, which builds no normalized
+    tuple and reads no order of a row.
+
+    In a ball only a rim member has neighbors outside, and a node first met
+    at BFS level i is within distance i of the center, so no rim member is
+    expanded before level ball.radius.  From that level on, a step from a
+    rim member onto a new node tests the node's bit in ball.members, and
+    no other step tests membership.  So only members are expanded and no
+    row outside the ball is read.  The last step needs no test: the entries
+    lie within distance 2 of the center, and a radius-r ball is searched
+    with 2r - 1 >= 2 hops only when r >= 2.
+    """
+    if hops < 2:
+        return False  # a simple cycle has at least three edges
+    lo, hi = (u, w) if u < w else (w, u)
+    entries = {b for b in rows[w] if b < (hi if w == lo else lo)}
+    if not entries:
+        return False
+    rim_level, rim, members = (ball.radius, ball.rim, ball.members) if ball else (0, 0, 0)
+    seen = {u}
+    frontier = [u]
+    for level in range(hops - 2):
+        at_rim = rim and level >= rim_level
+        nxt = []
+        for a in frontier:
+            cap = math.inf if a < lo else hi if a == lo else lo
+            leaves_ball = at_rim and rim >> a & 1
+            for b in rows[a]:
+                if b < cap and b not in seen:
+                    if b in entries:
+                        return True
+                    if leaves_ball and not members >> b & 1:
+                        continue
+                    seen.add(b)
+                    nxt.append(b)
+        if not nxt:
+            return False
+        frontier = nxt
+    for a in frontier:
+        cap = math.inf if a < lo else hi if a == lo else lo
+        for b in rows[a]:
+            if b < cap and b in entries:
+                return True
+    return False
+
+
+@given(graph_indices)
 @settings(max_examples=60, deadline=None)
-def test_short_cycle_search_ignores_row_order(idx, r, rng):
-    # a hand-built ball may hold its rows in any order; the kept row is the
-    # same set of neighbors
+def test_mask_search_matches_the_row_search(idx):
     g = seeded_graph(idx)
-    for v, b in enumerate(ball_inputs(g, r)):
-        assert set(tilde_row_local(shuffled_ball(b, rng))) == set(reference_row(g, v, r))
+    nbrs = neighbor_masks(g)
+    everyone = (1 << g.n) - 1
+    for u, w in g.edges():
+        for a, b in ((u, w), (w, u)):
+            for hops in range(10):
+                assert graph._closes_short_cycle(nbrs, a, b, hops, everyone) is \
+                    row_closes_short_cycle(g.rows, a, b, hops), (a, b, hops)
+    for r in range(1, 6):
+        for v, ball in enumerate(ball_inputs(g, r)):
+            adj, rim = reference_ball(g, v, r)
+            induced = [adj.get(x, ()) for x in range(g.n)]
+            row_ball = RowBall(r, ball.members, mask(rim))
+            for u in adj[v]:
+                for hops in range(10):
+                    got = graph._closes_short_cycle(nbrs, v, u, hops, ball.members)
+                    # on the ball's induced rows the row search stays in the
+                    # ball at every hop count, from either end of the edge
+                    assert got is row_closes_short_cycle(induced, v, u, hops), (v, u, r, hops)
+                    assert graph._closes_short_cycle(nbrs, u, v, hops, ball.members) is \
+                        row_closes_short_cycle(induced, u, v, hops), (u, v, r, hops)
+                    # its ball mode does too, except at r = 1, where a search
+                    # of 3 or more hops may step onto a neighbor of u outside
+                    if r > 1 or hops <= 2:
+                        assert got is row_closes_short_cycle(g.rows, v, u, hops, row_ball), \
+                            (v, u, r, hops)
+    for r in range(1, 5):
+        assert dropped_edges(g, tilde_global(g, r)) == frozenset(
+            e for e in g.edges() if row_closes_short_cycle(g.rows, *e, 2 * r - 1)), r
 
 
-class _RecordingRows(tuple):
-    """A row tuple that records every node whose row is read."""
+class _RecordingMasks(tuple):
+    """A mask tuple that records every node whose mask is read."""
 
-    def __new__(cls, rows):
-        self = super().__new__(cls, rows)
+    def __new__(cls, masks):
+        self = super().__new__(cls, masks)
         self.reads = []
         return self
 
@@ -435,8 +531,8 @@ class _RecordingRows(tuple):
 
 
 def recording(b: Ball) -> Ball:
-    """b with its shared row tuple replaced by a recording copy."""
-    return Ball(b.center, b.radius, _RecordingRows(b.rows), b.members, b.rim)
+    """b with its shared mask tuple replaced by a recording copy."""
+    return Ball(b.center, b.radius, _RecordingMasks(b.nbrs), b.members)
 
 
 @pytest.mark.parametrize("kind, n", [("star", 1), ("star", 2), ("star", 6),
@@ -448,13 +544,13 @@ def test_leaf_edges_are_kept_without_a_search(kind, n, r):
     assert reference_removed(g, r) == frozenset()
     for v, b in enumerate(ball_inputs(g, r)):
         assert tilde_row_local(b) == reference_row(g, v, r) == g.rows[v]
-        # an edge into a leaf of the ball reads the leaf's row and nothing
+        # an edge into a leaf of the ball reads the leaf's mask and nothing
         # else; at r = 1 no cycle is short enough, so nothing is read
         for u in g.rows[v]:
             if len(induced_row(b, u)) == 1:
                 rec = recording(b)
-                assert graph._closes_short_cycle(rec.rows, v, u, 2 * r - 1, rec) is False
-                assert rec.rows.reads == ([u] if r > 1 else [])
+                assert graph._closes_short_cycle(rec.nbrs, v, u, 2 * r - 1, rec.members) is False
+                assert rec.nbrs.reads == ([u] if r > 1 else [])
 
 
 @pytest.mark.parametrize("kind, n, extras", [("gnp", 40, {"q": 0.1}), ("gnp", 64, {"q": 0.05}),
@@ -462,15 +558,15 @@ def test_leaf_edges_are_kept_without_a_search(kind, n, r):
                          ids=["gnp40", "gnp64", "cycle", "complete"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_local_row_reads_only_ball_members(kind, n, extras, r):
-    # a ball shares the whole graph's row tuple, so the radius-r model rests
-    # on the search reading no row of a node outside the ball
+    # a ball shares the whole graph's mask tuple, so the radius-r model rests
+    # on the search reading no mask of a node outside the ball
     g = gen_graph(kind, n, seed=3, **extras)
     tilde = tilde_global(g, r)
     for v, b in enumerate(ball_inputs(g, r)):
         rec = recording(b)
         assert tilde_row_local(rec) == tilde.rows[v], (v, r)
-        assert rec.rows.reads, (v, r)
-        assert all(b.members >> u & 1 for u in rec.rows.reads), (v, r)
+        assert rec.nbrs.reads, (v, r)
+        assert all(b.members >> u & 1 for u in rec.nbrs.reads), (v, r)
 
 
 def distances_from(g: Graph, v: int) -> dict[int, int]:
@@ -510,11 +606,13 @@ def test_local_row_ignores_edges_beyond_the_ball(idx, r, data):
 def test_short_cycle_search_examples_against_reference():
     # the cycle closes only when its largest edge is tested, from either end
     c5 = gen_graph("cycle", 5)
+    nbrs = neighbor_masks(c5)
     for u, w in c5.edges():
         for a, b in ((u, w), (w, u)):
             for hops in range(1, 6):
                 expected = (u, w) == (3, 4) and hops >= 4
-                assert graph._closes_short_cycle(c5.rows, a, b, hops) is expected
+                assert graph._closes_short_cycle(nbrs, a, b, hops, mask(range(5))) is expected
+                assert row_closes_short_cycle(c5.rows, a, b, hops) is expected
                 assert reference_closes_short_cycle(c5.rows, a, b, hops) is expected
 
 
@@ -584,7 +682,7 @@ def test_tilde_local_examples():
 def test_tilde_local_argument_checks():
     # a radius-0 ball holds its center alone; ball_inputs refuses to build one
     with pytest.raises(BadParams):
-        tilde_row_local(Ball(center=0, radius=0, rows=((),), members=1, rim=0))
+        tilde_row_local(Ball(center=0, radius=0, nbrs=(0,), members=1))
 
 
 def test_degeneracy_bound_at_64_nodes():
