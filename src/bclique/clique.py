@@ -61,6 +61,12 @@ class DegreeAndSketch(NamedTuple):
 # A broadcast is one of the two records; the alias is for annotations.
 Message = NeighborList | DegreeAndSketch
 
+# new_record(NeighborList, (ids, bits)) builds a record from one tuple of its
+# fields without the Python-level __new__ that NamedTuple generates, which
+# is the slower half of a record's construction.  Nothing checks the field
+# count, so protocols pass exactly one value per field.
+new_record = tuple.__new__
+
 
 def message_bits(record: Message, n: int, p: int | None = None) -> int:
     """Exact encoded size of a message, from its kind and fields alone (the

@@ -3,7 +3,8 @@
 * spanning_forest_multiround: every node repeatedly announces a few neighbors
   in foreign supernodes; adjacent supernodes merge until each one is a
   connected component.  Runs within ceil(1/eps) rounds with messages of at
-  most ceil(n**eps) ids.
+  most ceil(n**eps) ids.  Each round's merge is merge_step, one Kruskal pass
+  over the announced edges packed into ints.
 * prune_one_round: one broadcast of (degree, sketched neighbor row) per node,
   then everyone peels low-degree nodes locally, editing the remaining
   sketches through linearity.
@@ -11,7 +12,7 @@
   Each node derives its row of the short-cycle-free subgraph from its
   radius-r ball, the pruning round at the sparsity bound s = ceil(n**(1/r))
   reconstructs that subgraph everywhere, and every node reads the same
-  spanning forest off the reconstruction.
+  spanning forest off the peel with merge_step, the forest protocol's merge.
 
 Node inputs are the plain rows and balls of clique.adjacency_inputs and
 clique.ball_inputs.
@@ -25,10 +26,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import sketch
-from .clique import DegreeAndSketch, NeighborList, Protocol, message_bits, run_protocol
+from .clique import (DegreeAndSketch, NeighborList, Protocol, message_bits, new_record,
+                     run_protocol)
 from .errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
                      RoundBudgetExceeded, WeightMismatch)
-from .graph import Ball, Edge, Graph, components_and_forest, tilde_row_local
+from .graph import Ball, Edge, Graph, tilde_row_local
 from .intmath import nth_root_ceil, pow_ceil
 
 
@@ -49,14 +51,19 @@ def forest_neighbor_cap(n: int, eps: Fraction) -> int:
     return max(1, pow_ceil(n, eps))
 
 
-def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
-    """Merge supernodes joined by announced (u, w) edges and return the new
+def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], keys):
+    """Merge supernodes joined by announced edges and return the new
     (labels, forest).
 
+    keys holds each announced edge (u, v), u < v, packed into one int
+    u << s | v with s = len(labels).bit_length(), so v < 2**s and the
+    ints sort in ascending edge order; an edge may occur more than once.
     labels[v] is the minimum member id of v's supernode; forest holds the
     original-graph edges whose announcement caused a merge, so it stays
     acyclic.  Edges are processed in ascending edge order; each one joining
-    two distinct supernodes goes into the forest.
+    two distinct supernodes goes into the forest.  From singleton labels
+    and every edge of a graph, this is Kruskal's algorithm in ascending
+    edge order: the graph's components and canonical spanning forest.
 
     The union-find runs over the labels themselves: parent is indexed by
     label, finds halve their paths, and a union links the larger root under
@@ -67,7 +74,11 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
     """
     parent = list(range(len(labels)))
     forest = list(forest)
-    for u, v in sorted({(u, w) if u < w else (w, u) for u, w in announced}):
+    s = len(labels).bit_length()
+    low = (1 << s) - 1
+    for key in sorted(keys):
+        u = key >> s
+        v = key & low
         a, b = labels[u], labels[v]
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -90,6 +101,7 @@ class _SpanningForestProtocol(Protocol):
     def __init__(self, n: int, cap: int, budget: int):
         self.cap = cap
         self.round_budget = budget
+        self.shift = n.bit_length()
         # message_bits is linear in the id count: a fixed head plus per_id
         # bits for each announced id.
         self.head = message_bits(NeighborList((), 0), n)
@@ -98,6 +110,7 @@ class _SpanningForestProtocol(Protocol):
         # announce can send this one object.
         self.empty = NeighborList((), self.head)
         self.singletons: tuple[int, ...] | None = None
+        self.halted = False
 
     def start(self, n):
         self.singletons = tuple(range(n))
@@ -134,13 +147,29 @@ class _SpanningForestProtocol(Protocol):
                 ids = tuple(first.values())
             else:
                 ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
-        return NeighborList(ids, self.head + len(ids) * self.per_id)
+        return new_record(NeighborList, (ids, self.head + len(ids) * self.per_id))
 
     def deliver(self, known, messages):
-        announced = [(u, w) for u, m in enumerate(messages) for w in m.ids]
-        if not announced:
+        """Merge the announced edges as merge_step's packed keys, built
+        straight from the message vector; halt, and record that the run
+        halted, when nothing was announced."""
+        s = self.shift
+        keys = {u << s | w if u < w else w << s | u
+                for u, m in enumerate(messages) for w in m.ids}
+        if not keys:
+            self.halted = True
             return known, True
-        return merge_step(*known, announced), False
+        return merge_step(*known, keys), False
+
+
+def _refuse_out_of_range_ids(rows: Sequence[tuple[int, ...]]) -> None:
+    """Raise BadParams naming the first node whose row holds an id outside
+    0..n-1; the forest protocol calls this on its error paths only."""
+    n = len(rows)
+    for v, row in enumerate(rows):
+        for w in row:
+            if not 0 <= w < n:
+                raise BadParams(f"row of node {v} holds id {w} outside 0..{n - 1}")
 
 
 def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
@@ -157,7 +186,9 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
 
     The run halts early once no node sees a neighbor in another supernode.
     If it uses all ceil(1/eps) rounds and some node still does, it raises
-    RoundBudgetExceeded.
+    RoundBudgetExceeded.  A row id of n or more raises BadParams naming its
+    node; the rows are scanned for one only after the run failed, so the
+    well-formed path pays nothing for the check.
     """
     if isinstance(eps, float):
         raise TypeError("pass eps as Fraction, int, or string, not float")
@@ -172,14 +203,19 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     n = len(rows)
     budget = forest_round_budget(eps)
     proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget)
-    (labels, forest), transcript = run_protocol(proto, rows)
-    # a run that halted saw no foreign label; one whose last round still
-    # announced was stopped by the budget, so some nodes may be unfinished
-    if any(m.ids for m in transcript.rounds[-1]):
-        unfinished = [v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
-        if unfinished:
-            raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
-                                      f"unfinished after {budget} round(s)")
+    try:
+        (labels, forest), transcript = run_protocol(proto, rows)
+        # a run stopped by the budget may have unfinished nodes
+        unfinished = [] if proto.halted else [
+            v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
+    except IndexError:
+        # an id of n or more: a label lookup, or merge_step on its key
+        _refuse_out_of_range_ids(rows)
+        raise
+    if unfinished:
+        _refuse_out_of_range_ids(rows)
+        raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
+                                  f"unfinished after {budget} round(s)")
     return labels, tuple(sorted(forest)), transcript
 
 
@@ -256,9 +292,7 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
         if degrees[k]:
             try:
                 nbrs = decode_support(params, values[k], degrees[k])
-            except (NotDecodable, WeightMismatch, AttributeError) as exc:
-                # a float sketch passes the range check; on a binary shape
-                # it has no bit_length, which raises AttributeError
+            except (NotDecodable, WeightMismatch) as exc:
                 raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
         elif values[k]:
             raise InvalidTranscript(f"sketch of node {k} is inconsistent: "
@@ -296,7 +330,8 @@ class _PruneProtocol(Protocol):
         self.bits = message_bits(DegreeAndSketch(0, 0, 0), params.n, params.p)
 
     def message(self, node, row, known):
-        return DegreeAndSketch(len(row), sketch.encode_support(self.params, row), self.bits)
+        return new_record(DegreeAndSketch,
+                          (len(row), sketch.encode_support(self.params, row), self.bits))
 
     def deliver(self, known, messages):
         return peel_from_messages(messages, self.params, self.params.d), True
@@ -330,7 +365,10 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     Each node derives its row of the short-cycle-free subgraph from its own
     ball, without communication; prune_one_round at s = sparsity_parameter(n, r)
     then peels that subgraph to empty, so every node holds it whole and reads
-    the forest off it.
+    the forest off it.  The read-off is merge_step on singleton labels with
+    every edge of the peel, each recorded once from its earlier-peeled end:
+    Kruskal in ascending edge order, the same merge the forest protocol runs,
+    and no call to the components_and_forest oracle it is checked against.
     """
     if r < 1:
         raise BadParams("r must be >= 1")
@@ -342,5 +380,8 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     peel, transcript = prune_one_round(rows, s)
     if peel.remaining:
         raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")
-    labels, forest = components_and_forest(peel.reconstructed)
+    n = len(balls)
+    shift = n.bit_length()
+    keys = [k << shift | j if k < j else j << shift | k for k, nbrs in peel.sequence for j in nbrs]
+    labels, forest = merge_step(tuple(range(n)), (), keys)
     return labels, forest, transcript

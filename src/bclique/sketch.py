@@ -250,12 +250,14 @@ def decode_support(params: SketchParams, y: FieldElement,
     """Sorted support of the unique Boolean vector of weight <= d encoding
     to y, found without building the dense n-vector.
 
-    Raises BadParams when y is not a field element, NotDecodable when no
-    such vector exists and WeightMismatch when one exists but its weight
-    differs from expected_weight.  y is an int; a float within range gets
-    NotDecodable or a support of weight <= d, which may be wrong when the
-    walk's float subtractions round.
+    Raises NotDecodable when y is not an int (a float that equals a key
+    could walk to a wrong support once a subtraction rounds) or when no
+    such vector exists, BadParams when y is an int outside the field and
+    WeightMismatch when the vector exists but its weight differs from
+    expected_weight.
     """
+    if not isinstance(y, int):
+        raise NotDecodable(f"{y!r} is not an int")
     if not 0 <= y < params.p:
         raise BadParams(f"field element {y} outside 0..p-1")
     table = params._table
@@ -267,8 +269,7 @@ def decode_support(params: SketchParams, y: FieldElement,
         # Walk the support down from its top index: y - powers[top] mod p
         # encodes the rest of the support, whose top is smaller.  Every link
         # is looked up with get and the tops must fall, so a value that is
-        # no encoding, or a float that stops matching a key as the walk
-        # subtracts, raises NotDecodable, never KeyError, and never loops.
+        # no encoding raises NotDecodable, never KeyError, and never loops.
         powers = params.powers
         p = params.p
         support = []

@@ -50,19 +50,30 @@ from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, fo
 
 # --- merge_step -----------------------------------------------------------------
 
+def pack(n, pairs):
+    """merge_step's keys for announced (u, w) pairs, in either orientation."""
+    s = n.bit_length()
+    return [min(u, w) << s | max(u, w) for u, w in pairs]
+
+
 def test_merge_step_examples():
     singletons = ((0, 1, 2), ())
-    merged = merge_step(*singletons, {(0, 1), (1, 2)})
+    merged = merge_step(*singletons, pack(3, [(1, 2), (1, 0)]))
     assert merged == ((0, 0, 0), ((0, 1), (1, 2)))
 
     assert merge_step(*singletons, set()) == singletons
 
-    again = merge_step(*merged, {(0, 1)})  # cycle edge changes nothing
+    again = merge_step(*merged, pack(3, [(0, 1)]))  # cycle edge changes nothing
     assert again == merged
+
+    # s = 3 at n = 4: key 0b001011 is edge (1, 3), and 3 sorts before 1 << 3
+    assert merge_step((0, 1, 2, 3), (), {1 << 3 | 3, 2 << 3 | 3, 3}) == (
+        (0, 0, 0, 0), ((0, 3), (1, 3), (2, 3)))
 
 
 # Reference for merge_step: a size-linked union-find over node ids, with a
-# dict that maps each root to the first node met in id order.
+# dict that maps each root to the first node met in id order.  It takes the
+# announced (u, w) pairs themselves, not packed keys.
 def reference_merge_step(labels, forest, announced):
     uf = _UnionFind(len(labels))
     forest = list(forest)
@@ -76,26 +87,38 @@ def reference_merge_step(labels, forest, announced):
 @st.composite
 def merge_chains(draw):
     """n and 1-3 lists of announced pairs: both orientations, duplicates
-    and pairs inside one supernode all occur."""
-    n = draw(st.integers(min_value=2, max_value=24))
+    and pairs inside one supernode all occur, in any order."""
+    n = draw(st.integers(min_value=2, max_value=40))
     node = st.integers(min_value=0, max_value=n - 1)
     pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
     steps = draw(st.lists(st.lists(pair, max_size=2 * n), min_size=1, max_size=3))
     return n, steps
 
 
-@given(merge_chains())
+@given(merge_chains(), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_merge_step_matches_reference(case):
+def test_merge_step_matches_reference(case, rnd):
     n, steps = case
     known = (tuple(range(n)), ())
     for announced in steps:
-        merged = merge_step(*known, announced)
+        keys = pack(n, announced)
+        rnd.shuffle(keys)  # merge_step sorts; the keys arrive in any order
+        merged = merge_step(*known, keys)
         assert merged == reference_merge_step(*known, announced)
+        assert merge_step(*known, set(keys)) == merged
         labels = merged[0]
         for v in range(n):
             assert labels[v] == min(u for u in range(n) if labels[u] == labels[v])
         known = merged
+
+
+def test_merge_step_from_singletons_is_the_oracle_forest():
+    # one-round reads its answer off the peel this way: every edge once,
+    # from singleton labels, in any order
+    for tag, g in protocol_corpus(24, (1, 2, 9, 33, 70), base_seed=31):
+        keys = pack(g.n, g.edges())
+        keys.reverse()
+        assert merge_step(tuple(range(g.n)), (), keys) == components_and_forest(g), tag
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -152,10 +175,38 @@ def test_spanning_forest_refuses_unparsable_eps(eps):
 def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # with merging broken, every round announces the same foreign neighbors
     # and the run stops at its budget with nodes unfinished
-    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, announced: (labels, forest))
+    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, keys: (labels, forest))
     rows = adjacency_inputs(gen_graph("path", 5))
     with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
         spanning_forest_multiround(rows, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])
+@pytest.mark.parametrize("rows, node, bad", [
+    ([(1,), (0, 2)], 1, 2),
+    # n = 4 packs with s = 3: key 0 << 3 | 10 decodes to the non-edge (1, 2)
+    ([(10,), (), (), ()], 0, 10),
+    ([(1,), (0, 1 << 40)], 1, 1 << 40),
+    # at eps 1 the cap of 4 leaves 2 and 9 unannounced, and the final scan
+    # meets the foreign 2 before 9: the budget error path names 9 too
+    ([(1, 1, 1, 1, 2, 9), (0,), (), ()], 0, 9),
+])
+def test_spanning_forest_names_an_out_of_range_id(rows, node, bad, eps):
+    message = rf"row of node {node} holds id {bad} outside 0\.\.{len(rows) - 1}"
+    with pytest.raises(BadParams, match=message):
+        spanning_forest_multiround(rows, eps)
+
+
+def test_forest_deliver_records_whether_the_run_halted():
+    # the entry point reads the halt off deliver instead of rescanning the
+    # last round's messages; a run stopped by its budget did not halt
+    rows = adjacency_inputs(gen_graph("path", 9))
+    proto = _SpanningForestProtocol(9, 3, 2)
+    _, transcript = run_protocol(proto, rows)
+    assert proto.halted and not any(m.ids for m in transcript.rounds[-1])
+    proto = _SpanningForestProtocol(9, 1, 1)
+    run_protocol(proto, rows)
+    assert not proto.halted
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])

@@ -464,26 +464,30 @@ def test_every_table_entry_decodes_to_its_enumerated_support(n, d):
 
 def test_float_keys_raise_only_not_decodable():
     # (64, 4) has a 55-bit p, so most keys are exact as floats, but the
-    # walk's float subtractions round on some of them, which then miss a
-    # link or land on another key.  A float is no field element: it gets a
-    # support of weight <= d or NotDecodable, never a KeyError or a walk
-    # that does not end.
+    # walk's float subtractions would round on some of them and land on
+    # another key.  A float is no field element: every one is refused,
+    # including those equal to a key, so none decodes to a wrong support.
     params = cached_params(64, 4)
-    outcomes = set()
+    exact = 0
     for value in itertools.islice(params._table, 0, None, 7):
         if float(value) != value:
             continue
-        try:
-            support = decode_support(params, float(value))
-        except NotDecodable:
-            outcomes.add("not decodable")
-            continue
-        assert len(support) <= 4 and list(support) == sorted(set(support)), value
-        outcomes.add("decoded")
-    assert outcomes == {"decoded", "not decodable"}
-    for value in (0.5, params.powers[1] + 0.5, params.powers[40] + 0.5):
+        exact += 1
+        with pytest.raises(NotDecodable):
+            decode_support(params, float(value))
+    assert exact > 0
+    # the support that a float walk once decoded as (1, 53, 55)
+    with pytest.raises(NotDecodable):
+        decode_support(params, float(encode_support(params, (53, 55))))
+    for value in (0.0, 0.5, params.powers[1] + 0.5, params.powers[40] + 0.5, -1.0,
+                  float(params.p)):
         with pytest.raises(NotDecodable):
             decode_support(params, value)
+    binary = cached_params(3, 1)
+    assert binary.table_entries == 0
+    for value in (0.0, 1.0, 2.0):
+        with pytest.raises(NotDecodable):
+            decode_support(binary, value)
 
 
 @pytest.fixture
