@@ -11,8 +11,9 @@
 * connectivity_one_round_r: prune_one_round composed with a local step.
   Each node derives its row of the short-cycle-free subgraph from its
   radius-r ball, the pruning round at the sparsity bound s = ceil(n**(1/r))
-  reconstructs that subgraph everywhere, and every node reads the same
-  spanning forest off the peel with merge_step, the forest protocol's merge.
+  peels that subgraph to empty, so every node holds all its edges, and every
+  node reads the same spanning forest off the peel with merge_step, the
+  forest protocol's merge.
 
 Node inputs are the plain rows and balls of clique.adjacency_inputs and
 clique.ball_inputs.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import sketch
@@ -222,20 +224,44 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
 @dataclass(frozen=True)
 class PruningResult:
     """Outcome of a peel: the removal sequence with residual neighborhoods,
-    whatever survived, and (when nothing survived) the reconstructed graph."""
+    whatever survived, and each survivor's residual degree.
+
+    The sequence is the peel's only record of edges.  When nothing
+    survived it holds every edge of the graph, once, from its
+    earlier-peeled end, and reconstructed derives the graph from it.
+    """
 
     sequence: tuple[tuple[int, tuple[int, ...]], ...]
     remaining: tuple[int, ...]
     residual_degrees: tuple[tuple[int, int], ...]
-    reconstructed: Graph | None
 
     @property
     def fully_reconstructed(self) -> bool:
         return not self.remaining
 
+    @cached_property
+    def reconstructed(self) -> Graph | None:
+        """The peeled graph, rebuilt from the sequence on first read, or
+        None when some node survived.
 
-def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResult:
-    """Replay the peel locally from one (degree, sketch) entry per node.
+        Each edge is in the sequence once, from its earlier-peeled end k, so
+        k joins each neighbor's row and the neighbors join row k.  The peel
+        has already refused dead, self and negative-degree neighbors, so the
+        rows need no second validation pass.
+        """
+        if self.remaining:
+            return None
+        rows: list[list[int]] = [[] for _ in self.sequence]
+        for k, nbrs in self.sequence:
+            for j in nbrs:
+                rows[j].append(k)
+            rows[k].extend(nbrs)
+        return Graph(len(rows), tuple(tuple(sorted(r)) for r in rows))
+
+
+def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
+    """Replay the peel at bound params.d locally from one (degree, sketch)
+    entry per node.
 
     An entry is read as entry[0] and entry[1], so a DegreeAndSketch message
     and a plain pair both work.  An entry that cannot be read that way, or
@@ -256,12 +282,11 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
 
     A node at residual degree 0 skips the decoder: the only encoding of
     weight 0 is 0, so its neighborhood is empty and any other sketch is
-    inconsistent.  The reconstruction is built inside the loop: each edge
-    is recorded once, from its earlier-peeled end, in both endpoints' rows.
-    The peel has already refused dead, self and negative-degree neighbors,
-    so the rows need no second validation pass.
+    inconsistent.  The loop records only the sequence; the reconstructed
+    graph is derived from it when it is read.
     """
     n = params.n
+    d = params.d
     p = params.p
     if len(msgs) != n:
         raise InvalidTranscript(f"expected {n} messages, got {len(msgs)}")
@@ -282,7 +307,6 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
                 raise InvalidTranscript(f"message of node {v} is out of range")
         raise InvalidTranscript("messages are malformed")
     live = [True] * n
-    rows: list[list[int]] = [[] for _ in range(n)]
     eligible = [v for v in range(n) if degrees[v] <= d]  # ascending, so a heap
     sequence: list[tuple[int, tuple[int, ...]]] = []
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -313,13 +337,10 @@ def peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResu
             degrees[j] = dj
             v = values[j] - basis_k
             values[j] = v + p if v < 0 else v
-            rows[j].append(k)
-        rows[k].extend(nbrs)
         sequence.append((k, nbrs))
     remaining = tuple(v for v in range(n) if live[v])
     residual = tuple((v, degrees[v]) for v in remaining)
-    reconstructed = None if remaining else Graph(n, tuple(tuple(sorted(r)) for r in rows))
-    return PruningResult(tuple(sequence), remaining, residual, reconstructed)
+    return PruningResult(tuple(sequence), remaining, residual)
 
 
 class _PruneProtocol(Protocol):
@@ -334,7 +355,7 @@ class _PruneProtocol(Protocol):
                           (len(row), sketch.encode_support(self.params, row), self.bits))
 
     def deliver(self, known, messages):
-        return peel_from_messages(messages, self.params, self.params.d), True
+        return peel_from_messages(messages, self.params), True
 
 
 def prune_one_round(rows: Sequence[tuple[int, ...]], d: int):
@@ -369,6 +390,7 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     every edge of the peel, each recorded once from its earlier-peeled end:
     Kruskal in ascending edge order, the same merge the forest protocol runs,
     and no call to the components_and_forest oracle it is checked against.
+    It reads only the peel's sequence, so it never builds the graph.
     """
     if r < 1:
         raise BadParams("r must be >= 1")

@@ -261,10 +261,15 @@ def decode_support(params: SketchParams, y: FieldElement,
     if not 0 <= y < params.p:
         raise BadParams(f"field element {y} outside 0..p-1")
     table = params._table
+    support = []
+    rest = y
     if table is None:
         if y.bit_length() > params.n:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
-        weight = y.bit_count()
+        while rest:
+            low = rest & -rest
+            support.append(low.bit_length() - 1)
+            rest ^= low
     else:
         # Walk the support down from its top index: y - powers[top] mod p
         # encodes the rest of the support, whose top is smaller.  Every link
@@ -272,9 +277,7 @@ def decode_support(params: SketchParams, y: FieldElement,
         # no encoding raises NotDecodable, never KeyError, and never loops.
         powers = params.powers
         p = params.p
-        support = []
         last = params.n
-        rest = y
         while rest:
             top = table.get(rest, last)
             if top >= last:
@@ -283,20 +286,13 @@ def decode_support(params: SketchParams, y: FieldElement,
             last = top
             rest = (rest - powers[top]) % p
         support.reverse()
-        weight = len(support)
+    weight = len(support)
     if weight > params.d:
         raise NotDecodable(f"{y} encodes a vector of weight {weight} > d={params.d}")
     if expected_weight is not None and weight != expected_weight:
         raise WeightMismatch(
             f"decoded weight {weight} but {expected_weight} was announced"
         )
-    if table is not None:
-        return tuple(support)
-    support = []
-    while y:
-        low = y & -y
-        support.append(low.bit_length() - 1)
-        y ^= low
     return tuple(support)
 
 

@@ -91,7 +91,7 @@ def test_criterion_4_prune_matches_core_peel():
             assert result.remaining == remaining, (tag, d)
             assert transcript.rounds_used == 1, (tag, d)
             params = cached_params(g.n, d)
-            bits_bound = (ceil_log2(g.n) if g.n > 1 else 0) + params.p_bits
+            bits_bound = ceil_log2(g.n) + params.p_bits
             assert transcript.per_node_bits <= bits_bound, (tag, d)
             runs += 1
     print(f"[acceptance] criterion 4 (one-round pruning vs oracle, {runs} runs): PASS")
@@ -121,7 +121,7 @@ def test_criterion_6_multiround_spanning_forest():
             assert labels == oracle_labels, (tag, eps)
             assert forest_is_valid(g, labels, forest), (tag, eps)
             cap = max(1, pow_ceil(g.n, eps))
-            per_id = ceil_log2(g.n) if g.n > 1 else 0
+            per_id = ceil_log2(g.n)
             assert transcript.per_node_bits <= ceil_log2(g.n + 1) + cap * per_id, (tag, eps)
             runs += 1
     print(f"[acceptance] criterion 6 (multi-round spanning forest, {runs} runs): PASS")
@@ -148,7 +148,7 @@ def test_criterion_7_one_round_connectivity():
             assert set(forest) <= set(tilde.edges()), (tag, r)
             s = sparsity_parameter(g.n, r)
             params = cached_params(g.n, s)
-            bits_bound = (ceil_log2(g.n) if g.n > 1 else 0) + params.p_bits
+            bits_bound = ceil_log2(g.n) + params.p_bits
             assert transcript.per_node_bits <= bits_bound, (tag, r)
             runs += 1
     assert runs == 200

@@ -218,7 +218,7 @@ def test_spanning_forest_small_corpus(eps):
         assert forest_ok(g, labels, forest), tag
         assert transcript.rounds_used <= budget, tag
         cap = max(1, pow_ceil(g.n, eps))
-        per_id = ceil_log2(g.n) if g.n > 1 else 0
+        per_id = ceil_log2(g.n)
         assert transcript.per_node_bits <= ceil_log2(g.n + 1) + cap * per_id, tag
         for rnd in transcript.rounds:
             for msg in rnd:
@@ -376,7 +376,7 @@ P4_MESSAGES = [(1, 2), (2, 5), (2, 10), (1, 4)]
 
 
 def test_peel_from_messages_path_example():
-    result = peel_from_messages(P4_MESSAGES, P4_PARAMS, 1)
+    result = peel_from_messages(P4_MESSAGES, P4_PARAMS)
     assert result.sequence == ((0, (1,)), (1, (2,)), (2, (3,)), (3, ()))
     assert result.remaining == ()
     assert result.fully_reconstructed
@@ -387,7 +387,7 @@ def test_peel_from_messages_cycle_stalls():
     g = gen_graph("cycle", 4)
     msgs = [(2, encode(P4_PARAMS, tuple(int(j in g.rows[v]) for j in range(4))))
             for v in range(4)]
-    result = peel_from_messages(msgs, P4_PARAMS, 1)
+    result = peel_from_messages(msgs, P4_PARAMS)
     assert result.sequence == ()
     assert result.remaining == (0, 1, 2, 3)
     assert result.residual_degrees == ((0, 2), (1, 2), (2, 2), (3, 2))
@@ -398,7 +398,7 @@ def test_peel_from_messages_corrupted_sketch():
     corrupted = [(d, v) for d, v in P4_MESSAGES]
     corrupted[0] = (corrupted[0][0], corrupted[0][1] + 1)
     with pytest.raises(InvalidTranscript):
-        peel_from_messages(corrupted, P4_PARAMS, 1)
+        peel_from_messages(corrupted, P4_PARAMS)
 
 
 def test_peel_from_messages_detects_dead_reference():
@@ -407,7 +407,7 @@ def test_peel_from_messages_detects_dead_reference():
     # node 2 claims dead node 0 as neighbor although node 0 peeled away first
     msgs = [(1, e(1)), (1, e(0)), (1, e(0))]
     with pytest.raises(InvalidTranscript):
-        peel_from_messages(msgs, params, 1)
+        peel_from_messages(msgs, params)
 
 
 def test_peel_from_messages_detects_negative_degree():
@@ -416,16 +416,16 @@ def test_peel_from_messages_detects_negative_degree():
     e1 = encode(params, (0, 1))
     msgs = [(1, e1), (0, e0)]  # node 1 says degree 0 but node 0 points at it
     with pytest.raises(InvalidTranscript):
-        peel_from_messages(msgs, params, 1)
+        peel_from_messages(msgs, params)
 
 
 def test_peel_from_messages_rejects_bad_vector_shape():
     with pytest.raises(InvalidTranscript):
-        peel_from_messages(P4_MESSAGES[:3], P4_PARAMS, 1)
+        peel_from_messages(P4_MESSAGES[:3], P4_PARAMS)
     with pytest.raises(InvalidTranscript):
-        peel_from_messages([(-1, 0)] + P4_MESSAGES[1:], P4_PARAMS, 1)
+        peel_from_messages([(-1, 0)] + P4_MESSAGES[1:], P4_PARAMS)
     with pytest.raises(InvalidTranscript):
-        peel_from_messages([(1, P4_PARAMS.p)] + P4_MESSAGES[1:], P4_PARAMS, 1)
+        peel_from_messages([(1, P4_PARAMS.p)] + P4_MESSAGES[1:], P4_PARAMS)
 
 
 @pytest.mark.parametrize("bad", [(1,), (), None, ("1", 2), (0, "2"), 7, (None, None), {"degree": 0}],
@@ -437,15 +437,15 @@ def test_peel_from_messages_names_a_malformed_entry(bad, node):
     msgs = [(0, 0)] * 3
     msgs[node] = bad
     with pytest.raises(InvalidTranscript, match=f"message of node {node} is "):
-        peel_from_messages(msgs, cached_params(3, 1), 1)
+        peel_from_messages(msgs, cached_params(3, 1))
 
 
 def test_peel_from_messages_names_the_first_bad_entry_of_either_kind():
     params = cached_params(3, 1)
     with pytest.raises(InvalidTranscript, match="message of node 0 is out of range"):
-        peel_from_messages([(-1, 0), None, (0, 0)], params, 1)
+        peel_from_messages([(-1, 0), None, (0, 0)], params)
     with pytest.raises(InvalidTranscript, match="message of node 0 is malformed"):
-        peel_from_messages([None, (-1, 0), (0, 0)], params, 1)
+        peel_from_messages([None, (-1, 0), (0, 0)], params)
 
 
 @pytest.mark.parametrize("n, d", [(3, 1), (64, 4)], ids=("binary", "table"))
@@ -456,26 +456,27 @@ def test_peel_from_messages_names_a_float_sketch(n, d):
     assert (params.table_entries != 0) == (n == 64)
     msgs = [(1, params.powers[1] + 0.5)] + [(0, 0)] * (n - 1)
     with pytest.raises(InvalidTranscript, match="sketch of node 0 is inconsistent"):
-        peel_from_messages(msgs, params, d)
+        peel_from_messages(msgs, params)
 
 
 def test_peel_from_messages_reads_records_and_pairs_alike():
     bits = message_bits(DegreeAndSketch(0, 0, 0), 4, P4_PARAMS.p)
     records = [DegreeAndSketch(deg, val, bits) for deg, val in P4_MESSAGES]
-    assert peel_from_messages(records, P4_PARAMS, 1) == peel_from_messages(P4_MESSAGES, P4_PARAMS, 1)
+    assert peel_from_messages(records, P4_PARAMS) == peel_from_messages(P4_MESSAGES, P4_PARAMS)
 
 
-# (16, 1) decodes through the lookup table, (6, 2) by bit extraction
-FUZZ_PARAMS = (cached_params(16, 1), cached_params(6, 2))
+# (16, 1) and (8, 0) decode through the lookup table, (6, 2) and (7, 3) by
+# bit extraction; a peel runs at its params' bound, so these peel at 0-3
+FUZZ_PARAMS = (cached_params(16, 1), cached_params(6, 2), cached_params(8, 0),
+               cached_params(7, 3))
 
 
 @st.composite
 def fuzzed_messages(draw):
-    """(params, d, messages): an honest prune transcript of a random graph
+    """(params, messages): an honest prune transcript of a random graph
     with some entries corrupted, or one drawn entirely at random."""
     params = draw(st.sampled_from(FUZZ_PARAMS), label="params")
     n, p = params.n, params.p
-    d = draw(st.integers(min_value=0, max_value=params.d + 1), label="d")
     if draw(st.booleans(), label="honest base"):
         g = gen_graph("gnp", n, seed=draw(st.integers(0, 10**6)),
                       q=draw(st.sampled_from((0.05, 0.15, 0.3))))
@@ -493,27 +494,27 @@ def fuzzed_messages(draw):
         msgs = draw(st.lists(st.tuples(st.integers(min_value=-1, max_value=n + 1),
                                        st.integers(min_value=-1, max_value=p)),
                              min_size=length, max_size=length), label="messages")
-    return params, d, msgs
+    return params, msgs
 
 
 @given(fuzzed_messages())
 @settings(max_examples=300, deadline=None)
 def test_peel_from_messages_fuzzed_transcripts(case):
-    params, d, msgs = case
+    params, msgs = case
     try:
-        result = peel_from_messages(msgs, params, d)
+        result = peel_from_messages(msgs, params)
     except InvalidTranscript:
         return
     peeled = [k for k, _ in result.sequence]
     assert sorted(peeled + list(result.remaining)) == list(range(params.n))
-    assert all(deg > d for _, deg in result.residual_degrees)
+    assert all(deg > params.d for _, deg in result.residual_degrees)
 
 
 # Reference for peel_from_messages: a plain peel that decodes every node,
 # degree 0 included, and rebuilds the graph through Graph.from_edges, which
-# validates every edge on its own.
-def reference_peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> PruningResult:
-    n = params.n
+# validates every edge on its own.  Returns (result, rebuilt graph or None).
+def reference_peel_from_messages(msgs, params: sketch.SketchParams):
+    n, d = params.n, params.d
     if len(msgs) != n:
         raise InvalidTranscript(f"expected {n} messages, got {len(msgs)}")
     degrees = []
@@ -548,38 +549,40 @@ def reference_peel_from_messages(msgs, params: sketch.SketchParams, d: int) -> P
     residual = tuple((v, degrees[v]) for v in remaining)
     reconstructed = (None if remaining else
                      Graph.from_edges(n, ((k, j) for k, nbrs in sequence for j in nbrs)))
-    return PruningResult(tuple(sequence), remaining, residual, reconstructed)
-
-
-def _peel_outcome(peel, msgs, params, d):
-    try:
-        return peel(msgs, params, d)
-    except InvalidTranscript:
-        return InvalidTranscript
+    return PruningResult(tuple(sequence), remaining, residual), reconstructed
 
 
 @given(fuzzed_messages())
 @settings(max_examples=300, deadline=None)
 def test_peel_from_messages_matches_reference(case):
-    params, d, msgs = case
-    assert (_peel_outcome(peel_from_messages, msgs, params, d)
-            == _peel_outcome(reference_peel_from_messages, msgs, params, d))
+    params, msgs = case
+    try:
+        result = peel_from_messages(msgs, params)
+    except InvalidTranscript:
+        result = InvalidTranscript
+    try:
+        expected, rebuilt = reference_peel_from_messages(msgs, params)
+    except InvalidTranscript:
+        expected = InvalidTranscript
+    assert result == expected
+    if result is not InvalidTranscript:
+        assert result.reconstructed == rebuilt
 
 
-@pytest.mark.parametrize("params", FUZZ_PARAMS, ids=("table", "binary"))
+@pytest.mark.parametrize("params", FUZZ_PARAMS[:2], ids=("table", "binary"))
 def test_peel_from_messages_nonzero_sketch_at_degree_zero(params):
     # node 0 announces degree 0 but a nonzero sketch; the reference decodes
     # it and fails, the peel fails without decoding
     msgs = [(0, params.powers[1])] + [(0, 0)] * (params.n - 1)
     for peel in (peel_from_messages, reference_peel_from_messages):
         with pytest.raises(InvalidTranscript, match="node 0"):
-            peel(msgs, params, params.d)
+            peel(msgs, params)
     # node 1 falls to residual degree 0 with node 0's basis still in its sketch
     msgs = [(1, params.powers[1]), (1, 2 * params.powers[0] % params.p)]
     msgs += [(0, 0)] * (params.n - 2)
     for peel in (peel_from_messages, reference_peel_from_messages):
         with pytest.raises(InvalidTranscript, match="node 1"):
-            peel(msgs, params, params.d)
+            peel(msgs, params)
 
 
 @pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (0, P4_PARAMS.p), (-3, P4_PARAMS.p + 5)])
@@ -590,7 +593,7 @@ def test_peel_from_messages_names_the_first_out_of_range_node(bad, first):
     msgs[3] = (-1, -1)  # a later bad node is not the one named
     for peel in (peel_from_messages, reference_peel_from_messages):
         with pytest.raises(InvalidTranscript, match=f"message of node {first} is out of range"):
-            peel(msgs, P4_PARAMS, 1)
+            peel(msgs, P4_PARAMS)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -806,9 +809,44 @@ def test_one_round_small_corpus(r):
 
 def test_pruning_result_is_plain_data():
     result, _ = prune_one_round(adjacency_inputs(gen_graph("path", 4)), 1)
-    clone = PruningResult(result.sequence, result.remaining, result.residual_degrees,
-                          result.reconstructed)
-    assert clone == result and clone.fully_reconstructed
+    clone = PruningResult(result.sequence, result.remaining, result.residual_degrees)
+    assert clone == result and hash(clone) == hash(result) and clone.fully_reconstructed
+    assert clone.reconstructed == result.reconstructed == gen_graph("path", 4)
+    # the cached graph is no field: equality and hashing still see three
+    assert clone == PruningResult(result.sequence, result.remaining, result.residual_degrees)
+
+
+def counting_graphs(monkeypatch):
+    """Count the graphs protocols builds, through its module name Graph."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Graph(*args)
+
+    monkeypatch.setattr(protocols, "Graph", counted)
+    return built
+
+
+def test_one_round_never_builds_the_graph(monkeypatch):
+    # it reads the forest off the peel's sequence, so the derived graph
+    # is never asked for
+    built = counting_graphs(monkeypatch)
+    for tag, g in one_round_corpus(3, 6, base_seed=101):
+        labels, _, _ = connectivity_one_round_r(ball_inputs(g, 3), 3)
+        assert labels == bfs_component_labels(g), tag
+        assert built == [], tag
+
+
+def test_peel_builds_its_graph_once_on_first_read(monkeypatch):
+    g = gen_graph("random_degenerate", 40, seed=5, d=3)
+    rows = adjacency_inputs(g)
+    built = counting_graphs(monkeypatch)
+    result, _ = prune_one_round(rows, 3)
+    assert result.fully_reconstructed and built == []
+    assert result.reconstructed == g
+    assert result.reconstructed is result.reconstructed
+    assert len(built) == 1
 
 
 def test_messages_are_sized_by_message_bits():
