@@ -4,7 +4,9 @@
   in foreign supernodes; adjacent supernodes merge until each one is a
   connected component.  Runs within ceil(1/eps) rounds with messages of at
   most ceil(n**eps) ids.  Each round's merge is merge_step, one Kruskal pass
-  over the announced edges packed into ints.
+  over the announced edges packed into ints.  The run halts in the round
+  whose merge leaves all full senders (nodes that announced the full cap of
+  ids) in one supernode, which proves no edge joins two supernodes.
 * prune_one_round: one broadcast of (degree, sketched neighbor row) per node,
   then everyone peels low-degree nodes locally, editing the remaining
   sketches through linearity.
@@ -154,19 +156,29 @@ class _SpanningForestProtocol(Protocol):
     def deliver(self, known, messages):
         """Merge the announced edges as merge_step's packed keys, built
         straight from the message vector; halt, and record that the run
-        halted, when nothing was announced."""
+        halted, when the merged labels prove that no edge joins two
+        supernodes.
+
+        Call a sender full when its message holds cap ids.  A sender that
+        is not full announced a neighbor in every foreign supernode its row
+        meets, so the merge joins all of them to its own.  Hence an edge
+        between two supernodes after the merge joins two full senders (rows
+        are symmetric), and the run is done when every full sender has the
+        same merged label, or when no sender is full.
+        """
         s = self.shift
         keys = {u << s | w if u < w else w << s | u
                 for u, m in enumerate(messages) for w in m.ids}
-        if not keys:
-            self.halted = True
-            return known, True
-        return merge_step(*known, keys), False
+        labels, forest = merge_step(*known, keys)
+        cap = self.cap
+        self.halted = len({labels[u] for u, m in enumerate(messages) if len(m.ids) == cap}) <= 1
+        return (labels, forest), self.halted
 
 
 def _refuse_out_of_range_ids(rows: Sequence[tuple[int, ...]]) -> None:
     """Raise BadParams naming the first node whose row holds an id outside
-    0..n-1; the forest protocol calls this on its error paths only."""
+    0..n-1; spanning_forest_multiround calls this before the run when the
+    min or max of all row ids is out of range."""
     n = len(rows)
     for v, row in enumerate(rows):
         for w in row:
@@ -186,11 +198,19 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     string such as "1/3" (floats are refused to keep round and cap counts
     exact).  An unparsable eps or a numerator above MAX_EPS_NUMERATOR raises BadParams.
 
-    The run halts early once no node sees a neighbor in another supernode.
-    If it uses all ceil(1/eps) rounds and some node still does, it raises
-    RoundBudgetExceeded.  A row id of n or more raises BadParams naming its
-    node; the rows are scanned for one only after the run failed, so the
-    well-formed path pays nothing for the check.
+    The run halts in the round that proves it is done: after that round's
+    merge, every node that announced the full cap of ids holds the same
+    label, or no node did (see _SpanningForestProtocol.deliver).  A node
+    that announced fewer ids than the cap met every foreign supernode of
+    its row, so only two full senders can still be adjacent across
+    supernodes.  This relies on the rows being symmetric, as a graph's rows
+    are.  If the run uses all ceil(1/eps) rounds without that proof and
+    some node still has a neighbor in another supernode, it raises
+    RoundBudgetExceeded.
+
+    A row id below 0 or of n or more raises BadParams naming its node.  The
+    min and max of the set of all row ids find such an id before the run,
+    so the well-formed path pays only C-level passes for the check.
     """
     if isinstance(eps, float):
         raise TypeError("pass eps as Fraction, int, or string, not float")
@@ -203,21 +223,18 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     if eps.numerator > MAX_EPS_NUMERATOR:
         raise BadParams(f"eps numerator {eps.numerator} exceeds {MAX_EPS_NUMERATOR}")
     n = len(rows)
+    ids = set().union(*rows)
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        _refuse_out_of_range_ids(rows)
     budget = forest_round_budget(eps)
     proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget)
-    try:
-        (labels, forest), transcript = run_protocol(proto, rows)
+    (labels, forest), transcript = run_protocol(proto, rows)
+    if not proto.halted:
         # a run stopped by the budget may have unfinished nodes
-        unfinished = [] if proto.halted else [
-            v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
-    except IndexError:
-        # an id of n or more: a label lookup, or merge_step on its key
-        _refuse_out_of_range_ids(rows)
-        raise
-    if unfinished:
-        _refuse_out_of_range_ids(rows)
-        raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
-                                  f"unfinished after {budget} round(s)")
+        unfinished = [v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
+        if unfinished:
+            raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
+                                      f"unfinished after {budget} round(s)")
     return labels, tuple(sorted(forest)), transcript
 
 

@@ -6,11 +6,14 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 
 import networkx as nx
 
-from bclique.clique import Transcript
-from bclique.graph import Graph, normalize_edge
+from bclique.clique import Transcript, run_protocol
+from bclique.graph import Graph, gen_graph, normalize_edge
+from bclique.protocols import (_SpanningForestProtocol, forest_neighbor_cap,
+                               forest_round_budget, merge_step)
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -18,6 +21,23 @@ def to_nx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
+
+
+def seeded_graph(idx: int) -> Graph:
+    """Small deterministic graph for property tests."""
+    kinds = ("path", "cycle", "star", "gnp", "random_forest", "random_degenerate", "complete")
+    kind = kinds[idx % len(kinds)]
+    n = 2 + (idx * 7) % 15
+    if kind == "cycle":
+        n = max(n, 3)
+    if kind == "complete":
+        n = min(n, 9)
+    extras = {}
+    if kind == "gnp":
+        extras["q"] = (0.1, 0.25, 0.45)[idx % 3]
+    if kind == "random_degenerate":
+        extras["d"] = 1 + idx % 3
+    return gen_graph(kind, n, seed=idx, **extras)
 
 
 def bfs_component_labels(g: Graph) -> tuple[int, ...]:
@@ -107,6 +127,32 @@ def shuffled_run(proto, inputs, seed):
         if halt:
             break
     return known, Transcript(tuple(rounds))
+
+
+class ReferenceForestProtocol(_SpanningForestProtocol):
+    """Reference for the forest protocol's halting rule: its former
+    deliver, which halts only on a round in which nothing was announced.
+    Every run that merges anything thus ends with one more round of empty
+    messages, which the current rule proves unnecessary."""
+
+    def deliver(self, known, messages):
+        s = self.shift
+        keys = {u << s | w if u < w else w << s | u
+                for u, m in enumerate(messages) for w in m.ids}
+        if not keys:
+            self.halted = True
+            return known, True
+        return merge_step(*known, keys), False
+
+
+def reference_spanning_forest(rows, eps):
+    """spanning_forest_multiround's (labels, sorted forest, transcript) for
+    well-formed rows, run with ReferenceForestProtocol."""
+    eps = Fraction(eps)
+    n = len(rows)
+    proto = ReferenceForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
+    (labels, forest), transcript = run_protocol(proto, rows)
+    return labels, tuple(sorted(forest)), transcript
 
 
 def residual_core(g: Graph, d: int) -> tuple[int, ...]:

@@ -39,26 +39,10 @@ from conftest import (
     girth_leq,
     relabel,
     residual_core,
+    seeded_graph,
     short_cycle_top_edges,
     to_nx,
 )
-
-
-def seeded_graph(idx: int) -> Graph:
-    """Small deterministic graph for property tests."""
-    kinds = ("path", "cycle", "star", "gnp", "random_forest", "random_degenerate", "complete")
-    kind = kinds[idx % len(kinds)]
-    n = 2 + (idx * 7) % 15
-    if kind == "cycle":
-        n = max(n, 3)
-    if kind == "complete":
-        n = min(n, 9)
-    extras = {}
-    if kind == "gnp":
-        extras["q"] = (0.1, 0.25, 0.45)[idx % 3]
-    if kind == "random_degenerate":
-        extras["d"] = 1 + idx % 3
-    return gen_graph(kind, n, seed=idx, **extras)
 
 
 graph_indices = st.integers(min_value=0, max_value=400)

@@ -45,7 +45,7 @@ from bclique.sketch import cached_params, encode, encode_support, sketch_bits_bo
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, forest_ok,
-                      shuffled_run)
+                      reference_spanning_forest, seeded_graph, shuffled_run)
 
 
 # --- merge_step -----------------------------------------------------------------
@@ -174,9 +174,10 @@ def test_spanning_forest_refuses_unparsable_eps(eps):
 
 def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # with merging broken, every round announces the same foreign neighbors
-    # and the run stops at its budget with nodes unfinished
+    # and the run stops at its budget with nodes unfinished; in K5 at cap 3
+    # every node is full, so no round proves the run done
     monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, keys: (labels, forest))
-    rows = adjacency_inputs(gen_graph("path", 5))
+    rows = adjacency_inputs(gen_graph("complete", 5))
     with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
         spanning_forest_multiround(rows, Fraction(1, 2))
 
@@ -187,9 +188,10 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # n = 4 packs with s = 3: key 0 << 3 | 10 decodes to the non-edge (1, 2)
     ([(10,), (), (), ()], 0, 10),
     ([(1,), (0, 1 << 40)], 1, 1 << 40),
-    # at eps 1 the cap of 4 leaves 2 and 9 unannounced, and the final scan
-    # meets the foreign 2 before 9: the budget error path names 9 too
+    # at eps 1 the cap of 4 leaves 2 and 9 unannounced: no round reads 9
     ([(1, 1, 1, 1, 2, 9), (0,), (), ()], 0, 9),
+    ([(-1,), (0,)], 0, -1),
+    ([(1,), (0, -3)], 1, -3),
 ])
 def test_spanning_forest_names_an_out_of_range_id(rows, node, bad, eps):
     message = rf"row of node {node} holds id {bad} outside 0\.\.{len(rows) - 1}"
@@ -199,14 +201,45 @@ def test_spanning_forest_names_an_out_of_range_id(rows, node, bad, eps):
 
 def test_forest_deliver_records_whether_the_run_halted():
     # the entry point reads the halt off deliver instead of rescanning the
-    # last round's messages; a run stopped by its budget did not halt
+    # rows.  On the 9-path every node is full at cap 1 and the merge leaves
+    # one label; at cap 3 no node is full: either way round 0 proves the
+    # run done, so it halts in the round that announced ids
     rows = adjacency_inputs(gen_graph("path", 9))
-    proto = _SpanningForestProtocol(9, 3, 2)
-    _, transcript = run_protocol(proto, rows)
-    assert proto.halted and not any(m.ids for m in transcript.rounds[-1])
-    proto = _SpanningForestProtocol(9, 1, 1)
-    run_protocol(proto, rows)
+    for cap in (1, 3):
+        proto = _SpanningForestProtocol(9, cap, 2)
+        _, transcript = run_protocol(proto, rows)
+        assert proto.halted and transcript.rounds_used == 1
+        assert all(m.ids for m in transcript.rounds[0])
+    # two triangles at cap 1: every node is full and the merge leaves two
+    # labels, so a one-round run ends at its budget without halting
+    proto = _SpanningForestProtocol(6, 1, 1)
+    run_protocol(proto, adjacency_inputs(disjoint_cliques(2, 3)))
     assert not proto.halted
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                                 Fraction(1, 4)])
+@given(idxs=st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_spanning_forest_halts_where_the_reference_confirms(idxs, eps):
+    # the reference halts only on a round with nothing announced; the rule
+    # on full senders may stop earlier, but only by dropping such rounds.
+    # A bridge between two interleaved graphs often sits behind the cap
+    # while both sides merge, which leaves full senders in two supernodes
+    g = bridged([seeded_graph(idx) for idx in idxs])
+    rows = adjacency_inputs(g)
+    labels, forest, transcript = spanning_forest_multiround(rows, eps)
+    ref_labels, ref_forest, ref_transcript = reference_spanning_forest(rows, eps)
+    assert (labels, forest) == (ref_labels, ref_forest)
+    kept = transcript.rounds_used
+    assert transcript.rounds == ref_transcript.rounds[:kept]
+    assert not any(m.ids for rnd in ref_transcript.rounds[kept:] for m in rnd)
+    assert transcript.per_node_bits == ref_transcript.per_node_bits
+    # soundness of the halt itself, before the entry point's own scan
+    proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps))
+    (halt_labels, _), _ = run_protocol(proto, rows)
+    if proto.halted:
+        assert all(halt_labels[w] == halt_labels[v] for v in range(g.n) for w in rows[v])
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
@@ -223,6 +256,25 @@ def test_spanning_forest_small_corpus(eps):
         for rnd in transcript.rounds:
             for msg in rnd:
                 assert len(msg.ids) <= cap, tag
+
+
+def bridged(graphs) -> Graph:
+    """The union of graphs with their nodes interleaved, node v of a graph
+    on m nodes at rank v/m, and each graph joined to the next by one edge
+    between their largest nodes, which sorts late in both endpoints' rows."""
+    order = sorted((Fraction(v, g.n), i, v) for i, g in enumerate(graphs) for v in range(g.n))
+    ids = {(i, v): new for new, (_, i, v) in enumerate(order)}
+    edges = [(ids[i, u], ids[i, v]) for i, g in enumerate(graphs) for u, v in g.edges()]
+    edges += [(ids[i - 1, graphs[i - 1].n - 1], ids[i, graphs[i].n - 1])
+              for i in range(1, len(graphs))]
+    return Graph.from_edges(len(order), edges)
+
+
+def disjoint_cliques(k: int, m: int) -> Graph:
+    """k cliques of m nodes each on nodes 0..k*m-1, clique i holding the ids
+    i*m..i*m+m-1, with no edge between cliques."""
+    n = k * m
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, u - u % m + m)])
 
 
 def interleaved_cliques(k: int, m: int) -> Graph:
@@ -310,19 +362,26 @@ def test_spanning_forest_first_round_takes_the_singletons_shortcut():
 
 
 def test_spanning_forest_sends_one_empty_message_object():
-    # every node with nothing to announce, in any round, sends proto.empty
-    g = interleaved_cliques(3, 12)
+    # every node with nothing to announce after round 0 sends proto.empty:
+    # in round 1 of the interleaved cliques all but the three bridge ends,
+    # and in round 1 of two K6 at cap 3 every node, since round 0 leaves two
+    # labels of full senders and nothing left to announce
     eps = Fraction(1, 3)
-    proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps))
-    _, transcript = run_protocol(proto, adjacency_inputs(g))
-    empty = [m for rnd in transcript.rounds for m in rnd if not m.ids]
-    assert len(empty) > g.n  # the confirming round and some earlier ones
-    assert all(m is proto.empty for m in empty)
+    for g, count in ((interleaved_cliques(3, 12), 33), (disjoint_cliques(2, 6), 12)):
+        proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps),
+                                        forest_round_budget(eps))
+        _, transcript = run_protocol(proto, adjacency_inputs(g))
+        empty = [m for rnd in transcript.rounds for m in rnd if not m.ids]
+        assert len(empty) == count
+        assert all(m is proto.empty for m in empty)
 
 
 def test_spanning_forest_final_round_sends_one_shared_message():
-    g = interleaved_cliques(3, 12)
+    # two K6 at cap 3: every node is full in round 0, the merge leaves two
+    # labels, and round 1 is the only all-empty round
+    g = disjoint_cliques(2, 6)
     _, _, transcript = spanning_forest_multiround(adjacency_inputs(g), Fraction(1, 3))
+    assert transcript.rounds_used == 2
     last = transcript.rounds[-1]
     assert not last[0].ids
     assert all(m is last[0] for m in last)
