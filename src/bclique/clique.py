@@ -133,8 +133,8 @@ class Protocol:
     A node knows its own input plus the public knowledge `known`, which every
     node builds identically from the broadcasts.  Only message sees a node;
     deliver sees the public knowledge alone, so all nodes agree on the halt
-    flag and the final knowledge by construction.  Subclasses set
-    round_budget and implement message.
+    flag and the final knowledge by construction.  Subclasses implement
+    message, and set round_budget when one round is not enough.
 
     A message is one immutable record, NeighborList(ids, bits) or
     DegreeAndSketch(degree, sketch, bits).  Its size depends only on its

@@ -110,9 +110,6 @@ class _SpanningForestProtocol(Protocol):
         # bits for each announced id.
         self.head = message_bits(NeighborList((), 0), n)
         self.per_id = message_bits(NeighborList((0,), 0), n) - self.head
-        # A NeighborList is immutable, so every node with nothing to
-        # announce can send this one object.
-        self.empty = NeighborList((), self.head)
         self.singletons: tuple[int, ...] | None = None
         self.halted = False
 
@@ -128,8 +125,8 @@ class _SpanningForestProtocol(Protocol):
         tuple start() returned (tested by identity, not equality: other
         labels may well equal it) are the identity, so every neighbor is
         the sole member of its own foreign label and the message is
-        row[:cap].  A node whose neighbors all share its label sends the
-        shared empty message.
+        row[:cap].  A node whose neighbors all share its label sends an
+        empty message.
         """
         labels = known[0]
         if labels is self.singletons:
@@ -140,7 +137,7 @@ class _SpanningForestProtocol(Protocol):
                 if labels[w] != own:
                     break
             else:
-                return self.empty
+                return new_record(NeighborList, ((), self.head))
             # Rows are sorted, so first holds the smallest neighbor per
             # label, inserted in ascending id order.
             first: dict[int, int] = {}
@@ -361,8 +358,6 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
 
 
 class _PruneProtocol(Protocol):
-    round_budget = 1
-
     def __init__(self, params: sketch.SketchParams):
         self.params = params
         self.bits = message_bits(DegreeAndSketch(0, 0, 0), params.n, params.p)

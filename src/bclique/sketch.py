@@ -8,12 +8,12 @@ on that domain: a single field element can carry a sparse neighborhood
 exactly, and neighborhoods can be edited in compressed form by adding or
 subtracting basis encodings.
 
-When ``2**n <= p`` the evaluation point is 2, encodings are plain binary
-numbers and decoding is bit extraction.  Otherwise decoding goes through a
-table of all C(n, <=d) sparse vectors, built in weight layers; shapes whose
+Decoding walks a support down from its top index: y - powers[top] mod p
+encodes the rest.  When ``2**n <= p`` the evaluation point is 2 and the top
+is the highest set bit.  Otherwise a table of all C(n, <=d) sparse vectors,
+built in weight layers, maps each encoding to its top index; shapes whose
 table would exceed ``DEFAULT_TABLE_CAP`` entries raise CapExceeded, and
-binary shapes are never capped.  The table maps each encoding to the top
-index of its support, and decoding walks the support down from there.
+binary shapes are never capped.
 Building it takes about 0.1 s at (n, d) = (112, 3), 0.4 s at (64, 4) and
 0.8 s at (200, 3), and the built table holds about 17, 41 and 81 MB
 (tracemalloc), on a 2-core host with Python 3.11.  Shapes whose modulus
@@ -51,16 +51,6 @@ DEFAULT_TABLE_CAP = 5_000_000
 # hundreds of candidates need one (2-core host, Python 3.11).
 MAX_MODULUS_BITS = 6144
 
-# A candidate above _SIEVE_BOUND that shares a factor with the product of the
-# odd primes below it is composite; one gcd rules it out before is_prime
-# runs its Miller-Rabin rounds.  This cuts build_params(100, 100), whose
-# 1,340-bit modulus makes the prime search nearly all of its time, from 2.2 s
-# to 1.3 s, and build_params(200, 200) from 23 s to 14 s (2-core host,
-# Python 3.11).
-_SIEVE_BOUND = 2**12
-_ODD_PRIMORIAL = math.prod(q for q in range(3, _SIEVE_BOUND, 2)
-                           if all(q % r for r in range(3, math.isqrt(q) + 1, 2)))
-
 
 def sketch_bits_bound(n: int, d: int) -> int:
     """Analytic bound on the bits of one sketch element for (n, d)."""
@@ -71,13 +61,9 @@ def smallest_prime_above(m: int) -> int:
     """Least prime strictly greater than m, for m >= 1."""
     if m < 1:
         raise BadParams("m must be >= 1")
-    if m < 2:
-        return 2
     c = m + 1
-    if c % 2 == 0:
+    while not is_prime(c):
         c += 1
-    while not ((c < _SIEVE_BOUND or math.gcd(c, _ODD_PRIMORIAL) == 1) and is_prime(c)):
-        c += 2
     return c
 
 
@@ -87,11 +73,11 @@ class SketchParams:
     modulus p, evaluation point xbar, and the power table xbar**i mod p.
 
     Construct through :func:`build_params`, which also builds the
-    value->top-index decode table (None on binary shapes, which decode by
-    bit extraction).  The table maps the encoding of each support of weight
-    <= d to its largest index, and 0 to -1; decode_support recovers the
-    rest of the support from y - powers[top].  Instances are immutable and
-    safe to share across threads.
+    value->top-index decode table (None on binary shapes, where the top
+    index is the highest set bit).  The table maps the encoding of each
+    support of weight <= d to its largest index, and 0 to -1;
+    decode_support recovers the rest of the support from y - powers[top].
+    Instances are immutable and safe to share across threads.
     """
 
     n: int
@@ -101,7 +87,7 @@ class SketchParams:
     powers: tuple[int, ...] = field(repr=False)
     domain_size: int = field(repr=False)
     # None on the binary path: xbar == 2 with 2**n <= p, so encodings are
-    # plain binary values and decoding is bit extraction.
+    # plain binary values and the top index of one is its highest set bit.
     _table: dict[int, int] | None = field(repr=False)
 
     @property
@@ -250,6 +236,11 @@ def decode_support(params: SketchParams, y: FieldElement,
     """Sorted support of the unique Boolean vector of weight <= d encoding
     to y, found without building the dense n-vector.
 
+    Walks the support down from its top index (a binary shape's highest
+    set bit, or the table's entry): y - powers[top] mod p encodes the rest.
+    The tops must fall, so a value that is no encoding raises NotDecodable,
+    never KeyError, and never loops.
+
     Raises NotDecodable when y is not an int (a float that equals a key
     could walk to a wrong support once a subtraction rounds) or when no
     such vector exists, BadParams when y is an int outside the field and
@@ -261,31 +252,19 @@ def decode_support(params: SketchParams, y: FieldElement,
     if not 0 <= y < params.p:
         raise BadParams(f"field element {y} outside 0..p-1")
     table = params._table
+    powers = params.powers
+    p = params.p
     support = []
     rest = y
-    if table is None:
-        if y.bit_length() > params.n:
+    last = params.n
+    while rest:
+        top = rest.bit_length() - 1 if table is None else table.get(rest, last)
+        if top >= last:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
-        while rest:
-            low = rest & -rest
-            support.append(low.bit_length() - 1)
-            rest ^= low
-    else:
-        # Walk the support down from its top index: y - powers[top] mod p
-        # encodes the rest of the support, whose top is smaller.  Every link
-        # is looked up with get and the tops must fall, so a value that is
-        # no encoding raises NotDecodable, never KeyError, and never loops.
-        powers = params.powers
-        p = params.p
-        last = params.n
-        while rest:
-            top = table.get(rest, last)
-            if top >= last:
-                raise NotDecodable(f"{y} is not a sparse Boolean encoding")
-            support.append(top)
-            last = top
-            rest = (rest - powers[top]) % p
-        support.reverse()
+        support.append(top)
+        last = top
+        rest = (rest - powers[top]) % p
+    support.reverse()
     weight = len(support)
     if weight > params.d:
         raise NotDecodable(f"{y} encodes a vector of weight {weight} > d={params.d}")

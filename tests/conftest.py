@@ -11,9 +11,11 @@ from fractions import Fraction
 import networkx as nx
 
 from bclique.clique import Transcript, run_protocol
+from bclique.errors import BadParams, NotDecodable, WeightMismatch
 from bclique.graph import Graph, gen_graph, normalize_edge
 from bclique.protocols import (_SpanningForestProtocol, forest_neighbor_cap,
                                forest_round_budget, merge_step)
+from bclique.sketch import FieldElement, SketchParams
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -180,6 +182,59 @@ def enumerated_table(n: int, d: int, x: int, p: int):
                 return None
             table[value] = sum(1 << i for i in support)
     return table
+
+
+# The former decode_support, verbatim but for its name: binary shapes by
+# low-bit extraction, table shapes by the top-down walk.
+def reference_decode_support(params: SketchParams, y: FieldElement,
+                             expected_weight: int | None = None) -> tuple[int, ...]:
+    """Sorted support of the unique Boolean vector of weight <= d encoding
+    to y, found without building the dense n-vector.
+
+    Raises NotDecodable when y is not an int (a float that equals a key
+    could walk to a wrong support once a subtraction rounds) or when no
+    such vector exists, BadParams when y is an int outside the field and
+    WeightMismatch when the vector exists but its weight differs from
+    expected_weight.
+    """
+    if not isinstance(y, int):
+        raise NotDecodable(f"{y!r} is not an int")
+    if not 0 <= y < params.p:
+        raise BadParams(f"field element {y} outside 0..p-1")
+    table = params._table
+    support = []
+    rest = y
+    if table is None:
+        if y.bit_length() > params.n:
+            raise NotDecodable(f"{y} is not a sparse Boolean encoding")
+        while rest:
+            low = rest & -rest
+            support.append(low.bit_length() - 1)
+            rest ^= low
+    else:
+        # Walk the support down from its top index: y - powers[top] mod p
+        # encodes the rest of the support, whose top is smaller.  Every link
+        # is looked up with get and the tops must fall, so a value that is
+        # no encoding raises NotDecodable, never KeyError, and never loops.
+        powers = params.powers
+        p = params.p
+        last = params.n
+        while rest:
+            top = table.get(rest, last)
+            if top >= last:
+                raise NotDecodable(f"{y} is not a sparse Boolean encoding")
+            support.append(top)
+            last = top
+            rest = (rest - powers[top]) % p
+        support.reverse()
+    weight = len(support)
+    if weight > params.d:
+        raise NotDecodable(f"{y} encodes a vector of weight {weight} > d={params.d}")
+    if expected_weight is not None and weight != expected_weight:
+        raise WeightMismatch(
+            f"decoded weight {weight} but {expected_weight} was announced"
+        )
+    return tuple(support)
 
 
 def edges_of_sequence(sequence):

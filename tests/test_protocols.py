@@ -343,14 +343,14 @@ def test_forest_message_singletons_shortcut_matches_general_path(case):
 
 @given(forest_message_cases())
 @settings(max_examples=100, deadline=None)
-def test_forest_message_without_foreign_neighbors_is_shared(case):
+def test_forest_message_without_foreign_neighbors_is_empty(case):
     n, node, row, labels, cap = case
     labels = list(labels)
     for w in row:
         labels[w] = labels[node]
     proto = _SpanningForestProtocol(n, cap, 1)
     msg = proto.message(node, row, (tuple(labels), ()))
-    assert msg is proto.empty
+    assert msg == NeighborList((), proto.head)
     assert msg == NeighborList((), message_bits(NeighborList((), 0), n))
 
 
@@ -361,11 +361,12 @@ def test_spanning_forest_first_round_takes_the_singletons_shortcut():
     assert all(m.ids is row for m, row in zip(transcript.rounds[0], rows))
 
 
-def test_spanning_forest_sends_one_empty_message_object():
-    # every node with nothing to announce after round 0 sends proto.empty:
-    # in round 1 of the interleaved cliques all but the three bridge ends,
-    # and in round 1 of two K6 at cap 3 every node, since round 0 leaves two
-    # labels of full senders and nothing left to announce
+def test_spanning_forest_counts_its_empty_messages():
+    # every node with nothing to announce after round 0 sends an empty
+    # message of the fixed head size: in round 1 of the interleaved cliques
+    # all but the three bridge ends, and in round 1 of two K6 at cap 3 every
+    # node, since round 0 leaves two labels of full senders and nothing left
+    # to announce
     eps = Fraction(1, 3)
     for g, count in ((interleaved_cliques(3, 12), 33), (disjoint_cliques(2, 6), 12)):
         proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps),
@@ -373,18 +374,19 @@ def test_spanning_forest_sends_one_empty_message_object():
         _, transcript = run_protocol(proto, adjacency_inputs(g))
         empty = [m for rnd in transcript.rounds for m in rnd if not m.ids]
         assert len(empty) == count
-        assert all(m is proto.empty for m in empty)
+        assert all(m == NeighborList((), proto.head) for m in empty)
 
 
-def test_spanning_forest_final_round_sends_one_shared_message():
+def test_spanning_forest_final_round_is_all_empty():
     # two K6 at cap 3: every node is full in round 0, the merge leaves two
     # labels, and round 1 is the only all-empty round
     g = disjoint_cliques(2, 6)
-    _, _, transcript = spanning_forest_multiround(adjacency_inputs(g), Fraction(1, 3))
+    eps = Fraction(1, 3)
+    _, _, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
     assert transcript.rounds_used == 2
-    last = transcript.rounds[-1]
-    assert not last[0].ids
-    assert all(m is last[0] for m in last)
+    head = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps),
+                                   forest_round_budget(eps)).head
+    assert all(m == NeighborList((), head) for m in transcript.rounds[-1])
 
 
 @pytest.mark.parametrize("g", [interleaved_cliques(3, 12), gen_graph("gnp", 40, seed=9, q=0.08)],
@@ -524,8 +526,9 @@ def test_peel_from_messages_reads_records_and_pairs_alike():
     assert peel_from_messages(records, P4_PARAMS) == peel_from_messages(P4_MESSAGES, P4_PARAMS)
 
 
-# (16, 1) and (8, 0) decode through the lookup table, (6, 2) and (7, 3) by
-# bit extraction; a peel runs at its params' bound, so these peel at 0-3
+# (16, 1) and (8, 0) look tops up in the decode table, (6, 2) and (7, 3) are
+# binary shapes, whose tops are highest set bits; a peel runs at its params'
+# bound, so these peel at 0-3
 FUZZ_PARAMS = (cached_params(16, 1), cached_params(6, 2), cached_params(8, 0),
                cached_params(7, 3))
 

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bclique import graph, sketch, verify
+from bclique import graph, intmath, sketch, verify
 from bclique.errors import (
     BadParams,
     CapExceeded,
@@ -33,7 +33,7 @@ from bclique.sketch import (
     smallest_prime_above,
 )
 
-from conftest import enumerated_table
+from conftest import enumerated_table, reference_decode_support
 
 
 # --- independent oracles -----------------------------------------------------
@@ -80,7 +80,8 @@ def test_smallest_prime_above_matches_trial_division(m):
 
 @pytest.mark.parametrize("n", [10, 17, 25, 32, 40])
 def test_smallest_prime_above_matches_sympy_on_full_degree_moduli(n):
-    # the moduli of full-degree shapes lie far above the gcd pre-sieve's bound
+    # the moduli of full-degree shapes lie far above 2**12, so is_prime
+    # screens each candidate with its gcd filter before Miller-Rabin
     m = (1 + n) ** (2 * n) * n
     assert smallest_prime_above(m) == sympy.nextprime(m)
 
@@ -99,6 +100,24 @@ def test_is_prime_matches_sympy_at_scale():
     for _ in range(25):
         k = rng.randrange(10**25, 10**26)
         assert is_prime(k) == sympy.isprime(k), k
+
+
+def test_is_prime_matches_trial_division_across_the_lookup_bound():
+    # -5..10,000 covers the set lookup below 2**12 and the gcd filter above
+    for k in range(-5, 10_001):
+        expected = k >= 2 and all(k % q for q in range(2, int(k**0.5) + 1))
+        assert is_prime(k) == expected, k
+
+
+def test_is_prime_rules_out_small_factors_without_miller_rabin(monkeypatch):
+    def no_miller_rabin(k, base):
+        raise AssertionError(f"Miller-Rabin ran on {k}")
+
+    monkeypatch.setattr(intmath, "_strong_probable_prime", no_miller_rabin)
+    # 4091 and 4093 are the two largest primes below 2**12; 2**12 + 1 is
+    # 17 * 241
+    assert not is_prime(4091 * 4093)
+    assert not is_prime(2**12 + 1)
 
 
 def _least_power_at_least(x, k):
@@ -419,6 +438,49 @@ def test_decode_support_errors_match_decode():
     for fn in (decode, decode_support):
         with pytest.raises(WeightMismatch):
             fn(binary_path, 5, expected_weight=1)
+
+
+def _decode_outcome(decoder, params, y, expected_weight=None):
+    try:
+        return decoder(params, y, expected_weight)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+BINARY_SHAPES = [(n, d) for n in range(1, 11) for d in range(0, min(n, 3) + 1)
+                 if cached_params(n, d).table_entries == 0]
+
+
+@pytest.mark.parametrize("n, d", BINARY_SHAPES)
+def test_binary_decode_matches_the_reference(n, d):
+    params = cached_params(n, d)
+    assert params.xbar == 2
+    for y in range(2 ** (n + 2)):
+        for w in (None, *range(d + 2)):
+            assert (_decode_outcome(decode_support, params, y, w)
+                    == _decode_outcome(reference_decode_support, params, y, w)), (y, w)
+
+
+@pytest.mark.parametrize("n, d", [(12, 1), (24, 2), (30, 2)])
+def test_table_decode_matches_the_reference(n, d):
+    params = cached_params(n, d)
+    assert params.table_entries != 0
+    rng = random.Random(n * 100 + d)
+    ys = {y + delta for y in params._table for delta in (-1, 0, 1)}
+    ys.update(rng.randrange(params.p) for _ in range(2000))
+    for y in sorted(ys):
+        for w in (None, d):
+            assert (_decode_outcome(decode_support, params, y, w)
+                    == _decode_outcome(reference_decode_support, params, y, w)), (y, w)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (7, 3), (12, 1), (30, 2)])
+def test_decode_of_a_non_field_value_matches_the_reference(n, d):
+    params = cached_params(n, d)
+    p = params.p
+    for y in (-1, -2, -p, p, p + 1, 0.0, 1.0, 2.5, float(p), True, False):
+        assert (_decode_outcome(decode_support, params, y)
+                == _decode_outcome(reference_decode_support, params, y)), y
 
 
 def test_xbar_is_minimal():
