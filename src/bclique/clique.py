@@ -131,10 +131,17 @@ class Protocol:
     """Base class for node-symmetric round protocols run by run_protocol.
 
     A node knows its own input plus the public knowledge `known`, which every
-    node builds identically from the broadcasts.  Only message sees a node;
-    deliver sees the public knowledge alone, so all nodes agree on the halt
-    flag and the final knowledge by construction.  Subclasses implement
-    message, and set round_budget when one round is not enough.
+    node builds identically from the broadcasts; it is None before round 0.
+    Only message sees a node; deliver sees the public knowledge alone, so
+    all nodes agree on the halt flag and the final knowledge by
+    construction.  Subclasses implement message, and set round_budget when
+    one round is not enough.
+
+    A protocol object holds only constants of the run, set when it is
+    built.  deliver is a function of (known, messages) and message of
+    (node, node_input, known); neither writes to the object, so a run
+    leaves it unchanged, a second run repeats the first, and replaying a
+    transcript is a fold of deliver over its rounds from None.
 
     A message is one immutable record, NeighborList(ids, bits) or
     DegreeAndSketch(degree, sketch, bits).  Its size depends only on its
@@ -144,10 +151,6 @@ class Protocol:
     """
 
     round_budget = 1
-
-    def start(self, n: int):
-        """Public knowledge before round 0."""
-        return None
 
     def message(self, node: int, node_input, known) -> Message:
         raise NotImplementedError
@@ -169,7 +172,7 @@ def run_protocol(protocol: Protocol, inputs: Sequence):
     if protocol.round_budget < 1:
         raise BadParams("round budget must be >= 1")
 
-    known = protocol.start(n)
+    known = None
     rounds: list[tuple[Message, ...]] = []
     for _ in range(protocol.round_budget):
         delivered = tuple([protocol.message(i, inputs[i], known) for i in range(n)])

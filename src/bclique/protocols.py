@@ -4,9 +4,9 @@
   in foreign supernodes; adjacent supernodes merge until each one is a
   connected component.  Runs within ceil(1/eps) rounds with messages of at
   most ceil(n**eps) ids.  Each round's merge is merge_step, one Kruskal pass
-  over the announced edges packed into ints.  The run halts in the round
-  whose merge leaves all full senders (nodes that announced the full cap of
-  ids) in one supernode, which proves no edge joins two supernodes.
+  over the announced edges.  The run halts in the round whose merge leaves
+  all full senders (nodes that announced the full cap of ids) in one
+  supernode, which proves no edge joins two supernodes.
 * prune_one_round: one broadcast of (degree, sketched neighbor row) per node,
   then everyone peels low-degree nodes locally, editing the remaining
   sketches through linearity.
@@ -18,7 +18,10 @@
   forest protocol's merge.
 
 Node inputs are the plain rows and balls of clique.adjacency_inputs and
-clique.ball_inputs.
+clique.ball_inputs.  A protocol object holds only constants of the run, and
+its deliver is a function of (public knowledge, message vector), so a run
+leaves the object as it found it and a replay of a transcript is a fold of
+deliver over its rounds.
 """
 
 from __future__ import annotations
@@ -55,13 +58,15 @@ def forest_neighbor_cap(n: int, eps: Fraction) -> int:
     return max(1, pow_ceil(n, eps))
 
 
-def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], keys):
+def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
     """Merge supernodes joined by announced edges and return the new
     (labels, forest).
 
-    keys holds each announced edge (u, v), u < v, packed into one int
-    u << s | v with s = len(labels).bit_length(), so v < 2**s and the
-    ints sort in ascending edge order; an edge may occur more than once.
+    announced holds (node, ids) pairs: node announced an edge to each id.
+    An edge may be announced more than once, from either end.  Each edge
+    (u, v), u < v, is packed into one int u << s | v with
+    s = len(labels).bit_length(), so v < 2**s and the ints sort in
+    ascending edge order; this is the only place keys are packed.
     labels[v] is the minimum member id of v's supernode; forest holds the
     original-graph edges whose announcement caused a merge, so it stays
     acyclic.  Edges are processed in ascending edge order; each one joining
@@ -80,6 +85,7 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], keys):
     forest = list(forest)
     s = len(labels).bit_length()
     low = (1 << s) - 1
+    keys = {u << s | w if u < w else w << s | u for u, ids in announced for w in ids}
     for key in sorted(keys):
         u = key >> s
         v = key & low
@@ -100,61 +106,49 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], keys):
 
 
 class _SpanningForestProtocol(Protocol):
-    """Public knowledge is (labels, forest), as merge_step takes it."""
+    """Public knowledge is (labels, forest), as merge_step takes it, or None
+    before round 0, when every node is its own supernode.  The object holds
+    constants only."""
 
     def __init__(self, n: int, cap: int, budget: int):
         self.cap = cap
         self.round_budget = budget
-        self.shift = n.bit_length()
         # message_bits is linear in the id count: a fixed head plus per_id
         # bits for each announced id.
         self.head = message_bits(NeighborList((), 0), n)
         self.per_id = message_bits(NeighborList((0,), 0), n) - self.head
-        self.singletons: tuple[int, ...] | None = None
-        self.halted = False
-
-    def start(self, n):
-        self.singletons = tuple(range(n))
-        return self.singletons, ()
 
     def message(self, node, row, known):
         """Announce the smallest neighbor in each of the cap smallest foreign
         supernodes, ids ascending.  row is node's sorted neighbor row.
 
-        Two shortcuts skip the per-label dict.  Labels that are the very
-        tuple start() returned (tested by identity, not equality: other
-        labels may well equal it) are the identity, so every neighbor is
-        the sole member of its own foreign label and the message is
-        row[:cap].  A node whose neighbors all share its label sends an
-        empty message.
+        In round 0 every neighbor is the sole member of its own foreign
+        supernode, so the message is row[:cap].
         """
-        labels = known[0]
-        if labels is self.singletons:
+        if known is None:
             ids = tuple(row[: self.cap])
         else:
-            own = labels[node]
-            for w in row:
-                if labels[w] != own:
-                    break
-            else:
-                return new_record(NeighborList, ((), self.head))
+            labels = known[0]
             # Rows are sorted, so first holds the smallest neighbor per
             # label, inserted in ascending id order.
             first: dict[int, int] = {}
             for w in row:
                 first.setdefault(labels[w], w)
-            first.pop(own, None)
-            if len(first) <= self.cap:
-                ids = tuple(first.values())
-            else:
-                ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
+            first.pop(labels[node], None)
+            ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
         return new_record(NeighborList, (ids, self.head + len(ids) * self.per_id))
 
     def deliver(self, known, messages):
-        """Merge the announced edges as merge_step's packed keys, built
-        straight from the message vector; halt, and record that the run
-        halted, when the merged labels prove that no edge joins two
-        supernodes.
+        """Merge the announced edges; halt when the merged labels prove
+        that no edge joins two supernodes (proved_done)."""
+        if known is None:
+            known = tuple(range(len(messages))), ()
+        labels, forest = merge_step(*known, enumerate([m.ids for m in messages]))
+        return (labels, forest), self.proved_done(labels, messages)
+
+    def proved_done(self, labels, messages) -> bool:
+        """Whether labels, merged from the announcements in messages, prove
+        that no edge joins two supernodes.
 
         Call a sender full when its message holds cap ids.  A sender that
         is not full announced a neighbor in every foreign supernode its row
@@ -163,13 +157,8 @@ class _SpanningForestProtocol(Protocol):
         are symmetric), and the run is done when every full sender has the
         same merged label, or when no sender is full.
         """
-        s = self.shift
-        keys = {u << s | w if u < w else w << s | u
-                for u, m in enumerate(messages) for w in m.ids}
-        labels, forest = merge_step(*known, keys)
         cap = self.cap
-        self.halted = len({labels[u] for u, m in enumerate(messages) if len(m.ids) == cap}) <= 1
-        return (labels, forest), self.halted
+        return len({labels[u] for u, m in enumerate(messages) if len(m.ids) == cap}) <= 1
 
 
 def _refuse_out_of_range_ids(rows: Sequence[tuple[int, ...]]) -> None:
@@ -197,7 +186,7 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
 
     The run halts in the round that proves it is done: after that round's
     merge, every node that announced the full cap of ids holds the same
-    label, or no node did (see _SpanningForestProtocol.deliver).  A node
+    label, or no node did (see _SpanningForestProtocol.proved_done).  A node
     that announced fewer ids than the cap met every foreign supernode of
     its row, so only two full senders can still be adjacent across
     supernodes.  This relies on the rows being symmetric, as a graph's rows
@@ -226,8 +215,8 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     budget = forest_round_budget(eps)
     proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget)
     (labels, forest), transcript = run_protocol(proto, rows)
-    if not proto.halted:
-        # a run stopped by the budget may have unfinished nodes
+    if transcript.rounds_used == budget and not proto.proved_done(labels, transcript.rounds[-1]):
+        # a run that spent its budget without that proof may have unfinished nodes
         unfinished = [v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
         if unfinished:
             raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
@@ -371,9 +360,9 @@ class _PruneProtocol(Protocol):
 
 
 def prune_one_round(rows: Sequence[tuple[int, ...]], d: int):
-    """One broadcast round of (degree, sketch), then a shared local peel."""
-    if d < 0:
-        raise BadParams("degree bound must be >= 0")
+    """One broadcast round of (degree, sketch), then a shared local peel.
+
+    d outside 0..len(rows) raises BadParams, from the sketch parameters."""
     return run_protocol(_PruneProtocol(sketch.cached_params(len(rows), d)), rows)
 
 
@@ -414,8 +403,5 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     peel, transcript = prune_one_round(rows, s)
     if peel.remaining:
         raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")
-    n = len(balls)
-    shift = n.bit_length()
-    keys = [k << shift | j if k < j else j << shift | k for k, nbrs in peel.sequence for j in nbrs]
-    labels, forest = merge_step(tuple(range(n)), (), keys)
+    labels, forest = merge_step(tuple(range(len(balls))), (), peel.sequence)
     return labels, forest, transcript

@@ -117,7 +117,7 @@ def shuffled_run(proto, inputs, seed):
     before the delivery, so the result must equal run_protocol's."""
     rng = random.Random(seed)
     n = len(inputs)
-    known = proto.start(n)
+    known = None
     rounds = []
     for _ in range(proto.round_budget):
         msgs = [None] * n
@@ -138,13 +138,11 @@ class ReferenceForestProtocol(_SpanningForestProtocol):
     messages, which the current rule proves unnecessary."""
 
     def deliver(self, known, messages):
-        s = self.shift
-        keys = {u << s | w if u < w else w << s | u
-                for u, m in enumerate(messages) for w in m.ids}
-        if not keys:
-            self.halted = True
+        if known is None:
+            known = tuple(range(len(messages))), ()
+        if not any(m.ids for m in messages):
             return known, True
-        return merge_step(*known, keys), False
+        return merge_step(*known, enumerate([m.ids for m in messages])), False
 
 
 def reference_spanning_forest(rows, eps):

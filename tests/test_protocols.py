@@ -50,30 +50,29 @@ from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, fo
 
 # --- merge_step -----------------------------------------------------------------
 
-def pack(n, pairs):
-    """merge_step's keys for announced (u, w) pairs, in either orientation."""
-    s = n.bit_length()
-    return [min(u, w) << s | max(u, w) for u, w in pairs]
-
-
 def test_merge_step_examples():
     singletons = ((0, 1, 2), ())
-    merged = merge_step(*singletons, pack(3, [(1, 2), (1, 0)]))
+    merged = merge_step(*singletons, [(1, (2, 0))])
     assert merged == ((0, 0, 0), ((0, 1), (1, 2)))
 
-    assert merge_step(*singletons, set()) == singletons
+    assert merge_step(*singletons, []) == singletons
+    assert merge_step(*singletons, [(0, ()), (2, ())]) == singletons
 
-    again = merge_step(*merged, pack(3, [(0, 1)]))  # cycle edge changes nothing
+    again = merge_step(*merged, [(0, (1,))])  # cycle edge changes nothing
     assert again == merged
 
-    # s = 3 at n = 4: key 0b001011 is edge (1, 3), and 3 sorts before 1 << 3
-    assert merge_step((0, 1, 2, 3), (), {1 << 3 | 3, 2 << 3 | 3, 3}) == (
+    # edges go in ascending order whichever end announced them: (0, 3)
+    # first, although node 3 announced it after (1, 3) and (2, 3)
+    assert merge_step((0, 1, 2, 3), (), [(3, (2, 1, 0)), (1, (3,))]) == (
         (0, 0, 0, 0), ((0, 3), (1, 3), (2, 3)))
+    # two edges with no end in common leave two supernodes
+    assert merge_step((0, 1, 2, 3), (), [(2, (3,)), (0, (1,))]) == (
+        (0, 0, 2, 2), ((0, 1), (2, 3)))
 
 
 # Reference for merge_step: a size-linked union-find over node ids, with a
 # dict that maps each root to the first node met in id order.  It takes the
-# announced (u, w) pairs themselves, not packed keys.
+# announced (u, w) pairs one at a time, not grouped by announcing node.
 def reference_merge_step(labels, forest, announced):
     uf = _UnionFind(len(labels))
     forest = list(forest)
@@ -101,11 +100,15 @@ def test_merge_step_matches_reference(case, rnd):
     n, steps = case
     known = (tuple(range(n)), ())
     for announced in steps:
-        keys = pack(n, announced)
-        rnd.shuffle(keys)  # merge_step sorts; the keys arrive in any order
-        merged = merge_step(*known, keys)
+        pairs = [(u, (w,)) for u, w in announced]
+        rnd.shuffle(pairs)  # merge_step sorts; the edges arrive in any order
+        merged = merge_step(*known, pairs)
         assert merged == reference_merge_step(*known, announced)
-        assert merge_step(*known, set(keys)) == merged
+        # grouped by announcing node, as a message vector delivers them
+        grouped: dict[int, list[int]] = {}
+        for u, w in announced:
+            grouped.setdefault(u, []).append(w)
+        assert merge_step(*known, grouped.items()) == merged
         labels = merged[0]
         for v in range(n):
             assert labels[v] == min(u for u in range(n) if labels[u] == labels[v])
@@ -116,9 +119,10 @@ def test_merge_step_from_singletons_is_the_oracle_forest():
     # one-round reads its answer off the peel this way: every edge once,
     # from singleton labels, in any order
     for tag, g in protocol_corpus(24, (1, 2, 9, 33, 70), base_seed=31):
-        keys = pack(g.n, g.edges())
-        keys.reverse()
-        assert merge_step(tuple(range(g.n)), (), keys) == components_and_forest(g), tag
+        announced = [(v, (u,)) for u, v in reversed(g.edges())]
+        assert merge_step(tuple(range(g.n)), (), announced) == components_and_forest(g), tag
+        # every edge twice, once from each end, as whole rows
+        assert merge_step(tuple(range(g.n)), (), enumerate(g.rows)) == components_and_forest(g), tag
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -176,7 +180,7 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # with merging broken, every round announces the same foreign neighbors
     # and the run stops at its budget with nodes unfinished; in K5 at cap 3
     # every node is full, so no round proves the run done
-    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, keys: (labels, forest))
+    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, announced: (labels, forest))
     rows = adjacency_inputs(gen_graph("complete", 5))
     with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
         spanning_forest_multiround(rows, Fraction(1, 2))
@@ -199,22 +203,25 @@ def test_spanning_forest_names_an_out_of_range_id(rows, node, bad, eps):
         spanning_forest_multiround(rows, eps)
 
 
-def test_forest_deliver_records_whether_the_run_halted():
-    # the entry point reads the halt off deliver instead of rescanning the
-    # rows.  On the 9-path every node is full at cap 1 and the merge leaves
-    # one label; at cap 3 no node is full: either way round 0 proves the
-    # run done, so it halts in the round that announced ids
+def test_forest_deliver_halts_in_the_round_that_proves_the_run_done():
+    # On the 9-path every node is full at cap 1 and the merge leaves one
+    # label; at cap 3 no node is full: either way round 0 proves the run
+    # done, so it halts in the round that announced ids
     rows = adjacency_inputs(gen_graph("path", 9))
     for cap in (1, 3):
         proto = _SpanningForestProtocol(9, cap, 2)
-        _, transcript = run_protocol(proto, rows)
-        assert proto.halted and transcript.rounds_used == 1
+        (labels, _), transcript = run_protocol(proto, rows)
+        assert transcript.rounds_used == 1
         assert all(m.ids for m in transcript.rounds[0])
+        assert proto.proved_done(labels, transcript.rounds[0])
     # two triangles at cap 1: every node is full and the merge leaves two
-    # labels, so a one-round run ends at its budget without halting
+    # labels, so round 0 proves nothing and a one-round run ends at its budget
     proto = _SpanningForestProtocol(6, 1, 1)
-    run_protocol(proto, adjacency_inputs(disjoint_cliques(2, 3)))
-    assert not proto.halted
+    (labels, _), transcript = run_protocol(proto, adjacency_inputs(disjoint_cliques(2, 3)))
+    assert labels == (0, 0, 0, 3, 3, 3)
+    forest = ((0, 1), (0, 2), (3, 4), (3, 5))
+    assert proto.deliver(None, transcript.rounds[0]) == ((labels, forest), False)
+    assert not proto.proved_done(labels, transcript.rounds[0])
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -235,11 +242,15 @@ def test_spanning_forest_halts_where_the_reference_confirms(idxs, eps):
     assert transcript.rounds == ref_transcript.rounds[:kept]
     assert not any(m.ids for rnd in ref_transcript.rounds[kept:] for m in rnd)
     assert transcript.per_node_bits == ref_transcript.per_node_bits
-    # soundness of the halt itself, before the entry point's own scan
+    # soundness of the halt itself, before the entry point's own scan: a
+    # fold of deliver over the transcript replays the run, halt included
     proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps))
-    (halt_labels, _), _ = run_protocol(proto, rows)
-    if proto.halted:
-        assert all(halt_labels[w] == halt_labels[v] for v in range(g.n) for w in rows[v])
+    known = None
+    for rnd in transcript.rounds:
+        known, halt = proto.deliver(known, rnd)
+    assert known[0] == labels and tuple(sorted(known[1])) == forest
+    if halt:
+        assert all(labels[w] == labels[v] for v in range(g.n) for w in rows[v])
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
@@ -329,15 +340,12 @@ def test_forest_message_announces_the_smallest_foreign_labels(case):
 @given(forest_message_cases())
 @settings(max_examples=300, deadline=None)
 def test_forest_message_singletons_shortcut_matches_general_path(case):
-    # only the very tuple start() returned takes the shortcut; an equal
-    # tuple built separately goes through the per-label dict
+    # round 0's knowledge is None and takes the shortcut; singleton labels
+    # passed as knowledge go through the per-label dict
     n, node, row, _, cap = case
     proto = _SpanningForestProtocol(n, cap, 1)
-    singletons = proto.start(n)
-    identity = tuple(range(n))
-    assert identity is not singletons[0]
-    msg = proto.message(node, row, singletons)
-    assert msg == proto.message(node, row, (identity, ()))
+    msg = proto.message(node, row, None)
+    assert msg == proto.message(node, row, (tuple(range(n)), ()))
     assert msg.ids == row[:cap]
 
 
@@ -403,6 +411,26 @@ def test_spanning_forest_ignores_evaluation_order(g, eps):
         shuffled_known, shuffled = shuffled_run(proto(), adjacency_inputs(g), seed)
         assert shuffled_known == known
         assert shuffled.to_json_dict() == transcript.to_json_dict()
+
+
+@pytest.mark.parametrize("make, g", [
+    # eps 1/3 on 36 nodes: two rounds, and round 1 merges supernode labels
+    (lambda g: _SpanningForestProtocol(g.n, 4, 3), interleaved_cliques(3, 12)),
+    # one round at cap 1 that ends at its budget without proving the run done
+    (lambda g: _SpanningForestProtocol(g.n, 1, 1), disjoint_cliques(2, 3)),
+    (lambda g: protocols._PruneProtocol(cached_params(g.n, 2)),
+     gen_graph("random_degenerate", 30, seed=3, d=2)),
+], ids=["forest_two_rounds", "forest_at_budget", "prune"])
+def test_protocols_hold_no_run_state(make, g):
+    # a run leaves the protocol object as it found it, and a second run on
+    # the same object repeats the first
+    proto = make(g)
+    rows = adjacency_inputs(g)
+    before = dict(vars(proto))
+    first = run_protocol(proto, rows)
+    assert vars(proto) == before
+    assert run_protocol(proto, rows) == first
+    assert vars(proto) == before
 
 
 def test_forest_ok_rejects_messages_above_the_bit_bound():
@@ -691,8 +719,16 @@ def test_prune_examples():
 
 
 def test_prune_rejects_negative_bound():
-    with pytest.raises(ValueError):
+    # BadParams is a ValueError; the sketch parameters refuse the bound
+    with pytest.raises(BadParams, match=r"0 <= d <= n"):
         prune_one_round(adjacency_inputs(gen_graph("path", 3)), -1)
+
+
+def test_prune_rejects_a_bound_above_n():
+    rows = adjacency_inputs(gen_graph("path", 3))
+    assert prune_one_round(rows, 3)[0].fully_reconstructed
+    with pytest.raises(BadParams, match=r"0 <= d <= n"):
+        prune_one_round(rows, 4)
 
 
 def test_prune_ok_rejects_messages_above_the_bit_bound():

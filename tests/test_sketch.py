@@ -447,13 +447,25 @@ def _decode_outcome(decoder, params, y, expected_weight=None):
         return type(exc), str(exc)
 
 
-BINARY_SHAPES = [(n, d) for n in range(1, 11) for d in range(0, min(n, 3) + 1)
-                 if cached_params(n, d).table_entries == 0]
+# The grid's shapes by kind, written out so that collecting the tests runs
+# no prime search; test_shape_lists_split_the_grid_by_kind checks them
+# against the parameters.
+BINARY_SHAPES = [(n, d) for n in range(2, 11) for d in range(1, min(n, 3) + 1)]
+TABLE_SHAPES = (sorted([(n, 0) for n in range(1, 17)] + [(1, 1)] + [(n, 1) for n in range(11, 17)])
+                + [(24, 2), (40, 3)])
+
+
+def test_shape_lists_split_the_grid_by_kind():
+    grid = [(n, d) for n in range(1, 17) for d in range(0, min(n, 3) + 1)]
+    binary = [(n, d) for n, d in grid if cached_params(n, d).table_entries == 0]
+    assert [shape for shape in binary if shape[0] <= 10] == BINARY_SHAPES
+    assert [shape for shape in grid if shape not in binary] + [(24, 2), (40, 3)] == TABLE_SHAPES
 
 
 @pytest.mark.parametrize("n, d", BINARY_SHAPES)
 def test_binary_decode_matches_the_reference(n, d):
     params = cached_params(n, d)
+    assert params.table_entries == 0
     assert params.xbar == 2
     for y in range(2 ** (n + 2)):
         for w in (None, *range(d + 2)):
@@ -492,10 +504,6 @@ def test_xbar_is_minimal():
                 values = [sum(b[i] * x**i for i in range(n)) % params.p
                           for b in naive_sparse_vectors(n, d)]
                 assert len(set(values)) < len(values), (n, d, x)
-
-
-TABLE_SHAPES = [(n, d) for n in range(1, 17) for d in range(0, min(n, 3) + 1)
-                if cached_params(n, d).table_entries != 0] + [(24, 2), (40, 3)]
 
 
 @pytest.mark.parametrize("n, d", TABLE_SHAPES)
