@@ -9,16 +9,19 @@ exactly, and neighborhoods can be edited in compressed form by adding or
 subtracting basis encodings.
 
 Decoding walks a support down from its top index: y - powers[top] mod p
-encodes the rest.  When ``2**n <= p`` the evaluation point is 2 and the top
-is the highest set bit.  Otherwise a table of all C(n, <=d) sparse vectors,
-built in weight layers, maps each encoding to its top index; shapes whose
-table would exceed ``DEFAULT_TABLE_CAP`` entries raise CapExceeded, and
-binary shapes are never capped.
-Building it takes about 0.1 s at (n, d) = (112, 3), 0.4 s at (64, 4) and
-0.8 s at (200, 3), and the built table holds about 17, 41 and 81 MB
-(tracemalloc), on a 2-core host with Python 3.11.  Shapes whose modulus
-may exceed ``MAX_MODULUS_BITS`` bits raise CapExceeded before any work, as
-the prime search would run for hours.
+encodes the rest.  At xbar = 2 a support whose indices all lie below
+``low = min(n, p.bit_length() - 1)`` encodes to its own binary value, so
+its top is the highest set bit.  A table, built in weight layers, maps the
+encoding of every other support of weight <= d (top index >= low) to its
+top.  A binary shape (``2**n <= p``) has low = n and an empty table; at any
+other point low is 0 and the table holds every non-empty support.  Shapes
+whose family C(n, <=d) exceeds ``DEFAULT_TABLE_CAP`` raise CapExceeded
+unless they are binary.
+Building the table takes about 0.07 s at (n, d) = (112, 3), 0.13 s at
+(64, 4) and 0.6 s at (200, 3), and the built table holds about 17, 21 and
+84 MB (tracemalloc), on a 2-core host with Python 3.11.  Shapes whose
+modulus may exceed ``MAX_MODULUS_BITS`` bits raise CapExceeded before any
+work, as the prime search would run for hours.
 """
 
 from __future__ import annotations
@@ -73,11 +76,12 @@ class SketchParams:
     modulus p, evaluation point xbar, and the power table xbar**i mod p.
 
     Construct through :func:`build_params`, which also builds the
-    value->top-index decode table (None on binary shapes, where the top
-    index is the highest set bit).  The table maps the encoding of each
-    support of weight <= d to its largest index, and 0 to -1;
-    decode_support recovers the rest of the support from y - powers[top].
-    Instances are immutable and safe to share across threads.
+    value->top-index decode table.  Supports with every index below low
+    encode to their own binary value (xbar = 2) and are not stored; the
+    table maps the encoding of each other support of weight <= d to its
+    largest index.  decode_support recovers the rest of the support from
+    y - powers[top].  Instances are immutable and safe to share across
+    threads.
     """
 
     n: int
@@ -86,9 +90,14 @@ class SketchParams:
     xbar: int
     powers: tuple[int, ...] = field(repr=False)
     domain_size: int = field(repr=False)
-    # None on the binary path: xbar == 2 with 2**n <= p, so encodings are
-    # plain binary values and the top index of one is its highest set bit.
-    _table: dict[int, int] | None = field(repr=False)
+    # 2**low, with low = min(n, p.bit_length() - 1) at xbar == 2 and 0
+    # otherwise: a support whose indices all lie below low encodes to its
+    # own binary value, below 2**low <= p.  A residue below _binary with at
+    # most _binary_ones ones is such a value: _binary_ones is d, or n on a
+    # binary shape (low == n), whose table is empty.
+    _binary: int = field(repr=False)
+    _binary_ones: int = field(repr=False)
+    _table: dict[int, int] = field(repr=False)
 
     @property
     def p_bits(self) -> int:
@@ -97,35 +106,56 @@ class SketchParams:
 
     @property
     def table_entries(self) -> int:
-        """Size of the decode table: C(n, <=d), or 0 on the binary path,
-        which never builds one."""
-        return len(self._table) if self._table is not None else 0
+        """Entries stored in the decode table: the supports of weight <= d
+        with top index >= low, so 0 on a binary shape."""
+        return len(self._table)
 
 
-def _injective_at(n: int, d: int, x: int, p: int):
-    """Return the value->top-index table if x separates the whole sparse
-    Boolean family, or None on the first collision.
+def _binary_low(n: int, x: int, p: int) -> int:
+    """Index bound below which supports encode to plain binary at x."""
+    return min(n, p.bit_length() - 1) if x == 2 else 0
 
-    Each encoding maps to the largest index of its support, and the empty
-    support's 0 to -1.  Built in weight layers: each weight-w entry extends
-    a weight-(w-1) entry (value, top) by one index i above top, so every
-    support is reached once, in the lexicographic order of
-    itertools.combinations, at the cost of one addition.  The index is a
-    small int that the layer loop already holds, so an entry allocates no
-    int besides its key.
+
+def _injective_at(n: int, d: int, x: int, p: int, low: int):
+    """Return the value->top-index table of the supports with top index
+    >= low if x separates the whole sparse Boolean family, or None on the
+    first collision.
+
+    low is _binary_low(n, x, p): a support below it encodes to its own
+    binary value, which needs no entry.  A stored value therefore collides
+    if it is already stored, or if it is below 2**low with at most d ones,
+    as it is then the encoding of a binary support; so x is refused exactly
+    when the full family collides.  At low = 0 that second test is the
+    empty support's 0.
+
+    Built in weight layers: each weight-w support extends a weight-(w-1)
+    support (value, top) by one index i above top, so every support is
+    reached once, in the lexicographic order of itertools.combinations, at
+    the cost of one addition.  Supports of weight below d are all kept as
+    sources, but only weight-d supports with top >= low are generated.  The
+    index is a small int that the layer loop already holds, so an entry
+    allocates no int besides its key.
     """
+    table = {}
+    if low >= n:
+        # every support is binary: distinct values below 2**n <= p
+        return table
     powers = [pow(x, i, p) for i in range(n)]
-    table = {0: -1}
+    binary = 1 << low
     layer = [(0, -1)]
     for w in range(1, d + 1):
         grown = []
         for value, top in layer:
-            for i in range(top + 1, n):
+            if w < d:
+                # binary supports, kept only as sources: their values are
+                # plain sums below 2**low
+                grown += [(value + powers[i], i) for i in range(top + 1, low)]
+            for i in range(max(top + 1, low), n):
                 s = value + powers[i]
                 # an int sum keeps a spare digit; the subtraction allocates
                 # an exact-size key, so the table takes no more memory
                 s = s - p if s >= p else s - 0
-                if s in table:
+                if s in table or (s < binary and s.bit_count() <= d):
                     return None
                 table[s] = i
                 if w < d:
@@ -172,24 +202,21 @@ def build_params(n: int, d: int) -> SketchParams:
     if n > m.bit_length():
         _check_table_cap(n, d, domain_size)
     p = smallest_prime_above(m)
-    binary = n < p.bit_length()
-    # Binary shapes never build a table: for n >= 2 and d >= 1, x = 0 and
-    # x = 1 collide within the first three supports, and x = 2 needs none.
-    if not binary:
+    # Binary shapes store no table entries and are never capped: for
+    # n >= 2 and d >= 1, x = 0 and x = 1 collide within the first three
+    # supports, and x = 2 has low = n.
+    if n >= p.bit_length():
         _check_table_cap(n, d, domain_size)
     for xbar in range(p):
-        if xbar == 2 and binary:
-            # encodings are distinct binary numbers below p: injective,
-            # and decoding never needs a table
-            table = None
-            break
-        table = _injective_at(n, d, xbar, p)
+        low = _binary_low(n, xbar, p)
+        table = _injective_at(n, d, xbar, p, low)
         if table is not None:
             break
     else:  # impossible by the counting argument above
         raise RuntimeError(f"no separating point below p for n={n}, d={d}")
     powers = tuple(pow(xbar, i, p) for i in range(n))
-    return SketchParams(n, d, p, xbar, powers, domain_size, table)
+    return SketchParams(n, d, p, xbar, powers, domain_size,
+                        1 << low, d if low < n else n, table)
 
 
 # Protocols share parameter sets per (n, d); building them is deterministic,
@@ -236,10 +263,13 @@ def decode_support(params: SketchParams, y: FieldElement,
     """Sorted support of the unique Boolean vector of weight <= d encoding
     to y, found without building the dense n-vector.
 
-    Walks the support down from its top index (a binary shape's highest
-    set bit, or the table's entry): y - powers[top] mod p encodes the rest.
-    The tops must fall, so a value that is no encoding raises NotDecodable,
-    never KeyError, and never loops.
+    Walks the support down from its top index: y - powers[top] mod p
+    encodes the rest.  A residue below 2**low with at most d ones is the
+    binary encoding of a support below low, whose top is its highest set
+    bit; on a binary shape (low = n, nothing stored) every residue below
+    2**n is.  Any other residue's top is the table's entry.  The tops must
+    fall, so a value that is no encoding raises NotDecodable, never
+    KeyError, and never loops.
 
     Raises NotDecodable when y is not an int (a float that equals a key
     could walk to a wrong support once a subtraction rounds) or when no
@@ -254,11 +284,16 @@ def decode_support(params: SketchParams, y: FieldElement,
     table = params._table
     powers = params.powers
     p = params.p
+    binary = params._binary
+    ones = params._binary_ones
     support = []
     rest = y
     last = params.n
     while rest:
-        top = rest.bit_length() - 1 if table is None else table.get(rest, last)
+        if rest < binary and rest.bit_count() <= ones:
+            top = rest.bit_length() - 1
+        else:
+            top = table.get(rest, last)
         if top >= last:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
         support.append(top)

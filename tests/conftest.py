@@ -3,6 +3,7 @@ the package's own implementations."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -182,8 +183,23 @@ def enumerated_table(n: int, d: int, x: int, p: int):
     return table
 
 
-# The former decode_support, verbatim but for its name: binary shapes by
-# low-bit extraction, table shapes by the top-down walk.
+def is_binary_shape(params: SketchParams) -> bool:
+    """True when the encodings are plain binary numbers: xbar = 2 and
+    2**n <= p."""
+    return params.xbar == 2 and (1 << params.n) <= params.p
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_tops(n: int, d: int, x: int, p: int) -> dict[int, int]:
+    """Value -> top-index table of the whole family of weight <= d, from
+    enumerated_table: the empty support's 0 maps to -1."""
+    return {value: mask.bit_length() - 1
+            for value, mask in enumerated_table(n, d, x, p).items()}
+
+
+# The decode_support of the full decode table, verbatim but for its name
+# and its table: binary shapes by low-bit extraction, other shapes by the
+# top-down walk over every support of the family, enumerated here.
 def reference_decode_support(params: SketchParams, y: FieldElement,
                              expected_weight: int | None = None) -> tuple[int, ...]:
     """Sorted support of the unique Boolean vector of weight <= d encoding
@@ -199,10 +215,9 @@ def reference_decode_support(params: SketchParams, y: FieldElement,
         raise NotDecodable(f"{y!r} is not an int")
     if not 0 <= y < params.p:
         raise BadParams(f"field element {y} outside 0..p-1")
-    table = params._table
     support = []
     rest = y
-    if table is None:
+    if is_binary_shape(params):
         if y.bit_length() > params.n:
             raise NotDecodable(f"{y} is not a sparse Boolean encoding")
         while rest:
@@ -214,6 +229,7 @@ def reference_decode_support(params: SketchParams, y: FieldElement,
         # encodes the rest of the support, whose top is smaller.  Every link
         # is looked up with get and the tops must fall, so a value that is
         # no encoding raises NotDecodable, never KeyError, and never loops.
+        table = enumerated_tops(params.n, params.d, params.xbar, params.p)
         powers = params.powers
         p = params.p
         last = params.n

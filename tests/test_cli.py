@@ -32,10 +32,13 @@ def test_params_command(capsys):
     assert code == 0
     assert doc["p"] == "101" and doc["xbar"] == 2 and doc["p_bits"] == 7
     assert doc["schema_version"] == 1
-    assert doc["table_entries"] == 0  # binary path: no decode table
+    assert doc["table_entries"] == 0  # binary shape: nothing stored
+    assert doc["domain_size"] == 5
     code, doc = run_json(capsys, ["params", "--n", "16", "--d", "1"])
     assert code == 0
-    assert doc["table_entries"] == doc["domain_size"] == 17
+    # p = 4637 has 13 bits, so low = 12: the table stores the four
+    # singletons at 12-15, and the other 13 encodings are binary values
+    assert doc["domain_size"] == 17 and doc["table_entries"] == 4
 
 
 def test_prune_command(capsys, p4_file):

@@ -458,14 +458,19 @@ def test_spanning_forest_single_node():
 
 # --- peel_from_messages ------------------------------------------------------------
 
-P4_PARAMS = cached_params(4, 1)
+def p4_params():
+    """(n=4, d=1), looked up when a test runs, so that a fault in the prime
+    search fails that test instead of hanging collection."""
+    return cached_params(4, 1)
+
+
 # hand-computed messages of the 4-path under (n=4, d=1): rows e1, e0+e2,
 # e1+e3, e2 encode to 2, 5, 10, 4 with powers (1, 2, 4, 8) mod 101
 P4_MESSAGES = [(1, 2), (2, 5), (2, 10), (1, 4)]
 
 
 def test_peel_from_messages_path_example():
-    result = peel_from_messages(P4_MESSAGES, P4_PARAMS)
+    result = peel_from_messages(P4_MESSAGES, p4_params())
     assert result.sequence == ((0, (1,)), (1, (2,)), (2, (3,)), (3, ()))
     assert result.remaining == ()
     assert result.fully_reconstructed
@@ -474,9 +479,9 @@ def test_peel_from_messages_path_example():
 
 def test_peel_from_messages_cycle_stalls():
     g = gen_graph("cycle", 4)
-    msgs = [(2, encode(P4_PARAMS, tuple(int(j in g.rows[v]) for j in range(4))))
+    msgs = [(2, encode(p4_params(), tuple(int(j in g.rows[v]) for j in range(4))))
             for v in range(4)]
-    result = peel_from_messages(msgs, P4_PARAMS)
+    result = peel_from_messages(msgs, p4_params())
     assert result.sequence == ()
     assert result.remaining == (0, 1, 2, 3)
     assert result.residual_degrees == ((0, 2), (1, 2), (2, 2), (3, 2))
@@ -487,7 +492,7 @@ def test_peel_from_messages_corrupted_sketch():
     corrupted = [(d, v) for d, v in P4_MESSAGES]
     corrupted[0] = (corrupted[0][0], corrupted[0][1] + 1)
     with pytest.raises(InvalidTranscript):
-        peel_from_messages(corrupted, P4_PARAMS)
+        peel_from_messages(corrupted, p4_params())
 
 
 def test_peel_from_messages_detects_dead_reference():
@@ -510,11 +515,11 @@ def test_peel_from_messages_detects_negative_degree():
 
 def test_peel_from_messages_rejects_bad_vector_shape():
     with pytest.raises(InvalidTranscript):
-        peel_from_messages(P4_MESSAGES[:3], P4_PARAMS)
+        peel_from_messages(P4_MESSAGES[:3], p4_params())
     with pytest.raises(InvalidTranscript):
-        peel_from_messages([(-1, 0)] + P4_MESSAGES[1:], P4_PARAMS)
+        peel_from_messages([(-1, 0)] + P4_MESSAGES[1:], p4_params())
     with pytest.raises(InvalidTranscript):
-        peel_from_messages([(1, P4_PARAMS.p)] + P4_MESSAGES[1:], P4_PARAMS)
+        peel_from_messages([(1, p4_params().p)] + P4_MESSAGES[1:], p4_params())
 
 
 @pytest.mark.parametrize("bad", [(1,), (), None, ("1", 2), (0, "2"), 7, (None, None), {"degree": 0}],
@@ -549,23 +554,26 @@ def test_peel_from_messages_names_a_float_sketch(n, d):
 
 
 def test_peel_from_messages_reads_records_and_pairs_alike():
-    bits = message_bits(DegreeAndSketch(0, 0, 0), 4, P4_PARAMS.p)
+    bits = message_bits(DegreeAndSketch(0, 0, 0), 4, p4_params().p)
     records = [DegreeAndSketch(deg, val, bits) for deg, val in P4_MESSAGES]
-    assert peel_from_messages(records, P4_PARAMS) == peel_from_messages(P4_MESSAGES, P4_PARAMS)
+    assert peel_from_messages(records, p4_params()) == peel_from_messages(P4_MESSAGES, p4_params())
 
 
-# (16, 1) and (8, 0) look tops up in the decode table, (6, 2) and (7, 3) are
-# binary shapes, whose tops are highest set bits; a peel runs at its params'
-# bound, so these peel at 0-3
-FUZZ_PARAMS = (cached_params(16, 1), cached_params(6, 2), cached_params(8, 0),
-               cached_params(7, 3))
+# (16, 1) looks tops 12-15 up in the decode table and reads lower tops as
+# highest set bits; (8, 0) stores no entries and decodes only 0; (6, 2) and
+# (7, 3) are binary shapes, whose tops are all highest set bits.  A peel
+# runs at its params' bound, so these peel at 0-3.  The params are built
+# when a case is drawn, so a fault in the prime search fails a test instead
+# of hanging collection.
+FUZZ_SHAPES = ((16, 1), (6, 2), (8, 0), (7, 3))
 
 
 @st.composite
 def fuzzed_messages(draw):
     """(params, messages): an honest prune transcript of a random graph
     with some entries corrupted, or one drawn entirely at random."""
-    params = draw(st.sampled_from(FUZZ_PARAMS), label="params")
+    params = draw(st.sampled_from(FUZZ_SHAPES).map(lambda shape: cached_params(*shape)),
+                  label="params")
     n, p = params.n, params.p
     if draw(st.booleans(), label="honest base"):
         g = gen_graph("gnp", n, seed=draw(st.integers(0, 10**6)),
@@ -659,8 +667,9 @@ def test_peel_from_messages_matches_reference(case):
         assert result.reconstructed == rebuilt
 
 
-@pytest.mark.parametrize("params", FUZZ_PARAMS[:2], ids=("table", "binary"))
-def test_peel_from_messages_nonzero_sketch_at_degree_zero(params):
+@pytest.mark.parametrize("shape", FUZZ_SHAPES[:2], ids=("table", "binary"))
+def test_peel_from_messages_nonzero_sketch_at_degree_zero(shape):
+    params = cached_params(*shape)
     # node 0 announces degree 0 but a nonzero sketch; the reference decodes
     # it and fails, the peel fails without decoding
     msgs = [(0, params.powers[1])] + [(0, 0)] * (params.n - 1)
@@ -675,15 +684,17 @@ def test_peel_from_messages_nonzero_sketch_at_degree_zero(params):
             peel(msgs, params)
 
 
-@pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (0, P4_PARAMS.p), (-3, P4_PARAMS.p + 5)])
+@pytest.mark.parametrize("bad", [lambda p: (-1, 0), lambda p: (0, -1), lambda p: (0, p),
+                                 lambda p: (-3, p + 5)], ids=[f"bad{i}" for i in range(4)])
 @pytest.mark.parametrize("first", [1, 2])
 def test_peel_from_messages_names_the_first_out_of_range_node(bad, first):
+    # each case is a function of the modulus p
     msgs = list(P4_MESSAGES)
-    msgs[first] = bad
+    msgs[first] = bad(p4_params().p)
     msgs[3] = (-1, -1)  # a later bad node is not the one named
     for peel in (peel_from_messages, reference_peel_from_messages):
         with pytest.raises(InvalidTranscript, match=f"message of node {first} is out of range"):
-            peel(msgs, P4_PARAMS)
+            peel(msgs, p4_params())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

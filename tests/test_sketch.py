@@ -33,7 +33,7 @@ from bclique.sketch import (
     smallest_prime_above,
 )
 
-from conftest import enumerated_table, reference_decode_support
+from conftest import enumerated_table, enumerated_tops, is_binary_shape, reference_decode_support
 
 
 # --- independent oracles -----------------------------------------------------
@@ -182,7 +182,7 @@ def test_build_params_is_deterministic():
 
 
 def test_build_params_cap_exceeded():
-    # table shapes: 2**n > p, so the C(n, <=d) decode table would be built
+    # table shapes: 2**n > p, and the cap counts the whole C(n, <=d) family
     with pytest.raises(CapExceeded):
         build_params(200, 4)
 
@@ -202,12 +202,11 @@ def test_build_params_refuses_the_table_before_the_prime_search(monkeypatch, n, 
                                        (100, 10, DEFAULT_TABLE_CAP),
                                        (64, 5, DEFAULT_TABLE_CAP)])
 def test_build_params_cap_spares_binary_shapes(n, d, cap):
-    # 2**n <= p: encodings are binary numbers and no table is built, so the
-    # domain size may exceed the cap
+    # 2**n <= p: encodings are binary numbers and the table stores nothing,
+    # so the domain size may exceed the cap
     params = build_params(n, d)
     assert params.domain_size > cap
     assert params.table_entries == 0 and params.xbar == 2
-    assert params._table is None and params.table_entries == 0
     support = tuple(range(0, n, n // d))[:d]
     assert decode_support(params, encode_support(params, support)) == support
 
@@ -272,8 +271,8 @@ def test_binary_shape_bit_length_test_matches_the_shift():
             if n >= 2 and d >= 1:
                 # table shapes are exactly the ones the shift calls non-binary
                 params = cached_params(n, d)
-                assert (params._table is not None) == ((1 << n) > p), (n, d)
-                if params._table is None:
+                assert (params.table_entries != 0) == ((1 << n) > p), (n, d)
+                if params.table_entries == 0:
                     # the least field element with a bit at index n or above
                     with pytest.raises(NotDecodable):
                         decode_support(params, 1 << n)
@@ -449,7 +448,8 @@ def _decode_outcome(decoder, params, y, expected_weight=None):
 
 # The grid's shapes by kind, written out so that collecting the tests runs
 # no prime search; test_shape_lists_split_the_grid_by_kind checks them
-# against the parameters.
+# against the parameters.  Binary shapes (xbar = 2, 2**n <= p) store no
+# table entries; the others store every support with top index >= low.
 BINARY_SHAPES = [(n, d) for n in range(2, 11) for d in range(1, min(n, 3) + 1)]
 TABLE_SHAPES = (sorted([(n, 0) for n in range(1, 17)] + [(1, 1)] + [(n, 1) for n in range(11, 17)])
                 + [(24, 2), (40, 3)])
@@ -457,7 +457,7 @@ TABLE_SHAPES = (sorted([(n, 0) for n in range(1, 17)] + [(1, 1)] + [(n, 1) for n
 
 def test_shape_lists_split_the_grid_by_kind():
     grid = [(n, d) for n in range(1, 17) for d in range(0, min(n, 3) + 1)]
-    binary = [(n, d) for n, d in grid if cached_params(n, d).table_entries == 0]
+    binary = [(n, d) for n, d in grid if is_binary_shape(cached_params(n, d))]
     assert [shape for shape in binary if shape[0] <= 10] == BINARY_SHAPES
     assert [shape for shape in grid if shape not in binary] + [(24, 2), (40, 3)] == TABLE_SHAPES
 
@@ -478,7 +478,9 @@ def test_table_decode_matches_the_reference(n, d):
     params = cached_params(n, d)
     assert params.table_entries != 0
     rng = random.Random(n * 100 + d)
-    ys = {y + delta for y in params._table for delta in (-1, 0, 1)}
+    # every encoding of the family, stored or binary, and its neighbours
+    ys = {y + delta for y in enumerated_table(n, d, params.xbar, params.p)
+          for delta in (-1, 0, 1)}
     ys.update(rng.randrange(params.p) for _ in range(2000))
     for y in sorted(ys):
         for w in (None, d):
@@ -506,27 +508,68 @@ def test_xbar_is_minimal():
                 assert len(set(values)) < len(values), (n, d, x)
 
 
+def binary_low(n: int, x: int, p: int) -> int:
+    """Index bound below which supports encode to their binary value at x:
+    at x = 2 every sum of distinct powers 2**i with i < low is below
+    2**low <= p, so no reduction happens."""
+    return min(n, p.bit_length() - 1) if x == 2 else 0
+
+
+def stored_part(n, d, x, p, low):
+    """The enumerated value -> top table of the supports with top >= low."""
+    return {value: top for value, top in enumerated_tops(n, d, x, p).items() if top >= low}
+
+
 @pytest.mark.parametrize("n, d", TABLE_SHAPES)
 def test_layered_table_matches_enumeration(n, d):
     params = cached_params(n, d)
-    assert params.table_entries != 0
-    table = sketch._injective_at(n, d, params.xbar, params.p)
-    # the oracle's masks in the decode table's layout: each value mapped to
-    # its support's top index, -1 for the empty support
-    expected = {value: mask.bit_length() - 1
-                for value, mask in enumerated_table(n, d, params.xbar, params.p).items()}
+    p = params.p
+    low = binary_low(n, params.xbar, p)
+    assert sketch._binary_low(n, params.xbar, p) == low
+    assert params._binary == 1 << low
+    table = sketch._injective_at(n, d, params.xbar, p, low)
+    # the oracle's masks in the decode table's layout, each value mapped to
+    # its support's top index, restricted to the tops the table stores
+    expected = stored_part(n, d, params.xbar, p, low)
+    assert (len(expected) == 0) == (d == 0)
     assert list(table.items()) == list(expected.items())
     assert params._table == expected
     for x in range(params.xbar):
-        assert sketch._injective_at(n, d, x, params.p) is None, x
-        assert enumerated_table(n, d, x, params.p) is None, x
+        assert sketch._injective_at(n, d, x, p, binary_low(n, x, p)) is None, x
+        assert enumerated_table(n, d, x, p) is None, x
+
+
+def test_table_at_two_separates_exactly_when_the_family_does():
+    # The paper's primes all separate at x = 2, so only smaller primes q
+    # reach the collisions: a stored value that equals another stored one,
+    # or one that equals a binary value below 2**low with at most d ones.
+    # Collisions of the second kind alone are counted, so the check against
+    # binary values is seen to matter.
+    refused = accepted = binary_only = 0
+    for q in (q for q in range(3, 200) if sympy.isprime(q)):
+        for n in range(1, 11):
+            low = binary_low(n, 2, q)
+            for d in range(min(n, 4) + 1):
+                table = sketch._injective_at(n, d, 2, q, low)
+                full = enumerated_table(n, d, 2, q)
+                assert (table is None) == (full is None), (q, n, d)
+                if full is not None:
+                    accepted += 1
+                    assert table == stored_part(n, d, 2, q, low), (q, n, d)
+                    continue
+                refused += 1
+                stored = [sum(pow(2, i, q) for i in s) % q
+                          for w in range(1, d + 1)
+                          for s in itertools.combinations(range(n), w) if s[-1] >= low]
+                binary_only += len(set(stored)) == len(stored)
+    assert refused and accepted and binary_only, (refused, accepted, binary_only)
 
 
 @pytest.mark.parametrize("n, d", TABLE_SHAPES)
 def test_every_table_entry_decodes_to_its_enumerated_support(n, d):
     params = cached_params(n, d)
     oracle = enumerated_table(n, d, params.xbar, params.p)
-    assert len(oracle) == params.table_entries
+    assert len(oracle) == params.domain_size
     for value, mask in oracle.items():
         support = tuple(i for i in range(n) if mask >> i & 1)
         assert decode_support(params, value, expected_weight=len(support)) == support
@@ -566,16 +609,18 @@ def broken_decode_table(monkeypatch):
     last support with a different top index decoding to each other's top.
 
     At d >= 2 the last two supports share top n-1, so swapping them would
-    change nothing that the walk reads."""
+    change nothing that the walk reads; a table whose supports all share
+    one top is left as it is."""
     real = sketch._injective_at
 
-    def broken(n, d, x, p):
-        table = real(n, d, x, p)
-        if table is not None and len(table) > 2:
+    def broken(n, d, x, p, low):
+        table = real(n, d, x, p, low)
+        if table:
             keys = list(table)
             y = keys[-1]
-            z = next(k for k in reversed(keys) if table[k] != table[y])
-            table[y], table[z] = table[z], table[y]
+            z = next((k for k in reversed(keys) if table[k] != table[y]), None)
+            if z is not None:
+                table[y], table[z] = table[z], table[y]
         return table
 
     monkeypatch.setattr(sketch, "_injective_at", broken)
