@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import verify
-from .clique import adjacency_inputs, ball_inputs
+from .clique import ball_inputs
 from .errors import BcliqueError, ParseError
 from .graph import gen_graph, load_graph, serialize_graph
 from .protocols import (
@@ -72,7 +72,7 @@ def _cmd_params(args) -> tuple[dict, int]:
 def _cmd_prune(args) -> tuple[dict, int]:
     g = _read_graph(args.graph)
     t0 = time.perf_counter()
-    result, transcript = prune_one_round(adjacency_inputs(g), args.d)
+    result, transcript = prune_one_round(g, args.d)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     params = cached_params(g.n, args.d)
     return _finish(
@@ -92,7 +92,7 @@ def _cmd_prune(args) -> tuple[dict, int]:
 def _cmd_components(args) -> tuple[dict, int]:
     g = _read_graph(args.graph)
     t0 = time.perf_counter()
-    labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), args.eps)
+    labels, forest, transcript = spanning_forest_multiround(g, args.eps)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return _finish(
         args, "spanning_forest_multiround", g, {"eps": str(args.eps)},

@@ -9,10 +9,10 @@ reads its answer off it.  Message sizes follow fixed encoding rules so
 protocol budgets can be checked to the bit.
 
 A node's input is what its model lets it see, with no wrapper: its sorted
-neighbor row (adjacency_inputs) or its radius-r Ball (ball_inputs), the
-mask of the nodes within distance r over the neighbor masks that all balls
-of the graph share.  The engine passes inputs[v] to node v, so the
-position is the node id.
+neighbor row, g.rows[v] of a validated Graph (adjacency_inputs), or its
+radius-r Ball (ball_inputs), the mask of the nodes within distance r over
+the neighbor masks that all balls of the graph share.  The engine passes
+inputs[v] to node v, so the position is the node id.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from .graph import Graph, ball_inputs  # noqa: F401
 from .intmath import ceil_log2
 
 
-def adjacency_inputs(g: Graph) -> list[tuple[int, ...]]:
-    """Node inputs of the adjacency model: node v holds its own row."""
-    return list(g.rows)
+def adjacency_inputs(g: Graph) -> Graph:
+    """Input of the adjacency model: the graph itself, of which node v
+    holds row v.  The adjacency entry points take it whole, so that their
+    rows are a validated Graph's."""
+    return g
 
 
 class NeighborList(NamedTuple):

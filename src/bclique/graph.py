@@ -36,10 +36,61 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Graph on nodes 0..n-1 stored as one sorted neighbor row per node."""
+    """Graph on nodes 0..n-1 stored as one sorted neighbor row per node.
+
+    Build one with from_edges, from_rows, load_graph or gen_graph, which
+    all validate their input, so the rows of a Graph they return are
+    strictly ascending, in range, free of self ids and symmetric.  The bare
+    Graph(n, rows) is trusted and internal: nothing checks its rows, and it
+    is only for rows derived from a graph that was already validated.
+    """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def from_rows(rows) -> "Graph":
+        """The graph whose node v has the neighbor row rows[v].
+
+        Each row is checked in node order; the first bad node is named in
+        a BadParams.  A row is refused when it is not an iterable of ids (a
+        str or bytes row counts as not one), or when it holds an id that is
+        not an int (bools included), an id outside 0..n-1 (checked before
+        the order, so a row with both faults reports the id), ids that are
+        not strictly ascending, or the node's own id.  Then one transpose pass
+        refuses rows that are not symmetric, naming the smallest node whose
+        row differs from the nodes whose rows hold it.
+        """
+        rows = tuple(rows)
+        n = len(rows)
+        checked = []
+        for v, row in enumerate(rows):
+            if isinstance(row, (str, bytes, bytearray)):
+                row = None  # it would iterate into characters or small ints
+            try:
+                row = tuple(row)
+            except TypeError:
+                raise BadParams(f"row of node {v} is not a sequence of ids") from None
+            for w in row:
+                if type(w) is not int:
+                    raise BadParams(f"row of node {v} holds id {w!r}, which is not an int")
+                if not 0 <= w < n:
+                    raise BadParams(f"row of node {v} holds id {w} outside 0..{n - 1}")
+            if any(a >= b for a, b in zip(row, row[1:])):
+                raise BadParams(f"row of node {v} is not strictly ascending: {row}")
+            if v in row:
+                raise BadParams(f"row of node {v} holds its own id")
+            checked.append(row)
+        holders: list[list[int]] = [[] for _ in range(n)]
+        for v, row in enumerate(checked):
+            for w in row:
+                holders[w].append(v)  # ascending, since v is
+        for v, row in enumerate(checked):
+            if list(row) != holders[v]:
+                w = min(set(row).symmetric_difference(holders[v]))
+                raise BadParams(f"rows are not symmetric: row of node {v} and row of "
+                                f"node {w} disagree on edge {normalize_edge(v, w)}")
+        return Graph(n, tuple(checked))
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -79,9 +130,9 @@ class Ball:
     its own and no record of which members lie on its rim.
 
     Balls are built by ball_inputs from a Graph, whose rows from_edges,
-    load_graph and gen_graph validate, so the induced subgraph is symmetric
-    by construction.  A bare Graph(n, rows) is trusted input: nothing checks
-    its rows, as no protocol entry point checks the rows it is given.
+    from_rows, load_graph and gen_graph validate, so the induced subgraph
+    is symmetric by construction.  A bare Graph(n, rows) is trusted input:
+    nothing checks its rows, so raw rows enter through Graph.from_rows.
     """
 
     center: int
@@ -444,7 +495,8 @@ def _gen_gnp(n, rng, params):
     if not isinstance(q, (int, float)) or not 0 <= q <= 1:
         raise BadParams(f"edge probability q={q!r} outside [0, 1]")
     _check_pairs(n)
-    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < q]
+    draw = rng.random
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < q]
 
 
 def _gen_random_forest(n, rng, params):

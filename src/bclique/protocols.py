@@ -17,7 +17,9 @@
   node reads the same spanning forest off the peel with merge_step, the
   forest protocol's merge.
 
-Node inputs are the plain rows and balls of clique.adjacency_inputs and
+The adjacency entry points take a Graph, whose rows its constructors have
+validated (raw rows enter through Graph.from_rows), and the engine hands
+node v only g.rows[v]; connectivity_one_round_r takes the balls of
 clique.ball_inputs.  A protocol object holds only constants of the run, and
 its deliver is a function of (public knowledge, message vector), so a run
 leaves the object as it found it and a replay of a transcript is a fold of
@@ -161,24 +163,20 @@ class _SpanningForestProtocol(Protocol):
         return len({labels[u] for u, m in enumerate(messages) if len(m.ids) == cap}) <= 1
 
 
-def _refuse_out_of_range_ids(rows: Sequence[tuple[int, ...]]) -> None:
-    """Raise BadParams naming the first node whose row holds an id outside
-    0..n-1; spanning_forest_multiround calls this before the run when the
-    min or max of all row ids is out of range."""
-    n = len(rows)
-    for v, row in enumerate(rows):
-        for w in row:
-            if not 0 <= w < n:
-                raise BadParams(f"row of node {v} holds id {w} outside 0..{n - 1}")
+def _require_graph(g, entry: str) -> None:
+    """Refuse anything but a Graph as an adjacency entry point's input."""
+    if not isinstance(g, Graph):
+        raise BadParams(f"{entry} takes a Graph, not {type(g).__name__}; "
+                        f"build one from raw rows with Graph.from_rows")
 
 
-def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
-    """Connected components and a spanning forest in at most ceil(1/eps)
-    rounds of at most ceil(n**eps) announced neighbors per node.
+def spanning_forest_multiround(g: Graph, eps):
+    """Connected components and a spanning forest of g in at most
+    ceil(1/eps) rounds of at most ceil(n**eps) announced neighbors per node.
 
-    rows[v] is node v's sorted neighbor row (clique.adjacency_inputs), which
-    never holds v itself, so the first neighbor met in a supernode is its
-    smallest, the one announced.
+    Node v holds g.rows[v], its sorted neighbor row, which never holds v
+    itself, so the first neighbor met in a supernode is its smallest, the
+    one announced.  Anything but a Graph raises BadParams.
 
     eps is an exact rational in (0, 1]; pass a Fraction, an int, or a
     string such as "1/3" (floats are refused to keep round and cap counts
@@ -189,15 +187,12 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
     label, or no node did (see _SpanningForestProtocol.proved_done).  A node
     that announced fewer ids than the cap met every foreign supernode of
     its row, so only two full senders can still be adjacent across
-    supernodes.  This relies on the rows being symmetric, as a graph's rows
-    are.  If the run uses all ceil(1/eps) rounds without that proof and
-    some node still has a neighbor in another supernode, it raises
-    RoundBudgetExceeded.
-
-    A row id below 0 or of n or more raises BadParams naming its node.  The
-    min and max of the set of all row ids find such an id before the run,
-    so the well-formed path pays only C-level passes for the check.
+    supernodes.  This relies on the rows being symmetric, which a Graph's
+    constructors guarantee.  If the run uses all ceil(1/eps) rounds without
+    that proof and some node still has a neighbor in another supernode, it
+    raises RoundBudgetExceeded.
     """
+    _require_graph(g, "spanning_forest_multiround")
     if isinstance(eps, float):
         raise TypeError("pass eps as Fraction, int, or string, not float")
     try:
@@ -208,10 +203,7 @@ def spanning_forest_multiround(rows: Sequence[tuple[int, ...]], eps):
         raise BadParams("eps must be in (0, 1]")
     if eps.numerator > MAX_EPS_NUMERATOR:
         raise BadParams(f"eps numerator {eps.numerator} exceeds {MAX_EPS_NUMERATOR}")
-    n = len(rows)
-    ids = set().union(*rows)
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        _refuse_out_of_range_ids(rows)
+    n, rows = g.n, g.rows
     budget = forest_round_budget(eps)
     proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget)
     (labels, forest), transcript = run_protocol(proto, rows)
@@ -314,6 +306,7 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
     sequence: list[tuple[int, tuple[int, ...]]] = []
     heappop, heappush = heapq.heappop, heapq.heappush
     decode_support = sketch.decode_support
+    powers = params.powers
     while eligible:
         k = heappop(eligible)
         if degrees[k]:
@@ -327,7 +320,7 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
         else:
             nbrs = ()
         live[k] = False
-        basis_k = sketch.encode_basis(params, k)
+        basis_k = powers[k]  # encode_basis without its range check: k is a node id
         for j in nbrs:
             if not live[j]:
                 raise InvalidTranscript(f"node {k} decoded dead or self neighbor {j}")
@@ -359,10 +352,18 @@ class _PruneProtocol(Protocol):
         return peel_from_messages(messages, self.params), True
 
 
-def prune_one_round(rows: Sequence[tuple[int, ...]], d: int):
-    """One broadcast round of (degree, sketch), then a shared local peel.
+def prune_one_round(g: Graph, d: int):
+    """One broadcast round of (degree, sketch) over g's rows, then a shared
+    local peel.
 
-    d outside 0..len(rows) raises BadParams, from the sketch parameters."""
+    Anything but a Graph raises BadParams, as does d outside 0..g.n, from
+    the sketch parameters."""
+    _require_graph(g, "prune_one_round")
+    return _prune_rows(g.rows, d)
+
+
+def _prune_rows(rows, d: int):
+    """prune_one_round on rows taken on trust, with no type check."""
     return run_protocol(_PruneProtocol(sketch.cached_params(len(rows), d)), rows)
 
 
@@ -392,6 +393,10 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     Kruskal in ascending edge order, the same merge the forest protocol runs,
     and no call to the components_and_forest oracle it is checked against.
     It reads only the peel's sequence, so it never builds the graph.
+
+    The short-cycle-free rows go to the prune engine without Graph.from_rows
+    or a Graph: each is part of a validated graph's row, cut by
+    tilde_global's rule, which keeps or drops an edge at both of its ends.
     """
     if r < 1:
         raise BadParams("r must be >= 1")
@@ -399,8 +404,7 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
         if b.center != v or b.radius != r:
             raise BadParams(f"input {v} is not the radius-{r} ball of node {v}")
     s = sparsity_parameter(len(balls), r)
-    rows = [tilde_row_local(b) for b in balls]
-    peel, transcript = prune_one_round(rows, s)
+    peel, transcript = _prune_rows([tilde_row_local(b) for b in balls], s)
     if peel.remaining:
         raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")
     labels, forest = merge_step(tuple(range(len(balls))), (), peel.sequence)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import sketch
-from .clique import adjacency_inputs, ball_inputs
+from .clique import ball_inputs
 from .errors import BcliqueError
 from .graph import (
     Graph,
@@ -201,11 +201,11 @@ def _check_cases(run, cases):
 
 
 def _run_prune(g, d):
-    return prune_ok(g, d, *prune_one_round(adjacency_inputs(g), d))
+    return prune_ok(g, d, *prune_one_round(g, d))
 
 
 def _run_forest(g, eps):
-    return forest_ok(g, eps, *spanning_forest_multiround(adjacency_inputs(g), eps))
+    return forest_ok(g, eps, *spanning_forest_multiround(g, eps))
 
 
 def _run_one_round(g, r):

@@ -146,13 +146,12 @@ class ReferenceForestProtocol(_SpanningForestProtocol):
         return merge_step(*known, enumerate([m.ids for m in messages])), False
 
 
-def reference_spanning_forest(rows, eps):
+def reference_spanning_forest(g: Graph, eps):
     """spanning_forest_multiround's (labels, sorted forest, transcript) for
-    well-formed rows, run with ReferenceForestProtocol."""
+    the graph g, run with ReferenceForestProtocol."""
     eps = Fraction(eps)
-    n = len(rows)
-    proto = ReferenceForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
-    (labels, forest), transcript = run_protocol(proto, rows)
+    proto = ReferenceForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps))
+    (labels, forest), transcript = run_protocol(proto, g.rows)
     return labels, tuple(sorted(forest)), transcript
 
 

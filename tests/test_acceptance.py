@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from bclique.cli import run_command
-from bclique.clique import adjacency_inputs, ball_inputs
+from bclique.clique import ball_inputs
 from bclique.graph import (
     components_and_forest,
     core_peel,
@@ -85,7 +85,7 @@ def test_criterion_4_prune_matches_core_peel():
         for d in range(0, 4):
             if d > g.n:
                 continue
-            result, transcript = prune_one_round(adjacency_inputs(g), d)
+            result, transcript = prune_one_round(g, d)
             seq, remaining = core_peel(g, d)
             assert result.sequence == seq, (tag, d)
             assert result.remaining == remaining, (tag, d)
@@ -103,7 +103,7 @@ def test_criterion_5_degenerate_reconstruction():
         d = rng.choice((1, 2, 3))
         n = rng.choice((max(d, 4), 8, 12, 16, 24, 32, 48, 64))
         g = gen_graph("random_degenerate", n, seed=idx, d=d)
-        result, _ = prune_one_round(adjacency_inputs(g), d)
+        result, _ = prune_one_round(g, d)
         assert result.fully_reconstructed, (idx, n, d)
         assert result.reconstructed == g, (idx, n, d)
     print("[acceptance] criterion 5 (reconstruction of 100 degenerate graphs): PASS")
@@ -115,7 +115,7 @@ def test_criterion_6_multiround_spanning_forest():
     for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
         budget = -(-eps.denominator // eps.numerator)
         for tag, g in graphs:
-            labels, forest, transcript = spanning_forest_multiround(adjacency_inputs(g), eps)
+            labels, forest, transcript = spanning_forest_multiround(g, eps)
             oracle_labels, _ = components_and_forest(g)
             assert transcript.rounds_used <= budget, (tag, eps)
             assert labels == oracle_labels, (tag, eps)

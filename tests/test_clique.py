@@ -22,6 +22,12 @@ from bclique.sketch import cached_params
 from conftest import shuffled_run
 
 
+def test_adjacency_inputs_are_the_graph():
+    # the adjacency model's input is the graph; node v holds row v
+    g = gen_graph("gnp", 12, seed=5, q=0.3)
+    assert adjacency_inputs(g) is g
+
+
 def test_message_bits_examples():
     assert message_bits(NeighborList((1, 4, 7), 0), n=9) == 16
     assert message_bits(NeighborList((), 0), n=9) == 4
@@ -70,12 +76,12 @@ def test_broadcast_symmetry_and_transcript_shape():
 def test_run_protocol_is_deterministic_and_order_free():
     g = gen_graph("gnp", 12, seed=5, q=0.3)
     params = cached_params(12, 2)
-    out0, tr0 = run_protocol(_PruneProtocol(params), adjacency_inputs(g))
-    out1, tr1 = run_protocol(_PruneProtocol(params), adjacency_inputs(g))
+    out0, tr0 = run_protocol(_PruneProtocol(params), g.rows)
+    out1, tr1 = run_protocol(_PruneProtocol(params), g.rows)
     assert out0 == out1 and tr0 == tr1
     # no message may depend on the order in which the nodes compute theirs
     for seed in (3, 4):
-        out2, tr2 = shuffled_run(_PruneProtocol(params), adjacency_inputs(g), seed)
+        out2, tr2 = shuffled_run(_PruneProtocol(params), g.rows, seed)
         assert out2 == out0 and tr2 == tr0
         assert json.dumps(tr2.to_json_dict()) == json.dumps(tr0.to_json_dict())
 

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 
 from bclique.cli import run_command
-from bclique.clique import adjacency_inputs, ball_inputs
+from bclique.clique import ball_inputs
 from bclique.protocols import connectivity_one_round_r, prune_one_round, spanning_forest_multiround
 from bclique.verify import one_round_corpus, protocol_corpus
 
@@ -48,12 +48,11 @@ def _line(kind, tag, param, output, transcript):
 def _protocol_lines(forest_protocol):
     lines = []
     for tag, g in protocol_corpus(30, (2, 3, 5, 8, 13, 21, 34, 55), base_seed=2024):
-        rows = adjacency_inputs(g)
         for d in range(min(3, g.n) + 1):
-            result, transcript = prune_one_round(rows, d)
+            result, transcript = prune_one_round(g, d)
             lines.append(_line("prune", tag, d, _prune_doc(result), transcript))
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
-            labels, forest, transcript = forest_protocol(rows, eps)
+            labels, forest, transcript = forest_protocol(g, eps)
             lines.append(_line("forest", tag, eps, [labels, forest], transcript))
     for r in (1, 2, 3):
         for tag, g in one_round_corpus(r, 8, base_seed=2024):

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bclique import graph, verify
@@ -131,6 +131,71 @@ def test_serialize_round_trip(idx):
 def test_serialize_is_sorted():
     g = Graph.from_edges(4, [(3, 2), (1, 0), (0, 3)])
     assert serialize_graph(g) == "4\n0 1\n0 3\n2 3\n"
+
+
+# --- Graph.from_rows -----------------------------------------------------------
+
+@pytest.mark.parametrize("rows, message", [
+    ([(0, 1), (0,)], "row of node 0 holds its own id"),
+    ([(1,), ()], r"row of node 0 and row of node 1 disagree on edge \(0, 1\)"),
+    ([(1, 2, 3), (), (), ()], r"row of node 0 and row of node 1 disagree on edge \(0, 1\)"),
+    ([(2, 1), (0,), (0,)], r"row of node 0 is not strictly ascending: \(2, 1\)"),
+    ([(1, 1), (0,)], r"row of node 0 is not strictly ascending: \(1, 1\)"),
+    ([(1.0,), (0,)], "row of node 0 holds id 1.0, which is not an int"),
+    ([(1,), (0,), ("1",)], "row of node 2 holds id '1', which is not an int"),
+    ([(1,), (True,)], "row of node 1 holds id True, which is not an int"),
+    ([(1,), (0, 2), (1, 2)], "row of node 2 holds its own id"),
+    ([(), (2,), ()], r"row of node 1 and row of node 2 disagree on edge \(1, 2\)"),
+    ([(), (0,), (1,)], r"row of node 0 and row of node 1 disagree on edge \(0, 1\)"),
+    ([(), 5], "row of node 1 is not a sequence of ids"),
+    (["", ""], "row of node 0 is not a sequence of ids"),
+    ([b"\x01", b"\x00"], "row of node 0 is not a sequence of ids"),
+])
+def test_from_rows_names_the_first_bad_node(rows, message):
+    with pytest.raises(BadParams, match=message):
+        Graph.from_rows(rows)
+
+
+@st.composite
+def edge_lists(draw, min_n=0):
+    """(n, edges) of a simple graph on at most 9 nodes, each edge in either
+    orientation."""
+    n = draw(st.integers(min_value=min_n, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, [e if draw(st.booleans()) else e[::-1] for e in edges]
+
+
+@given(edge_lists())
+@settings(max_examples=100, deadline=None)
+def test_from_rows_rebuilds_a_graph_from_its_rows(graph_edges):
+    g = Graph.from_edges(*graph_edges)
+    assert Graph.from_rows(g.rows) == g
+    assert Graph.from_rows([list(row) for row in g.rows]) == g
+
+
+@given(edge_lists(min_n=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_rows_refuses_every_one_id_mutation(graph_edges, data):
+    # inserting, deleting or replacing one id of one valid row breaks the
+    # order, the range, the type, the self rule or the symmetry
+    rows = [list(row) for row in Graph.from_edges(*graph_edges).rows]
+    n = len(rows)
+    row = data.draw(st.sampled_from(rows))
+    new_id = data.draw(st.integers(min_value=-2, max_value=n + 1)
+                       | st.sampled_from([1.0, "1", True, None]))
+    kind = data.draw(st.sampled_from(("insert", "delete", "replace") if row else ("insert",)))
+    if kind == "insert":
+        row.insert(data.draw(st.integers(min_value=0, max_value=len(row))), new_id)
+    else:
+        i = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+        if kind == "delete":
+            del row[i]
+        else:
+            assume(not (type(new_id) is int and new_id == row[i]))
+            row[i] = new_id
+    with pytest.raises(BadParams):
+        Graph.from_rows(rows)
 
 
 # --- components + forest oracle ------------------------------------------------
