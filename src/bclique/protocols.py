@@ -60,21 +60,38 @@ def forest_neighbor_cap(n: int, eps: Fraction) -> int:
     return max(1, pow_ceil(n, eps))
 
 
-def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
+# Longest id list that merge_step tests for a sender by scanning it; a longer
+# list is tested through a set of its ids, built at most once per call, so a
+# dense row costs linear time, not time quadratic in its length.
+SCAN_MAX = 16
+
+
+def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
+               ids_of: Sequence[Sequence[int]]):
     """Merge supernodes joined by announced edges and return the new
     (labels, forest).
 
-    announced holds (node, ids) pairs: node announced an edge to each id.
-    An edge may be announced more than once, from either end.  Each edge
-    (u, v), u < v, is packed into one int u << s | v with
-    s = len(labels).bit_length(), so v < 2**s and the ints sort in
-    ascending edge order; this is the only place keys are packed.
-    labels[v] is the minimum member id of v's supernode; forest holds the
-    original-graph edges whose announcement caused a merge, so it stays
-    acyclic.  Edges are processed in ascending edge order; each one joining
-    two distinct supernodes goes into the forest.  From singleton labels
-    and every edge of a graph, this is Kruskal's algorithm in ascending
-    edge order: the graph's components and canonical spanning forest.
+    ids_of[u] is the ascending sequence of ids node u announced an edge
+    to, one entry per node: a forest round's message vector, or the
+    peel's neighborhoods.  An edge may be announced from one end or from
+    both.  labels[v] is the minimum member id of v's supernode; forest
+    holds the original-graph edges whose announcement caused a merge, so
+    it stays acyclic.  Edges are processed in ascending edge order; each
+    one joining two distinct supernodes goes into the forest.  From
+    singleton labels and every edge of a graph, this is Kruskal's
+    algorithm in ascending edge order: the graph's components and
+    canonical spanning forest.
+
+    Ascending edge order is the order of one sweep over the senders u in
+    ascending order, each with its ids above u in ascending order, so the
+    edges need no sort.  Only the edges announced by their upper end alone
+    are missing from that sweep.
+    A first pass finds them: a sender x and an id w < x form one when x is
+    not among w's ids, tested by a scan of a list of at most SCAN_MAX ids
+    and through a set of the ids of a longer one.  It buckets x under w,
+    in ascending order since the senders are taken in order, and the
+    sweep merges w's bucket into w's ids.  Each announced id is read a
+    bounded number of times, so the cost is linear in the announced ids.
 
     The union-find runs over the labels themselves: parent is indexed by
     label, finds halve their paths, and a union links the larger root under
@@ -85,23 +102,36 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...], announced):
     """
     parent = list(range(len(labels)))
     forest = list(forest)
-    s = len(labels).bit_length()
-    low = (1 << s) - 1
-    keys = {u << s | w if u < w else w << s | u for u, ids in announced for w in ids}
-    for key in sorted(keys):
-        u = key >> s
-        v = key & low
-        a, b = labels[u], labels[v]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            if a < b:
-                parent[b] = a
-            else:
-                parent[a] = b
-            forest.append((u, v))
+    upper_only: dict[int, list[int]] = {}
+    id_sets: dict[int, set[int]] = {}
+    for x, ids in enumerate(ids_of):
+        for w in ids:
+            if w >= x:
+                break
+            row = ids_of[w]
+            if len(row) > SCAN_MAX:
+                row = id_sets.get(w)
+                if row is None:
+                    row = id_sets[w] = set(ids_of[w])
+            if x not in row:
+                upper_only.setdefault(w, []).append(x)
+    for u, ids in enumerate(ids_of):
+        if u in upper_only:
+            ids = sorted([*ids, *upper_only[u]])  # two ascending runs
+        for v in ids:
+            if v <= u:
+                continue
+            a, b = labels[u], labels[v]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+                forest.append((u, v))
     for x in range(len(parent)):  # parent[x] <= x already points at its root
         parent[x] = parent[parent[x]]
     return tuple([parent[lbl] for lbl in labels]), tuple(forest)
@@ -145,7 +175,7 @@ class _SpanningForestProtocol(Protocol):
         that no edge joins two supernodes (proved_done)."""
         if known is None:
             known = tuple(range(len(messages))), ()
-        labels, forest = merge_step(*known, enumerate([m.ids for m in messages]))
+        labels, forest = merge_step(*known, [m.ids for m in messages])
         return (labels, forest), self.proved_done(labels, messages)
 
     def proved_done(self, labels, messages) -> bool:
@@ -389,10 +419,12 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     ball, without communication; prune_one_round at s = sparsity_parameter(n, r)
     then peels that subgraph to empty, so every node holds it whole and reads
     the forest off it.  The read-off is merge_step on singleton labels with
-    every edge of the peel, each recorded once from its earlier-peeled end:
-    Kruskal in ascending edge order, the same merge the forest protocol runs,
-    and no call to the components_and_forest oracle it is checked against.
-    It reads only the peel's sequence, so it never builds the graph.
+    each node's residual neighborhood from the peel, ascending as
+    decode_support returns it, which holds every edge once, from its
+    earlier-peeled end: Kruskal in ascending edge order, the same merge the
+    forest protocol runs, and no call to the components_and_forest oracle it
+    is checked against.  It reads only the peel's sequence, so it never
+    builds the graph.
 
     The short-cycle-free rows go to the prune engine without Graph.from_rows
     or a Graph: each is part of a validated graph's row, cut by
@@ -407,5 +439,8 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     peel, transcript = _prune_rows([tilde_row_local(b) for b in balls], s)
     if peel.remaining:
         raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")
-    labels, forest = merge_step(tuple(range(len(balls))), (), peel.sequence)
+    ids_of: list[tuple[int, ...]] = [()] * len(balls)
+    for k, nbrs in peel.sequence:
+        ids_of[k] = nbrs
+    labels, forest = merge_step(tuple(range(len(balls))), (), ids_of)
     return labels, forest, transcript

@@ -13,9 +13,8 @@ import networkx as nx
 
 from bclique.clique import Transcript, run_protocol
 from bclique.errors import BadParams, NotDecodable, WeightMismatch
-from bclique.graph import Graph, gen_graph, normalize_edge
-from bclique.protocols import (_SpanningForestProtocol, forest_neighbor_cap,
-                               forest_round_budget, merge_step)
+from bclique.graph import Graph, _UnionFind, gen_graph, normalize_edge
+from bclique.protocols import _SpanningForestProtocol, forest_neighbor_cap, forest_round_budget
 from bclique.sketch import FieldElement, SketchParams
 
 
@@ -132,18 +131,34 @@ def shuffled_run(proto, inputs, seed):
     return known, Transcript(tuple(rounds))
 
 
+# Reference for merge_step: a size-linked union-find over node ids, with a
+# dict that maps each root to the first node met in id order.  It takes the
+# announced (u, w) pairs one at a time, normalizes and sorts them, and never
+# reads them grouped by announcing node.
+def reference_merge_step(labels, forest, announced):
+    uf = _UnionFind(len(labels))
+    forest = list(forest)
+    for u, v in sorted({normalize_edge(u, w) for u, w in announced}):
+        if uf.union(labels[u], labels[v]):
+            forest.append((u, v))
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels)), tuple(forest)
+
+
 class ReferenceForestProtocol(_SpanningForestProtocol):
     """Reference for the forest protocol's halting rule: its former
     deliver, which halts only on a round in which nothing was announced.
     Every run that merges anything thus ends with one more round of empty
-    messages, which the current rule proves unnecessary."""
+    messages, which the current rule proves unnecessary.  It merges with
+    reference_merge_step, not with the merge it is checked against."""
 
     def deliver(self, known, messages):
         if known is None:
             known = tuple(range(len(messages))), ()
         if not any(m.ids for m in messages):
             return known, True
-        return merge_step(*known, enumerate([m.ids for m in messages])), False
+        pairs = [(u, w) for u, m in enumerate(messages) for w in m.ids]
+        return reference_merge_step(*known, pairs), False
 
 
 def reference_spanning_forest(g: Graph, eps):

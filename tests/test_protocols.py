@@ -20,15 +20,14 @@ from bclique.errors import (BadParams, DegeneracyExceeded, InvalidTranscript, No
                             RoundBudgetExceeded, WeightMismatch)
 from bclique.graph import (
     Graph,
-    _UnionFind,
     components_and_forest,
     core_peel,
     gen_graph,
-    normalize_edge,
     tilde_global,
 )
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
+    SCAN_MAX,
     PruningResult,
     _SpanningForestProtocol,
     connectivity_one_round_r,
@@ -44,84 +43,122 @@ from bclique.sketch import cached_params, encode, encode_support, sketch_bits_bo
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, forest_ok,
-                      reference_spanning_forest, seeded_graph, shuffled_run)
+                      reference_merge_step, reference_spanning_forest, seeded_graph,
+                      shuffled_run)
 
 
 # --- merge_step -----------------------------------------------------------------
 
 def test_merge_step_examples():
     singletons = ((0, 1, 2), ())
-    merged = merge_step(*singletons, [(1, (2, 0))])
+    merged = merge_step(*singletons, [(), (0, 2), ()])
     assert merged == ((0, 0, 0), ((0, 1), (1, 2)))
 
-    assert merge_step(*singletons, []) == singletons
-    assert merge_step(*singletons, [(0, ()), (2, ())]) == singletons
+    assert merge_step(*singletons, [(), (), ()]) == singletons
+    assert merge_step(*singletons, ((), (), ())) == singletons
 
-    again = merge_step(*merged, [(0, (1,))])  # cycle edge changes nothing
+    again = merge_step(*merged, [(1,), (), ()])  # cycle edge changes nothing
     assert again == merged
 
     # edges go in ascending order whichever end announced them: (0, 3)
-    # first, although node 3 announced it after (1, 3) and (2, 3)
-    assert merge_step((0, 1, 2, 3), (), [(3, (2, 1, 0)), (1, (3,))]) == (
+    # first, although only node 3 announced it, after node 1 announced (1, 3)
+    assert merge_step((0, 1, 2, 3), (), [(), (3,), (), (0, 1, 2)]) == (
         (0, 0, 0, 0), ((0, 3), (1, 3), (2, 3)))
     # two edges with no end in common leave two supernodes
-    assert merge_step((0, 1, 2, 3), (), [(2, (3,)), (0, (1,))]) == (
+    assert merge_step((0, 1, 2, 3), (), [(1,), (), (3,), ()]) == (
         (0, 0, 2, 2), ((0, 1), (2, 3)))
-
-
-# Reference for merge_step: a size-linked union-find over node ids, with a
-# dict that maps each root to the first node met in id order.  It takes the
-# announced (u, w) pairs one at a time, not grouped by announcing node.
-def reference_merge_step(labels, forest, announced):
-    uf = _UnionFind(len(labels))
-    forest = list(forest)
-    for u, v in sorted({normalize_edge(u, w) for u, w in announced}):
-        if uf.union(labels[u], labels[v]):
-            forest.append((u, v))
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels)), tuple(forest)
+    # an edge announced by its upper end alone goes in among the lower end's
+    # own ids: (0, 1) before (0, 2), which closes a cycle through the
+    # supernode {1, 2}, and (0, 3) after it
+    assert merge_step((0, 1, 1, 3), (), [(2,), (0,), (), (0,)]) == (
+        (0, 0, 0, 0), ((0, 1), (0, 3)))
 
 
 @st.composite
 def merge_chains(draw):
-    """n and 1-3 lists of announced pairs: both orientations, duplicates
-    and pairs inside one supernode all occur, in any order."""
-    n = draw(st.integers(min_value=2, max_value=40))
+    """n and 1-3 message vectors, one ascending id tuple per node.
+
+    Each vector draws a set of edges and, for each edge, the ends that
+    announce it: the lower, the upper or both.  One hub node announces a
+    list drawn around SCAN_MAX long, below, at or above it, and up to 40
+    long, so both of merge_step's membership tests run; the vectors after
+    the first merge under the labels of the step before."""
+    n = draw(st.integers(min_value=2, max_value=60))
     node = st.integers(min_value=0, max_value=n - 1)
     pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
-    steps = draw(st.lists(st.lists(pair, max_size=2 * n), min_size=1, max_size=3))
+    near = st.sampled_from((SCAN_MAX - 1, SCAN_MAX, SCAN_MAX + 1))
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        ids_of: list[set[int]] = [set() for _ in range(n)]
+        for u, w in draw(st.lists(pair, max_size=2 * n)):
+            ends = draw(st.sampled_from(("lower", "upper", "both")))
+            lo, hi = min(u, w), max(u, w)
+            if ends != "upper":
+                ids_of[lo].add(hi)
+            if ends != "lower":
+                ids_of[hi].add(lo)
+        hub = draw(node)
+        others = [w for w in range(n) if w != hub]
+        size = min(draw(st.one_of(near, st.integers(min_value=0, max_value=40))), n - 1)
+        for w in draw(st.sets(st.sampled_from(others), min_size=size, max_size=size)):
+            ids_of[hub].add(w)
+            if draw(st.booleans()):
+                ids_of[w].add(hub)
+        steps.append([tuple(sorted(ids)) for ids in ids_of])
     return n, steps
 
 
-@given(merge_chains(), st.randoms(use_true_random=False))
+@given(merge_chains())
 @settings(max_examples=300, deadline=None)
-def test_merge_step_matches_reference(case, rnd):
+@example((40, [[tuple(w for w in range(40) if w != u) for u in range(40)]]))
+@example((SCAN_MAX + 2, [[tuple(range(1, SCAN_MAX + 1))] + [(0,)] * (SCAN_MAX + 1),
+                         [(SCAN_MAX + 1,)] + [()] * (SCAN_MAX + 1)]))
+def test_merge_step_matches_reference(case):
     n, steps = case
     known = (tuple(range(n)), ())
-    for announced in steps:
-        pairs = [(u, (w,)) for u, w in announced]
-        rnd.shuffle(pairs)  # merge_step sorts; the edges arrive in any order
-        merged = merge_step(*known, pairs)
-        assert merged == reference_merge_step(*known, announced)
-        # grouped by announcing node, as a message vector delivers them
-        grouped: dict[int, list[int]] = {}
-        for u, w in announced:
-            grouped.setdefault(u, []).append(w)
-        assert merge_step(*known, grouped.items()) == merged
+    for ids_of in steps:
+        merged = merge_step(*known, ids_of)
+        pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
+        assert merged == reference_merge_step(*known, pairs)
         labels = merged[0]
         for v in range(n):
             assert labels[v] == min(u for u in range(n) if labels[u] == labels[v])
         known = merged
 
 
+class _NoScan(tuple):
+    """An id tuple that refuses to be scanned for membership."""
+
+    def __contains__(self, x):
+        raise AssertionError("a long id list was scanned")
+
+
+@pytest.mark.parametrize("size", [SCAN_MAX + 1, 2 * SCAN_MAX])
+def test_merge_step_tests_long_lists_through_a_set(size):
+    # node 0 announces 1..size; nodes 1..size + 4 announce 0, so the upper
+    # ends in 0's list are found there and the four beyond it are not.  A
+    # scan of 0's long list would make the test quadratic in its length
+    n = size + 5
+    ids_of = [_NoScan(range(1, size + 1))] + [(0,)] * (n - 1)
+    pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
+    singletons = (tuple(range(n)), ())
+    assert merge_step(*singletons, ids_of) == reference_merge_step(*singletons, pairs)
+
+
 def test_merge_step_from_singletons_is_the_oracle_forest():
     # one-round reads its answer off the peel this way: every edge once,
-    # from singleton labels, in any order
+    # from singleton labels, from either end
     for tag, g in protocol_corpus(24, (1, 2, 9, 33, 70), base_seed=31):
-        announced = [(v, (u,)) for u, v in reversed(g.edges())]
-        assert merge_step(tuple(range(g.n)), (), announced) == components_and_forest(g), tag
+        oracle = components_and_forest(g)
+        singletons = tuple(range(g.n)), ()
+        # every edge once, from its upper end
+        below = [tuple(w for w in row if w < v) for v, row in enumerate(g.rows)]
+        assert merge_step(*singletons, below) == oracle, tag
+        # every edge once, from its lower end
+        above = [tuple(w for w in row if w > v) for v, row in enumerate(g.rows)]
+        assert merge_step(*singletons, above) == oracle, tag
         # every edge twice, once from each end, as whole rows
-        assert merge_step(tuple(range(g.n)), (), enumerate(g.rows)) == components_and_forest(g), tag
+        assert merge_step(*singletons, g.rows) == oracle, tag
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -179,7 +216,7 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # with merging broken, every round announces the same foreign neighbors
     # and the run stops at its budget with nodes unfinished; in K5 at cap 3
     # every node is full, so no round proves the run done
-    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, announced: (labels, forest))
+    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, ids_of: (labels, forest))
     g = gen_graph("complete", 5)
     with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
         spanning_forest_multiround(g, Fraction(1, 2))
@@ -188,7 +225,6 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])
 @pytest.mark.parametrize("rows, node, bad", [
     ([(1,), (0, 2)], 1, 2),
-    # n = 4 packs with s = 3: key 0 << 3 | 10 decodes to the non-edge (1, 2)
     ([(10,), (), (), ()], 0, 10),
     ([(1,), (0, 1 << 40)], 1, 1 << 40),
     # at eps 1 the cap of 4 leaves 2 and 9 unannounced: no round reads 9
