@@ -50,7 +50,6 @@ from .graph import (
 from .protocols import (
     PruningResult,
     connectivity_one_round_r,
-    merge_step,
     peel_from_messages,
     prune_one_round,
     spanning_forest_multiround,

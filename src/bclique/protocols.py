@@ -74,13 +74,16 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     ids_of[u] is the ascending sequence of ids node u announced an edge
     to, one entry per node: a forest round's message vector, or the
     peel's neighborhoods.  An edge may be announced from one end or from
-    both.  labels[v] is the minimum member id of v's supernode; forest
-    holds the original-graph edges whose announcement caused a merge, so
-    it stays acyclic.  Edges are processed in ascending edge order; each
-    one joining two distinct supernodes goes into the forest.  From
-    singleton labels and every edge of a graph, this is Kruskal's
-    algorithm in ascending edge order: the graph's components and
-    canonical spanning forest.
+    both.  An ids_of without one entry per node (an iterator included) or
+    with an id that is not an int raises BadParams.  The order of each
+    sequence is not checked, which would cost a comparison per announced
+    id: both callers build ascending sequences.  labels[v] is the minimum
+    member id of v's supernode; forest holds the original-graph edges
+    whose announcement caused a merge, so it stays acyclic.  Edges are
+    processed in ascending edge order; each one joining two distinct
+    supernodes goes into the forest.  From singleton labels and every edge
+    of a graph, this is Kruskal's algorithm in ascending edge order: the
+    graph's components and canonical spanning forest.
 
     Ascending edge order is the order of one sweep over the senders u in
     ascending order, each with its ids above u in ascending order, so the
@@ -100,40 +103,49 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     ascending pass then points every entry straight at its root, and the
     new label of v is parent[labels[v]].
     """
-    parent = list(range(len(labels)))
-    forest = list(forest)
-    upper_only: dict[int, list[int]] = {}
-    id_sets: dict[int, set[int]] = {}
-    for x, ids in enumerate(ids_of):
-        for w in ids:
-            if w >= x:
-                break
-            row = ids_of[w]
-            if len(row) > SCAN_MAX:
-                row = id_sets.get(w)
-                if row is None:
-                    row = id_sets[w] = set(ids_of[w])
-            if x not in row:
-                upper_only.setdefault(w, []).append(x)
-    for u, ids in enumerate(ids_of):
-        if u in upper_only:
-            ids = sorted([*ids, *upper_only[u]])  # two ascending runs
-        for v in ids:
-            if v <= u:
-                continue
-            a, b = labels[u], labels[v]
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-                forest.append((u, v))
-    for x in range(len(parent)):  # parent[x] <= x already points at its root
-        parent[x] = parent[parent[x]]
+    try:
+        per_node = len(ids_of) == len(labels)
+    except TypeError:  # an iterator, such as enumerate(rows)
+        per_node = False
+    if not per_node:
+        raise BadParams(f"merge_step takes one id sequence per node, {len(labels)} in all")
+    try:
+        parent = list(range(len(labels)))
+        forest = list(forest)
+        upper_only: dict[int, list[int]] = {}
+        id_sets: dict[int, set[int]] = {}
+        for x, ids in enumerate(ids_of):
+            for w in ids:
+                if w >= x:
+                    break
+                row = ids_of[w]
+                if len(row) > SCAN_MAX:
+                    row = id_sets.get(w)
+                    if row is None:
+                        row = id_sets[w] = set(ids_of[w])
+                if x not in row:
+                    upper_only.setdefault(w, []).append(x)
+        for u, ids in enumerate(ids_of):
+            if u in upper_only:
+                ids = sorted([*ids, *upper_only[u]])  # two ascending runs
+            for v in ids:
+                if v <= u:
+                    continue
+                a, b = labels[u], labels[v]
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    if a < b:
+                        parent[b] = a
+                    else:
+                        parent[a] = b
+                    forest.append((u, v))
+        for x in range(len(parent)):  # parent[x] <= x already points at its root
+            parent[x] = parent[parent[x]]
+    except TypeError:  # an id that is not an int, such as an (id, row) pair
+        raise BadParams("merge_step takes ascending int ids in each node's sequence") from None
     return tuple([parent[lbl] for lbl in labels]), tuple(forest)
 
 

@@ -74,6 +74,18 @@ def test_merge_step_examples():
         (0, 0, 0, 0), ((0, 1), (0, 3)))
 
 
+@pytest.mark.parametrize("ids_of", [
+    pytest.param(lambda rows: enumerate(rows), id="iterator"),
+    pytest.param(lambda rows: list(enumerate(rows)), id="id-row-pairs"),
+    pytest.param(lambda rows: rows[:2], id="too-short"),
+    pytest.param(lambda rows: [*rows, ()], id="too-long"),
+])
+def test_merge_step_refuses_a_vector_not_one_id_sequence_per_node(ids_of):
+    rows = [(1,), (0, 2), (1,)]
+    with pytest.raises(BadParams, match="merge_step takes"):
+        merge_step((0, 1, 2), (), ids_of(rows))
+
+
 @st.composite
 def merge_chains(draw):
     """n and 1-3 message vectors, one ascending id tuple per node.
