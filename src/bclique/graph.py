@@ -288,10 +288,11 @@ def ball_inputs(g: Graph, r: int) -> list[Ball]:
     to any ball, since no later pass can, so a radius far past the diameter
     costs no more than the diameter.  The masks take n bits per ball, n**2
     bits in all, so graphs with more than MAX_PAIRS node pairs (n > 3162)
-    are refused before anything is allocated.
+    are refused before anything is allocated.  r must be an int (bools and
+    floats such as 2.0 are refused).
     """
-    if r < 1:
-        raise BadParams("radius must be >= 1")
+    if type(r) is not int or r < 1:
+        raise BadParams(f"radius must be an int >= 1, not {r!r}")
     _check_pairs(g.n)
     rows = g.rows
     nbrs = neighbor_masks(g)

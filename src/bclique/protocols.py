@@ -6,7 +6,9 @@
   most ceil(n**eps) ids.  Each round's merge is merge_step, one Kruskal pass
   over the announced edges.  The run halts in the round whose merge leaves
   all full senders (nodes that announced the full cap of ids) in one
-  supernode, which proves no edge joins two supernodes.
+  supernode, which proves no edge joins two supernodes.  A round with no
+  full sender also merges without merge_step's search for edges announced
+  by their upper end alone, none of which Kruskal would take.
 * prune_one_round: one broadcast of (degree, sketched neighbor row) per node,
   then everyone peels low-degree nodes locally, editing the remaining
   sketches through linearity.
@@ -67,7 +69,7 @@ SCAN_MAX = 16
 
 
 def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
-               ids_of: Sequence[Sequence[int]]):
+               ids_of: Sequence[Sequence[int]], find_upper_only: bool = True):
     """Merge supernodes joined by announced edges and return the new
     (labels, forest).
 
@@ -96,6 +98,22 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     sweep merges w's bucket into w's ids.  Each announced id is read a
     bounded number of times, so the cost is linear in the announced ids.
 
+    find_upper_only=False skips that pass, which is exact when Kruskal over
+    all the announced edges takes none of the edges it would find.  That
+    holds in a forest round with no full sender (one that announced cap
+    ids).  Say x alone announced (w, x), w < x, and w is not full.  A
+    sender that is not full announced its smallest neighbor in every
+    foreign supernode its row meets, and x is such a neighbor of w (x
+    announced w, so their labels differ), so w announced some x' in x's
+    supernode with x' <= x, and x' != x since w did not announce x.  Edge
+    {w, x'} comes before (w, x) in ascending edge order, and x' and x share
+    a label, so Kruskal finds w and x joined and never takes (w, x).
+    Dropping edges that Kruskal never takes changes neither labels nor
+    forest: every edge it does take meets the same union-find state.  In
+    round 0 such edges do not occur at all, since a sender that is not
+    full announced its whole row.  The one-round read-off keeps the pass:
+    its neighborhoods hold each edge once, from its earlier-peeled end.
+
     The union-find runs over the labels themselves: parent is indexed by
     label, finds halve their paths, and a union links the larger root under
     the smaller.  So parent[x] <= x throughout, and the root of each merged
@@ -114,17 +132,18 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
         forest = list(forest)
         upper_only: dict[int, list[int]] = {}
         id_sets: dict[int, set[int]] = {}
-        for x, ids in enumerate(ids_of):
-            for w in ids:
-                if w >= x:
-                    break
-                row = ids_of[w]
-                if len(row) > SCAN_MAX:
-                    row = id_sets.get(w)
-                    if row is None:
-                        row = id_sets[w] = set(ids_of[w])
-                if x not in row:
-                    upper_only.setdefault(w, []).append(x)
+        if find_upper_only:
+            for x, ids in enumerate(ids_of):
+                for w in ids:
+                    if w >= x:
+                        break
+                    row = ids_of[w]
+                    if len(row) > SCAN_MAX:
+                        row = id_sets.get(w)
+                        if row is None:
+                            row = id_sets[w] = set(ids_of[w])
+                    if x not in row:
+                        upper_only.setdefault(w, []).append(x)
         for u, ids in enumerate(ids_of):
             if u in upper_only:
                 ids = sorted([*ids, *upper_only[u]])  # two ascending runs
@@ -184,25 +203,43 @@ class _SpanningForestProtocol(Protocol):
 
     def deliver(self, known, messages):
         """Merge the announced edges; halt when the merged labels prove
-        that no edge joins two supernodes (proved_done)."""
+        that no edge joins two supernodes (proved_done).
+
+        The full senders are found once, for both uses.  In a round with
+        none, an edge that only its upper end announced has a lower end
+        that is not full, so Kruskal never takes it, and merge_step skips
+        the pass that looks for such edges (see merge_step for the proof).
+        """
         if known is None:
             known = tuple(range(len(messages))), ()
-        labels, forest = merge_step(*known, [m.ids for m in messages])
-        return (labels, forest), self.proved_done(labels, messages)
+        full = self.full_senders(messages)
+        labels, forest = merge_step(*known, [m.ids for m in messages],
+                                    find_upper_only=bool(full))
+        return (labels, forest), self.proved_done(labels, messages, full)
 
-    def proved_done(self, labels, messages) -> bool:
+    def full_senders(self, messages) -> list[int]:
+        """The nodes whose message holds cap ids, ascending."""
+        cap = self.cap
+        return [u for u, m in enumerate(messages) if len(m.ids) == cap]
+
+    def proved_done(self, labels, messages, full=None) -> bool:
         """Whether labels, merged from the announcements in messages, prove
-        that no edge joins two supernodes.
+        that no edge joins two supernodes.  full, when given, is
+        full_senders(messages), already found.
 
         Call a sender full when its message holds cap ids.  A sender that
         is not full announced a neighbor in every foreign supernode its row
         meets, so the merge joins all of them to its own.  Hence an edge
         between two supernodes after the merge joins two full senders (rows
         are symmetric), and the run is done when every full sender has the
-        same merged label, or when no sender is full.
+        same merged label, or when no sender is full.  The same fact lets a
+        round with no full sender merge without looking for edges that only
+        their upper end announced: each has a lower end that is not full,
+        which announced an earlier edge into the upper end's supernode.
         """
-        cap = self.cap
-        return len({labels[u] for u, m in enumerate(messages) if len(m.ids) == cap}) <= 1
+        if full is None:
+            full = self.full_senders(messages)
+        return len({labels[u] for u in full}) <= 1
 
 
 def _require_graph(g, entry: str) -> None:
@@ -398,8 +435,9 @@ def prune_one_round(g: Graph, d: int):
     """One broadcast round of (degree, sketch) over g's rows, then a shared
     local peel.
 
-    Anything but a Graph raises BadParams, as does d outside 0..g.n, from
-    the sketch parameters."""
+    Anything but a Graph raises BadParams, as does a d that is not an int
+    or lies outside 0..g.n, from the sketch parameters, which are keyed by
+    type, so a warm cache refuses d = 2.0 as a cold one does."""
     _require_graph(g, "prune_one_round")
     return _prune_rows(g.rows, d)
 
@@ -415,7 +453,10 @@ def sparsity_parameter(n: int, r: int) -> int:
     A graph on n nodes without cycles of length <= 2r cannot have a
     subgraph of minimum degree s + 1 (its radius-r tree would already hold
     more than s**r >= n nodes), so peeling at bound s always finishes.
+    n and r must be ints (bools and floats such as 2.0 are refused).
     """
+    if type(n) is not int or type(r) is not int:
+        raise BadParams(f"n and r must be ints, not {n!r} and {r!r}")
     if n < 1:
         raise BadParams("n must be >= 1")
     if r < 1:
@@ -441,9 +482,11 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     The short-cycle-free rows go to the prune engine without Graph.from_rows
     or a Graph: each is part of a validated graph's row, cut by
     tilde_global's rule, which keeps or drops an edge at both of its ends.
+    An r that is not an int (a bool, or a float such as 2.0, which a
+    ball's radius compares equal to) raises BadParams.
     """
-    if r < 1:
-        raise BadParams("r must be >= 1")
+    if type(r) is not int or r < 1:
+        raise BadParams(f"r must be an int >= 1, not {r!r}")
     for v, b in enumerate(balls):
         if b.center != v or b.radius != r:
             raise BadParams(f"input {v} is not the radius-{r} ball of node {v}")

@@ -179,7 +179,10 @@ def build_params(n: int, d: int) -> SketchParams:
     evaluation point under which all Boolean vectors of weight <= d map to
     distinct field elements.  The search always terminates: the number of
     pairwise difference polynomials times their degree stays below p.
+    n and d must be ints (bools and floats such as 2.0 are refused).
     """
+    if type(n) is not int or type(d) is not int:
+        raise BadParams(f"n and d must be ints, not {n!r} and {d!r}")
     if n < 1:
         raise BadParams("n must be >= 1")
     if n > graph.MAX_NODES:
@@ -220,8 +223,12 @@ def build_params(n: int, d: int) -> SketchParams:
 
 
 # Protocols share parameter sets per (n, d); building them is deterministic,
-# so caching is observationally pure.
-cached_params = lru_cache(maxsize=None)(build_params)
+# so caching is observationally pure.  typed=True keys on the argument types
+# too: 2.0 and True hash and compare equal to 2 and 1, so an untyped cache
+# would return the int shape's parameters for them once that shape is
+# cached, while build_params refuses them on a cold cache.  Keyed by type,
+# they always reach build_params, and a refusal is never cached.
+cached_params = lru_cache(maxsize=None, typed=True)(build_params)
 
 
 def encode(params: SketchParams, v: Sequence[int]) -> FieldElement:

@@ -39,7 +39,7 @@ from bclique.protocols import (
     spanning_forest_multiround,
     sparsity_parameter,
 )
-from bclique.sketch import cached_params, encode, encode_support, sketch_bits_bound
+from bclique.sketch import build_params, cached_params, encode, encode_support, sketch_bits_bound
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, forest_ok,
@@ -157,6 +157,63 @@ def test_merge_step_tests_long_lists_through_a_set(size):
     assert merge_step(*singletons, ids_of) == reference_merge_step(*singletons, pairs)
 
 
+class _SweepOnly(_NoScan):
+    """A _NoScan tuple that counts the passes over its ids."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_merge_step_without_the_first_pass_reads_each_list_once():
+    # the forest's deliver at eps 1 on a complete graph: every node
+    # announces its whole row, below the cap, so no sender is full and the
+    # first pass is skipped; each list is read once, by the sweep, and never
+    # tested for membership or copied into a set
+    n = 2 * SCAN_MAX
+    rows = gen_graph("complete", n).rows
+    ids_of = [_SweepOnly(row) for row in rows]
+    singletons = (tuple(range(n)), ())
+    pairs = [(u, w) for u, row in enumerate(rows) for w in row]
+    assert (merge_step(*singletons, ids_of, find_upper_only=False)
+            == reference_merge_step(*singletons, pairs))
+    assert [ids.passes for ids in ids_of] == [1] * n
+    # with the pass, each list is read by it and by the sweep, and the list
+    # of every lower end, longer than SCAN_MAX, once more into a set
+    ids_of = [_SweepOnly(row) for row in rows]
+    assert merge_step(*singletons, ids_of) == reference_merge_step(*singletons, pairs)
+    assert [ids.passes for ids in ids_of] == [3] * (n - 1) + [2]
+
+
+def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeypatch):
+    # gnp n=15 at cap 2: round 0 leaves full senders in two supernodes; in
+    # round 1 no sender is full, and node 13 announces node 12, which
+    # announced its smallest neighbor in 13's supernode, 6, instead: an
+    # edge announced by its upper end alone, which the skip leaves out
+    calls = []
+
+    def spy(labels, forest, ids_of, find_upper_only=True):
+        calls.append((labels, forest, ids_of, find_upper_only))
+        return merge_step(labels, forest, ids_of, find_upper_only=find_upper_only)
+
+    monkeypatch.setattr(protocols, "merge_step", spy)
+    g = gen_graph("gnp", 15, seed=19, q=0.2)
+    proto = _SpanningForestProtocol(g.n, 2, 6)
+    merged, transcript = run_protocol(proto, g.rows)
+    assert [len(proto.full_senders(rnd)) > 0 for rnd in transcript.rounds] == [True, False]
+    assert [call[3] for call in calls] == [True, False]
+    labels, forest, ids_of, _ = calls[1]
+    assert len(set(labels)) == 3 and labels[6] == labels[13]
+    upper_only = [(w, x) for x, ids in enumerate(ids_of) for w in ids
+                  if w < x and x not in ids_of[w]]
+    assert upper_only == [(12, 13)] and ids_of[12] == (6,)
+    pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
+    assert merged == reference_merge_step(labels, forest, pairs)
+    assert merged == merge_step(labels, forest, ids_of)
+
+
 def test_merge_step_from_singletons_is_the_oracle_forest():
     # one-round reads its answer off the peel this way: every edge once,
     # from singleton labels, from either end
@@ -228,7 +285,8 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # with merging broken, every round announces the same foreign neighbors
     # and the run stops at its budget with nodes unfinished; in K5 at cap 3
     # every node is full, so no round proves the run done
-    monkeypatch.setattr(protocols, "merge_step", lambda labels, forest, ids_of: (labels, forest))
+    monkeypatch.setattr(protocols, "merge_step",
+                        lambda labels, forest, ids_of, find_upper_only=True: (labels, forest))
     g = gen_graph("complete", 5)
     with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
         spanning_forest_multiround(g, Fraction(1, 2))
@@ -798,6 +856,37 @@ def test_prune_rejects_a_bound_above_n():
     assert prune_one_round(g, 3)[0].fully_reconstructed
     with pytest.raises(BadParams, match=r"0 <= d <= n"):
         prune_one_round(g, 4)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("call, shape", [
+    pytest.param(lambda g: prune_one_round(g, 2.0), (6, 2), id="prune-float-d"),
+    pytest.param(lambda g: prune_one_round(g, True), (6, 1), id="prune-bool-d"),
+    pytest.param(lambda g: build_params(5.0, 2), (5, 2), id="build-float-n"),
+    pytest.param(lambda g: build_params(5, 2.0), (5, 2), id="build-float-d"),
+    pytest.param(lambda g: cached_params(6, 2.0), (6, 2), id="cached-float-d"),
+    pytest.param(lambda g: ball_inputs(g, 2.5), (6, 3), id="ball-float-r"),
+    pytest.param(lambda g: ball_inputs(g, 2.0), (6, 3), id="ball-integral-float-r"),
+    pytest.param(lambda g: ball_inputs(g, True), (6, 6), id="ball-bool-r"),
+    pytest.param(lambda g: connectivity_one_round_r(ball_inputs(g, 2), 2.0), (6, 3),
+                 id="one-round-float-r"),
+    pytest.param(lambda g: connectivity_one_round_r(ball_inputs(g, 1), True), (6, 6),
+                 id="one-round-bool-r"),
+    pytest.param(lambda g: sparsity_parameter(64, 2.0), (6, 3), id="sparsity-float-r"),
+    pytest.param(lambda g: sparsity_parameter(64.0, 2), (6, 3), id="sparsity-float-n"),
+])
+def test_sizes_and_radii_must_be_ints(call, shape, warm):
+    # 2.0 and True hash and compare equal to 2 and 1, so a parameter cache
+    # keyed by value alone would answer for them once the int shape is
+    # cached; the refusal must not depend on what the cache holds
+    g = gen_graph("path", 6)
+    cached_params.cache_clear()
+    if warm:
+        cached_params(*shape)
+    size = cached_params.cache_info().currsize
+    with pytest.raises(BadParams, match="must be .*ints?"):
+        call(g)
+    assert cached_params.cache_info().currsize == size  # a refusal is not cached
 
 
 def test_prune_ok_rejects_messages_above_the_bit_bound():
