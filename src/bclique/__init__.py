@@ -17,7 +17,9 @@ from .clique import (
     ball_inputs,
     make_message,
     message_bits,
+    pack,
     run_protocol,
+    unpack,
 )
 from .errors import (
     BadParams,

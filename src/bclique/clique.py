@@ -13,11 +13,20 @@ neighbor row, g.rows[v] of a validated Graph (adjacency_inputs), or its
 radius-r Ball (ball_inputs), the mask of the nodes within distance r over
 the neighbor masks that all balls of the graph share.  The engine passes
 inputs[v] to node v, so the position is the node id.
+
+A NeighborList of k ids takes ceil(log2(n+1)) + ceil(log2 C(n, k)) bits: a
+length field, then the rank of the id set in the combinatorial number
+system, since the ids are a set and their ascending order carries nothing.
+A DegreeAndSketch takes ceil(log2 n) + ceil(log2 p) bits.  pack and unpack
+are the encoding that meets these sizes: every record packs into a word
+below 2**bits, from which n and p alone read it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import BadParams
@@ -74,19 +83,153 @@ def message_bits(record: Message, n: int, p: int | None = None) -> int:
     """Exact encoded size of a message, from its kind and fields alone (the
     stored bits are ignored).
 
-    NeighborList: a length field of ceil(log2(n+1)) bits plus ceil(log2 n)
-    bits per id.  DegreeAndSketch: ceil(log2 n) bits for the degree plus
-    ceil(log2 p) bits for the field element.
+    NeighborList of k ids: a length field of ceil(log2(n+1)) bits plus
+    ceil(log2 C(n, k)) bits for the colex rank of the id set, so the ids
+    cost about k * ((1 - eps) * log2 n + 1.44) bits at k = n**eps, not
+    k * log2 n; more than n ids raise BadParams.  DegreeAndSketch:
+    ceil(log2 n) bits for the degree plus ceil(log2 p) bits for the field
+    element.
     """
     if n < 1:
         raise BadParams("node count must be >= 1")
     if isinstance(record, NeighborList):
-        return ceil_log2(n + 1) + len(record.ids) * ceil_log2(n)
+        k = len(record.ids)
+        if k > n:
+            raise BadParams(f"a NeighborList on {n} nodes holds at most {n} ids, not {k}")
+        return ceil_log2(n + 1) + ceil_log2(comb(n, k))
     if isinstance(record, DegreeAndSketch):
         if p is None:
             raise BadParams("DegreeAndSketch sizing needs the modulus p")
         return ceil_log2(n) + ceil_log2(p)
     raise TypeError(f"unknown message {record!r}")
+
+
+@lru_cache(maxsize=None)
+def neighbor_list_sizes(n: int, most: int) -> tuple[int, ...]:
+    """message_bits of a NeighborList of k ids on n nodes, for k in
+    0..most, so that a protocol sizes each message by one lookup.
+
+    The binomials come from C(n, k+1) = C(n, k) * (n - k) / (k + 1), one
+    step per entry, and the table has most + 1 entries, so a caller bounds
+    most by the longest list it can send, never by n alone.
+    """
+    if n < 1:
+        raise BadParams("node count must be >= 1")
+    if not 0 <= most <= n:
+        raise BadParams(f"id counts 0..{most} do not fit n = {n}")
+    head = ceil_log2(n + 1)
+    sizes = []
+    c = 1
+    for k in range(most + 1):
+        sizes.append(head + ceil_log2(c))
+        c = c * (n - k) // (k + 1)
+    return tuple(sizes)
+
+
+def _id_rank(ids, n: int) -> int:
+    """Colex rank sum(C(c_i, i)) of the strictly ascending ids c_1 < ... < c_k
+    in 0..n-1: a bijection from the k-sets onto 0..C(n, k) - 1.
+
+    a tracks C(x, i - 1), which is never 0 since x >= i - 1, through
+    C(x+1, j) = C(x, j) (x + 1) / (x + 1 - j), and C(c, i) = C(c, i - 1)
+    (c - i + 1) / i, so the walk takes n steps at most.
+    """
+    rank = 0
+    a, x = 1, 0
+    for i, c in enumerate(ids, start=1):
+        if type(c) is not int or not x <= c < n:
+            raise BadParams(f"ids {ids} are not strictly ascending ints in 0..{n - 1}")
+        while x < c:
+            x += 1
+            a = a * x // (x - i + 1)
+        rank += a * (c - i + 1) // i
+        a = a * (c + 1) // i
+        x = c + 1
+    return rank
+
+
+def _id_unrank(rank: int, k: int, n: int) -> tuple[int, ...]:
+    """The k-set of 0..n-1 of colex rank rank, for 0 <= rank < C(n, k).
+
+    Greedy from the top: c_k is the largest c with C(c, k) <= rank, then
+    c_{k-1} the largest below it with C(c, k-1) <= rank - C(c_k, k), and so
+    on.  b tracks C(c, i) through C(c-1, i) = C(c, i) (c - i) / c and
+    C(c-1, i-1) = C(c, i) i / c, so the walk takes n steps at most.
+    """
+    ids = []
+    c = n - 1
+    b = comb(c, k)
+    for i in range(k, 0, -1):
+        while b > rank:  # b > 0, so c >= i >= 1
+            b = b * (c - i) // c
+            c -= 1
+        ids.append(c)
+        rank -= b
+        if c:
+            b = b * i // c
+        c -= 1
+    ids.reverse()
+    return tuple(ids)
+
+
+def pack(record: Message, n: int, p: int | None = None) -> int:
+    """The record as one word below 2**record.bits.
+
+    NeighborList: the id count in the low ceil(log2(n+1)) bits, the colex
+    rank of the ids above it.  DegreeAndSketch: the degree in the low
+    ceil(log2 n) bits, the sketch above it.  Ids that are not strictly
+    ascending ints in 0..n-1, more ids than n, a degree outside 0..n-1, a
+    sketch outside 0..p-1, or stored bits other than message_bits raise
+    BadParams.
+    """
+    bits = message_bits(record, n, p)
+    if record.bits != bits:
+        raise BadParams(f"record stores {record.bits} bits, its encoding takes {bits}")
+    if isinstance(record, NeighborList):
+        ids = record.ids
+        return len(ids) | _id_rank(ids, n) << ceil_log2(n + 1)
+    degree, sketch = record.degree, record.sketch
+    if type(degree) is not int or not 0 <= degree < n:
+        raise BadParams(f"degree {degree!r} outside 0..{n - 1}")
+    if type(sketch) is not int or not 0 <= sketch < p:
+        raise BadParams(f"sketch {sketch!r} outside 0..p-1")
+    return degree | sketch << ceil_log2(n)
+
+
+def unpack(word: int, kind: type, n: int, p: int | None = None) -> Message:
+    """The record of the given kind (NeighborList or DegreeAndSketch) that
+    pack turned into word, read from word, n and p alone.
+
+    A word that is not an int, is negative or is not below 2**bits of the
+    record it heads, a length field above n, a rank at or above C(n, k), a
+    degree at or above n and a sketch at or above p raise BadParams.
+    """
+    if type(word) is not int or word < 0:
+        raise BadParams(f"word {word!r} is not a nonnegative int")
+    if n < 1:
+        raise BadParams("node count must be >= 1")
+    if kind is NeighborList:
+        width = ceil_log2(n + 1)
+        k, rank = word & ((1 << width) - 1), word >> width
+        if k > n:
+            raise BadParams(f"length field {k} exceeds n = {n}")
+        count = comb(n, k)
+        # rank < count implies word < 2**bits, so one check refuses both
+        if rank >= count:
+            raise BadParams(f"rank {rank} of {k} ids is not below C({n}, {k})")
+        return new_record(NeighborList, (_id_unrank(rank, k, n), width + ceil_log2(count)))
+    if kind is DegreeAndSketch:
+        bits = message_bits(DegreeAndSketch(0, 0, 0), n, p)
+        if word >> bits:
+            raise BadParams(f"word {word} does not fit {bits} bits")
+        width = ceil_log2(n)
+        degree, sketch = word & ((1 << width) - 1), word >> width
+        if degree >= n:
+            raise BadParams(f"degree {degree} outside 0..{n - 1}")
+        if sketch >= p:
+            raise BadParams(f"sketch {sketch} outside 0..p-1")
+        return new_record(DegreeAndSketch, (degree, sketch, bits))
+    raise TypeError(f"unknown message kind {kind!r}")
 
 
 def make_message(record: Message, n: int, p: int | None = None) -> Message:
@@ -148,8 +291,9 @@ class Protocol:
     A message is one immutable record, NeighborList(ids, bits) or
     DegreeAndSketch(degree, sketch, bits).  Its size depends only on its
     kind, n, p and its number of ids, so a protocol computes each size it
-    needs once per run with message_bits, the single size formula, and
-    builds each record with its bits directly.
+    needs once per run, with message_bits, the single size formula, or
+    neighbor_list_sizes, its table by id count, and builds each record
+    with its bits directly.
     """
 
     round_budget = 1

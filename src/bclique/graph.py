@@ -9,8 +9,8 @@ rule that produces the short-cycle-free subgraph).
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadParams, InvalidEdge, ParseError, UnknownKind
 
@@ -118,6 +118,11 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges())
 
+    @cached_property
+    def max_degree(self) -> int:
+        """Length of the longest row, 0 for no nodes, read once per graph."""
+        return max(map(len, self.rows), default=0)
+
 
 @dataclass(frozen=True, slots=True)
 class Ball:
@@ -169,13 +174,13 @@ class _UnionFind:
 # edge-list files
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
 def _decimal(field: str) -> int:
-    """A plain ASCII decimal integer.  int() alone also takes '1_0', '+1'
-    and non-ASCII digits, which the file format does not allow."""
-    if not _DECIMAL.fullmatch(field):
+    """A plain ASCII decimal integer: an optional '-', then ASCII digits.
+    int() alone also takes '1_0', '+1' and non-ASCII digits, which the file
+    format does not allow, and str.isdigit() alone takes '²', which int()
+    refuses."""
+    digits = field[1:] if field[:1] == "-" else field
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {field!r}")
     return int(field)
 

@@ -37,8 +37,8 @@ from functools import cached_property
 from typing import Sequence
 
 from . import sketch
-from .clique import (DegreeAndSketch, NeighborList, Protocol, message_bits, new_record,
-                     run_protocol)
+from .clique import (DegreeAndSketch, NeighborList, Protocol, message_bits,
+                     neighbor_list_sizes, new_record, run_protocol)
 from .errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
                      RoundBudgetExceeded, WeightMismatch)
 from .graph import Ball, Edge, Graph, tilde_row_local
@@ -173,13 +173,12 @@ class _SpanningForestProtocol(Protocol):
     before round 0, when every node is its own supernode.  The object holds
     constants only."""
 
-    def __init__(self, n: int, cap: int, budget: int):
+    def __init__(self, n: int, cap: int, budget: int, max_degree: int):
         self.cap = cap
         self.round_budget = budget
-        # message_bits is linear in the id count: a fixed head plus per_id
-        # bits for each announced id.
-        self.head = message_bits(NeighborList((), 0), n)
-        self.per_id = message_bits(NeighborList((0,), 0), n) - self.head
+        # sizes[k] is message_bits of k ids; no message holds more than cap
+        # ids, nor more than the longest row
+        self.sizes = neighbor_list_sizes(n, min(cap, max_degree))
 
     def message(self, node, row, known):
         """Announce the smallest neighbor in each of the cap smallest foreign
@@ -199,7 +198,7 @@ class _SpanningForestProtocol(Protocol):
                 first.setdefault(labels[w], w)
             first.pop(labels[node], None)
             ids = tuple(sorted(first[lbl] for lbl in sorted(first)[: self.cap]))
-        return new_record(NeighborList, (ids, self.head + len(ids) * self.per_id))
+        return new_record(NeighborList, (ids, self.sizes[len(ids)]))
 
     def deliver(self, known, messages):
         """Merge the announced edges; halt when the merged labels prove
@@ -284,7 +283,7 @@ def spanning_forest_multiround(g: Graph, eps):
         raise BadParams(f"eps numerator {eps.numerator} exceeds {MAX_EPS_NUMERATOR}")
     n, rows = g.n, g.rows
     budget = forest_round_budget(eps)
-    proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget)
+    proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget, g.max_degree)
     (labels, forest), transcript = run_protocol(proto, rows)
     if transcript.rounds_used == budget and not proto.proved_done(labels, transcript.rounds[-1]):
         # a run that spent its budget without that proof may have unfinished nodes

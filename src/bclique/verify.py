@@ -10,7 +10,9 @@ commands of the command line call them for `oracle_agreement`.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import sketch
@@ -91,10 +93,19 @@ def one_round_corpus(r: int, count: int, base_seed: int = 0, *,
 
 
 def forest_is_valid(g: Graph, labels, forest) -> bool:
-    """Acyclic, made of real edges, and maximal for the given labeling."""
-    edge_set = g.edge_set()
-    if any(e not in edge_set for e in forest):
-        return False
+    """Acyclic, made of real edges, and maximal for the given labeling.
+
+    An edge (u, v) is real when u < v and v is in u's sorted row, found by
+    bisection, so the check builds no set of the graph's edges; an edge
+    not normalized as (u, v) with u < v is refused."""
+    rows = g.rows
+    for u, v in forest:
+        if not 0 <= u < v < g.n:
+            return False
+        row = rows[u]
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
+            return False
     uf = _UnionFind(g.n)
     if any(not uf.union(u, v) for u, v in forest):
         return False  # a repeated union means a cycle
@@ -153,11 +164,16 @@ def prune_ok(g: Graph, d: int, result, transcript) -> bool:
 def forest_ok(g: Graph, eps, labels, forest, transcript) -> bool:
     """Whether one spanning_forest_multiround run on g at eps found the
     components and a spanning forest of them within ceil(1/eps) rounds of
-    capped neighbor lists: a length field of ceil(log2(n+1)) bits plus at
-    most ceil(n**eps) ids of ceil(log2 n) bits each, bounded here without
-    the message_bits formula that sized the messages."""
+    capped neighbor lists: a length field of ceil(log2(n+1)) bits plus the
+    rank of at most cap = ceil(n**eps) ids, which takes at most
+    ceil(log2 C(n, min(cap, n // 2))) bits, since C(n, k) grows with k up
+    to n / 2.  The bound is computed here with math.comb, without the size
+    table or the message_bits formula that sized the messages, and it
+    implies the paper's cap * ceil(log2 n) bits for the ids, since
+    C(n, k) <= n**k."""
     eps = Fraction(eps)
-    bound = ceil_log2(g.n + 1) + forest_neighbor_cap(g.n, eps) * ceil_log2(g.n)
+    k = min(forest_neighbor_cap(g.n, eps), g.n // 2)
+    bound = ceil_log2(g.n + 1) + ceil_log2(math.comb(g.n, k))
     return (labels == components_and_forest(g)[0]
             and forest_is_valid(g, labels, forest)
             and transcript.rounds_used <= forest_round_budget(eps)

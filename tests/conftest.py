@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import networkx as nx
 
-from bclique.clique import Transcript, run_protocol
+from bclique.clique import NeighborList, Transcript, run_protocol
 from bclique.errors import BadParams, NotDecodable, WeightMismatch
 from bclique.graph import Graph, _UnionFind, gen_graph, normalize_edge
+from bclique.intmath import ceil_log2
 from bclique.protocols import _SpanningForestProtocol, forest_neighbor_cap, forest_round_budget
 from bclique.sketch import FieldElement, SketchParams
 
@@ -145,12 +146,36 @@ def reference_merge_step(labels, forest, announced):
     return tuple(first.setdefault(uf.find(lbl), v) for v, lbl in enumerate(labels)), tuple(forest)
 
 
+def former_neighbor_list_bits(n: int, k: int) -> int:
+    """Size of a NeighborList of k ids by the former formula: a length field
+    of ceil(log2(n+1)) bits plus ceil(log2 n) bits per id, as if the order
+    of the ids carried information."""
+    return ceil_log2(n + 1) + k * ceil_log2(n)
+
+
+def resized_by_former_formula(transcript: Transcript, n: int) -> Transcript:
+    """The transcript with each NeighborList re-sized by the former formula."""
+    return Transcript(tuple(
+        tuple(m._replace(bits=former_neighbor_list_bits(n, len(m.ids)))
+              if isinstance(m, NeighborList) else m for m in rnd)
+        for rnd in transcript.rounds))
+
+
 class ReferenceForestProtocol(_SpanningForestProtocol):
-    """Reference for the forest protocol's halting rule: its former
-    deliver, which halts only on a round in which nothing was announced.
-    Every run that merges anything thus ends with one more round of empty
-    messages, which the current rule proves unnecessary.  It merges with
+    """Reference for the forest protocol's halting rule and message sizes:
+    its former deliver, which halts only on a round in which nothing was
+    announced, and its former sizes, ceil(log2 n) bits per id.  Every run
+    that merges anything thus ends with one more round of empty messages,
+    which the current rule proves unnecessary.  It merges with
     reference_merge_step, not with the merge it is checked against."""
+
+    def __init__(self, n: int, cap: int, budget: int, max_degree: int):
+        super().__init__(n, cap, budget, max_degree)
+        self.n = n
+
+    def message(self, node, row, known):
+        ids = super().message(node, row, known).ids
+        return NeighborList(ids, former_neighbor_list_bits(self.n, len(ids)))
 
     def deliver(self, known, messages):
         if known is None:
@@ -165,7 +190,8 @@ def reference_spanning_forest(g: Graph, eps):
     """spanning_forest_multiround's (labels, sorted forest, transcript) for
     the graph g, run with ReferenceForestProtocol."""
     eps = Fraction(eps)
-    proto = ReferenceForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps))
+    proto = ReferenceForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps),
+                                    g.max_degree)
     (labels, forest), transcript = run_protocol(proto, g.rows)
     return labels, tuple(sorted(forest)), transcript
 

@@ -1,8 +1,12 @@
 """Broadcast engine: message sizing, delivery semantics, output contracts."""
 
+import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bclique.clique import (
     DegreeAndSketch,
@@ -13,8 +17,12 @@ from bclique.clique import (
     ball_inputs,
     make_message,
     message_bits,
+    neighbor_list_sizes,
+    pack,
     run_protocol,
+    unpack,
 )
+from bclique.errors import BadParams
 from bclique.graph import gen_graph
 from bclique.protocols import _PruneProtocol
 from bclique.sketch import cached_params
@@ -29,8 +37,10 @@ def test_adjacency_inputs_are_the_graph():
 
 
 def test_message_bits_examples():
-    assert message_bits(NeighborList((1, 4, 7), 0), n=9) == 16
+    # a length field of ceil(log2 10) = 4 bits, then ceil(log2 C(9, k))
+    assert message_bits(NeighborList((1, 4, 7), 0), n=9) == 4 + 7  # C(9, 3) = 84
     assert message_bits(NeighborList((), 0), n=9) == 4
+    assert message_bits(NeighborList(tuple(range(9)), 0), n=9) == 4  # C(9, 9) = 1
     assert message_bits(DegreeAndSketch(2, 10, 0), n=4, p=101) == 9
     # the stored bits are not read
     assert message_bits(NeighborList((), 99), n=9) == 4
@@ -41,6 +51,8 @@ def test_message_bits_argument_checks():
         message_bits(DegreeAndSketch(1, 3, 0), n=4)  # p missing
     with pytest.raises(ValueError):
         message_bits(NeighborList((), 0), n=0)
+    with pytest.raises(BadParams):  # not the bare ValueError of ceil_log2(0)
+        message_bits(NeighborList(tuple(range(10)), 0), n=9)
     with pytest.raises(TypeError):
         message_bits("junk", n=4)
     with pytest.raises(TypeError):
@@ -120,7 +132,7 @@ def test_transcript_json_serialization():
     assert doc["rounds_used"] == 1
     assert doc["per_node_bits"] == transcript.per_node_bits
     first, second = doc["rounds"][0]
-    assert first == {"kind": "neighbor_list", "ids": [3, 5], "bits": 4 + 2 * 4}
+    assert first == {"kind": "neighbor_list", "ids": [3, 5], "bits": 4 + 6}  # C(9, 2) = 36
     assert second["kind"] == "degree_and_sketch"
     assert second["sketch"] == "12345678901234567890"  # decimal string
     json.dumps(doc)  # structure is JSON-clean
@@ -164,3 +176,125 @@ def test_make_message_fills_exactly_message_bits(record, n, p):
     assert type(m) is type(record)
     assert m[:-1] == record[:-1]
     assert m.bits == message_bits(record, n, p)
+
+
+# --- the encoder ----------------------------------------------------------------
+
+def colex_rank(ids) -> int:
+    """The rank that pack stores for ascending ids: sum(C(c_i, i))."""
+    return sum(math.comb(c, i) for i, c in enumerate(ids, start=1))
+
+
+def test_rank_is_a_bijection_onto_the_binomial_range():
+    # every k-set of 0..n-1 packs to its colex rank above the length field,
+    # the ranks fill 0..C(n, k) - 1 in colex order, and unpack inverts pack
+    for n in range(1, 11):
+        width = math.ceil(math.log2(n + 1))
+        for k in range(n + 1):
+            sets = list(itertools.combinations(range(n), k))
+            words = [pack(make_message(NeighborList(ids, 0), n), n) for ids in sets]
+            assert [w & ((1 << width) - 1) for w in words] == [k] * len(sets)
+            ranks = [w >> width for w in words]
+            assert ranks == [colex_rank(ids) for ids in sets]
+            assert sorted(ranks) == list(range(math.comb(n, k)))
+            assert sorted(sets, key=colex_rank) == sorted(sets, key=lambda ids: ids[::-1])
+            assert [unpack(w, NeighborList, n).ids for w in words] == sets
+
+
+def test_pack_layout_examples():
+    # NeighborList: id count in the low ceil(log2(n+1)) bits, rank above;
+    # DegreeAndSketch: degree in the low ceil(log2 n) bits, sketch above
+    m = make_message(NeighborList((3, 5), 0), n=9)
+    assert pack(m, 9) == 2 | (3 + 10) << 4
+    m = make_message(DegreeAndSketch(2, 10, 0), n=4, p=101)
+    assert pack(m, 4, 101) == 2 | 10 << 2
+    assert unpack(2 | 10 << 2, DegreeAndSketch, 4, 101) == m
+
+
+@st.composite
+def neighbor_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=3000))
+    k = draw(st.sampled_from((0, 1, n // 2, n)) | st.integers(min_value=0, max_value=min(n, 64)))
+    ids = tuple(sorted(draw(st.randoms(use_true_random=False)).sample(range(n), k)))
+    return make_message(NeighborList(ids, 0), n), n
+
+
+@given(neighbor_lists())
+@settings(max_examples=150, deadline=None)
+def test_neighbor_list_round_trips_within_its_bits(case):
+    m, n = case
+    word = pack(m, n)
+    assert 0 <= word < 1 << m.bits
+    assert unpack(word, NeighborList, n) == m
+
+
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=2**200),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_degree_and_sketch_round_trips_within_its_bits(n, p, data):
+    degree = data.draw(st.integers(min_value=0, max_value=n - 1))
+    value = data.draw(st.integers(min_value=0, max_value=p - 1))
+    m = make_message(DegreeAndSketch(degree, value, 0), n, p)
+    word = pack(m, n, p)
+    assert 0 <= word < 1 << m.bits
+    assert unpack(word, DegreeAndSketch, n, p) == m
+
+
+def test_neighbor_list_sizes_match_message_bits():
+    for n in range(1, 70):
+        sizes = neighbor_list_sizes(n, n)
+        assert sizes == tuple(message_bits(NeighborList(tuple(range(k)), 0), n)
+                              for k in range(n + 1))
+        assert neighbor_list_sizes(n, n // 3) == sizes[:n // 3 + 1]
+    assert neighbor_list_sizes(10**5, 2) == (17, 17 + 17, 17 + 33)
+    assert neighbor_list_sizes(40, 5) is neighbor_list_sizes(40, 5)  # cached
+    for n, most in ((0, 0), (5, 6), (5, -1)):
+        with pytest.raises(BadParams):
+            neighbor_list_sizes(n, most)
+
+
+def _neighbor_list(ids, n=9):
+    """A NeighborList with the bits message_bits gives its id count."""
+    return NeighborList(ids, message_bits(NeighborList(tuple(range(len(ids))), 0), n))
+
+
+@pytest.mark.parametrize("record, n, p", [
+    (_neighbor_list((3, 1)), 9, None),                     # not ascending
+    (_neighbor_list((1, 1)), 9, None),                     # repeated
+    (_neighbor_list((2, 9)), 9, None),                     # id >= n
+    (_neighbor_list((-1, 2)), 9, None),                    # id < 0
+    (_neighbor_list((1.0, 2)), 9, None),                   # not an int
+    (_neighbor_list((True, 2)), 9, None),                  # a bool
+    (NeighborList(tuple(range(10)), 4), 9, None),          # more ids than n
+    (NeighborList((1, 2), 99), 9, None),                   # bits not message_bits
+    (DegreeAndSketch(9, 0, 11), 9, 101),                   # degree >= n
+    (DegreeAndSketch(-1, 0, 11), 9, 101),                  # degree < 0
+    (DegreeAndSketch(1, 101, 11), 9, 101),                 # sketch >= p
+    (DegreeAndSketch(1, -1, 11), 9, 101),                  # sketch < 0
+    (DegreeAndSketch(1, 1, 11), 9, None),                  # no modulus
+])
+def test_pack_refuses_bad_records(record, n, p):
+    with pytest.raises(BadParams):
+        pack(record, n, p)
+
+
+@pytest.mark.parametrize("word, kind, n, p", [
+    (2 | 64 << 4, NeighborList, 9, None),      # word >= 2**10, the bits of 2 ids
+    (2 | 36 << 4, NeighborList, 9, None),      # rank C(9, 2) = 36 fits 6 bits
+    (10, NeighborList, 9, None),               # length field 10 > n
+    (1 << 11, DegreeAndSketch, 9, 101),        # word >= 2**11
+    (9, DegreeAndSketch, 9, 101),              # degree 9 >= n
+    (1 | 101 << 4, DegreeAndSketch, 9, 101),   # sketch >= p
+    (-1, NeighborList, 9, None),               # negative word
+    (1.0, NeighborList, 9, None),              # not an int
+    (0, NeighborList, 0, None),                # no nodes
+    (0, DegreeAndSketch, 9, None),             # no modulus
+])
+def test_unpack_refuses_bad_words(word, kind, n, p):
+    with pytest.raises(BadParams):
+        unpack(word, kind, n, p)
+
+
+def test_unpack_refuses_an_unknown_kind():
+    with pytest.raises(TypeError):
+        unpack(0, tuple, 9)

@@ -8,10 +8,14 @@ and says why.
 Both were re-pinned when the forest protocol began to halt in the round
 whose merge proves it done, not one all-empty round later; that took the
 confirming round off forest transcripts, among them the CLI's
-`components --eps 1/3`.  REFERENCE_PROTOCOL_DIGEST is the digest as pinned
-before, and a test rebuilds it with the former halting rule
-(conftest.reference_spanning_forest) and checks that every forest
-transcript differs from the reference's only by its trailing empty rounds.
+`components --eps 1/3`.  They were re-pinned again when a NeighborList
+came to be sized by the rank of its id set, ceil(log2 C(n, k)) bits, not
+ceil(log2 n) bits per id; that changed the bits of forest messages and
+nothing else.  REFERENCE_PROTOCOL_DIGEST is the digest as pinned before
+both, and a test rebuilds it with the former halting rule and sizes
+(conftest.reference_spanning_forest) and checks that every forest line
+differs from the reference's only by its trailing empty rounds and its bit
+counts, and every other line not at all.
 """
 
 import hashlib
@@ -19,15 +23,17 @@ import json
 from fractions import Fraction
 
 from bclique.cli import run_command
-from bclique.clique import ball_inputs
-from bclique.protocols import connectivity_one_round_r, prune_one_round, spanning_forest_multiround
+from bclique.clique import ball_inputs, pack, unpack
+from bclique.protocols import (connectivity_one_round_r, prune_one_round,
+                               spanning_forest_multiround, sparsity_parameter)
+from bclique.sketch import cached_params
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import reference_spanning_forest
 
-PROTOCOL_DIGEST = "db9f6973b82e97ca7e33be2da358a6f749a5932e6cff1f8ed7f4b5ae7f234391"
+PROTOCOL_DIGEST = "a993a4cf0492c25c61d291d3ba04295d63ed0155618983ab579be6232711334e"
 REFERENCE_PROTOCOL_DIGEST = "ca317d45a35ed9cacd14b78a615b128296e968e44e0788821a11d4d5a55e467d"
-CLI_DIGEST = "b2e36cffef1ddae64804bc809d5d6d04d480d2f99ac52683f0e206cc085b68fb"
+CLI_DIGEST = "77fb7b1872974132aaedca39080133c18c06c31654fc758348f0f6dcf3d73ae3"
 
 
 def _prune_doc(result):
@@ -45,20 +51,26 @@ def _line(kind, tag, param, output, transcript):
                        "transcript": transcript.to_json_dict()}, sort_keys=True)
 
 
-def _protocol_lines(forest_protocol):
-    lines = []
+def _protocol_runs(forest_protocol):
+    """(kind, tag, param, output, transcript, n, p) of every run of the
+    golden corpus, p being the sketch modulus, or None for the forest."""
     for tag, g in protocol_corpus(30, (2, 3, 5, 8, 13, 21, 34, 55), base_seed=2024):
         for d in range(min(3, g.n) + 1):
             result, transcript = prune_one_round(g, d)
-            lines.append(_line("prune", tag, d, _prune_doc(result), transcript))
+            yield ("prune", tag, d, _prune_doc(result), transcript,
+                   g.n, cached_params(g.n, d).p)
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
             labels, forest, transcript = forest_protocol(g, eps)
-            lines.append(_line("forest", tag, eps, [labels, forest], transcript))
+            yield "forest", tag, eps, [labels, forest], transcript, g.n, None
     for r in (1, 2, 3):
         for tag, g in one_round_corpus(r, 8, base_seed=2024):
             labels, forest, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
-            lines.append(_line("one_round", tag, r, [labels, forest], transcript))
-    return lines
+            yield ("one_round", tag, r, [labels, forest], transcript,
+                   g.n, cached_params(g.n, sparsity_parameter(g.n, r)).p)
+
+
+def _protocol_lines(forest_protocol):
+    return [_line(*run[:5]) for run in _protocol_runs(forest_protocol)]
 
 
 def _digest(lines):
@@ -70,17 +82,36 @@ def test_protocol_outputs_match_the_golden_digest():
 
 
 def test_former_halting_rule_rebuilds_the_former_digest():
+    # the reference halts a round later and sizes ids by the former
+    # formula; prune and one-round lines are identical, and forest lines
+    # differ only in bits, per_node_bits and the trailing empty rounds
     lines = _protocol_lines(spanning_forest_multiround)
     reference = _protocol_lines(reference_spanning_forest)
     assert _digest(reference) == REFERENCE_PROTOCOL_DIGEST
     for line, ref_line in zip(lines, reference, strict=True):
         doc, ref = json.loads(line), json.loads(ref_line)
+        if doc["kind"] != "forest":
+            assert line == ref_line
+            continue
         kept = doc["transcript"].pop("rounds")
         dropped = ref["transcript"].pop("rounds")
+        assert doc["transcript"].pop("per_node_bits") <= ref["transcript"].pop("per_node_bits")
+        for rnd, ref_rnd in zip(kept, dropped):
+            for m, ref_m in zip(rnd, ref_rnd, strict=True):
+                assert m.pop("bits") <= ref_m.pop("bits")
         assert dropped[:len(kept)] == kept
         assert not any(m["ids"] for rnd in dropped[len(kept):] for m in rnd)
         ref["transcript"]["rounds_used"] = len(kept)
         assert doc == ref
+
+
+def test_every_golden_message_packs_into_its_bits():
+    for _, _, _, _, transcript, n, p in _protocol_runs(spanning_forest_multiround):
+        for rnd in transcript.rounds:
+            for m in rnd:
+                word = pack(m, n, p)
+                assert word < 1 << m.bits
+                assert unpack(word, type(m), n, p) == m
 
 
 def test_cli_stdout_matches_the_golden_digest(tmp_path, capsys):

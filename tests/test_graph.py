@@ -71,6 +71,15 @@ def test_load_graph_parse_errors(text):
         load_graph(text)
 
 
+@pytest.mark.parametrize("field", ["\u00b2", "\u0661", "\uff11", "-", "--1", "+1", "1_0"])
+def test_load_graph_refuses_fields_beyond_ascii_decimals(field):
+    # the format takes an optional '-' and ASCII digits; int() also takes
+    # '+1', '1_0' and non-ASCII digits, and str.isdigit() takes '²'
+    for text in (f"{field}\n", f"3\n0 {field}\n"):
+        with pytest.raises(ParseError):
+            load_graph(text)
+
+
 @pytest.mark.parametrize("text", ["3\n0 3\n", "3\n-1 2\n", "3\n0 1\n1 0\n", "3\n1 1\n"])
 def test_load_graph_invalid_edges(text):
     with pytest.raises(InvalidEdge):
@@ -221,6 +230,47 @@ def test_components_match_bfs_and_networkx(idx):
     assert {frozenset(c) for c in nx.connected_components(to_nx(g))} == \
         {frozenset(i for i in range(g.n) if labels[i] == lbl) for lbl in set(labels)}
     assert forest_ok(g, labels, forest)
+
+
+def test_max_degree_is_the_longest_row_read_once():
+    assert gen_graph("star", 6).max_degree == 5
+    assert gen_graph("path", 1).max_degree == 0
+    assert Graph.from_edges(0, []).max_degree == 0
+    g = gen_graph("gnp", 30, seed=2, q=0.2)
+    assert "max_degree" not in vars(g)
+    assert g.max_degree == max(len(row) for row in g.rows)
+    assert vars(g)["max_degree"] == g.max_degree  # cached on the graph
+    assert g == gen_graph("gnp", 30, seed=2, q=0.2)  # the cache is no field
+
+
+def _forest_is_valid_by_edge_set(g, labels, forest):
+    """forest_is_valid as it was, with a set of every edge of g: the
+    reference for its bisection."""
+    edge_set = g.edge_set()
+    if any(e not in edge_set for e in forest):
+        return False
+    uf = graph._UnionFind(g.n)
+    if any(not uf.union(u, v) for u, v in forest):
+        return False
+    return len(forest) == g.n - len(set(labels))
+
+
+@given(graph_indices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_forest_is_valid_matches_the_edge_set_check(idx, data):
+    # forests drawn from the real edges, each maybe reversed, plus pairs
+    # that are no edge, out of range or repeated
+    g = seeded_graph(idx)
+    labels, oracle_forest = components_and_forest(g)
+    assert verify.forest_is_valid(g, labels, oracle_forest)
+    pairs = st.tuples(st.integers(-1, g.n), st.integers(-1, g.n))
+    edges = st.sampled_from(g.edges()) if g.edges() else pairs
+    flipped = edges.map(lambda e: e[::-1])
+    forest = tuple(data.draw(st.lists(st.one_of(edges, flipped, pairs), max_size=g.n + 1)))
+    assert (verify.forest_is_valid(g, labels, forest)
+            == _forest_is_valid_by_edge_set(g, labels, forest))
+    if oracle_forest:  # the same forest with its edges not normalized
+        assert not verify.forest_is_valid(g, labels, tuple(e[::-1] for e in oracle_forest))
 
 
 # --- core peel -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The three protocols against their oracles, plus the shared peel machinery."""
 
 import heapq
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,8 +44,8 @@ from bclique.sketch import build_params, cached_params, encode, encode_support, 
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, forest_ok,
-                      reference_merge_step, reference_spanning_forest, seeded_graph,
-                      shuffled_run)
+                      reference_merge_step, reference_spanning_forest, resized_by_former_formula,
+                      seeded_graph, shuffled_run)
 
 
 # --- merge_step -----------------------------------------------------------------
@@ -200,7 +201,7 @@ def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeyp
 
     monkeypatch.setattr(protocols, "merge_step", spy)
     g = gen_graph("gnp", 15, seed=19, q=0.2)
-    proto = _SpanningForestProtocol(g.n, 2, 6)
+    proto = _SpanningForestProtocol(g.n, 2, 6, g.max_degree)
     merged, transcript = run_protocol(proto, g.rows)
     assert [len(proto.full_senders(rnd)) > 0 for rnd in transcript.rounds] == [True, False]
     assert [call[3] for call in calls] == [True, False]
@@ -328,14 +329,14 @@ def test_forest_deliver_halts_in_the_round_that_proves_the_run_done():
     # done, so it halts in the round that announced ids
     rows = gen_graph("path", 9).rows
     for cap in (1, 3):
-        proto = _SpanningForestProtocol(9, cap, 2)
+        proto = _SpanningForestProtocol(9, cap, 2, 2)
         (labels, _), transcript = run_protocol(proto, rows)
         assert transcript.rounds_used == 1
         assert all(m.ids for m in transcript.rounds[0])
         assert proto.proved_done(labels, transcript.rounds[0])
     # two triangles at cap 1: every node is full and the merge leaves two
     # labels, so round 0 proves nothing and a one-round run ends at its budget
-    proto = _SpanningForestProtocol(6, 1, 1)
+    proto = _SpanningForestProtocol(6, 1, 1, 2)
     (labels, _), transcript = run_protocol(proto, disjoint_cliques(2, 3).rows)
     assert labels == (0, 0, 0, 3, 3, 3)
     forest = ((0, 1), (0, 2), (3, 4), (3, 5))
@@ -351,18 +352,22 @@ def test_spanning_forest_halts_where_the_reference_confirms(idxs, eps):
     # the reference halts only on a round with nothing announced; the rule
     # on full senders may stop earlier, but only by dropping such rounds.
     # A bridge between two interleaved graphs often sits behind the cap
-    # while both sides merge, which leaves full senders in two supernodes
+    # while both sides merge, which leaves full senders in two supernodes.
+    # The reference sizes ids by the former formula, so the comparison
+    # re-sizes the run's messages by it too
     g = bridged([seeded_graph(idx) for idx in idxs])
     labels, forest, transcript = spanning_forest_multiround(g, eps)
     ref_labels, ref_forest, ref_transcript = reference_spanning_forest(g, eps)
     assert (labels, forest) == (ref_labels, ref_forest)
     kept = transcript.rounds_used
-    assert transcript.rounds == ref_transcript.rounds[:kept]
+    resized = resized_by_former_formula(transcript, g.n)
+    assert resized.rounds == ref_transcript.rounds[:kept]
     assert not any(m.ids for rnd in ref_transcript.rounds[kept:] for m in rnd)
-    assert transcript.per_node_bits == ref_transcript.per_node_bits
+    assert resized.per_node_bits == ref_transcript.per_node_bits
     # soundness of the halt itself, before the entry point's own scan: a
     # fold of deliver over the transcript replays the run, halt included
-    proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps))
+    proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps),
+                                    g.max_degree)
     known = None
     for rnd in transcript.rounds:
         known, halt = proto.deliver(known, rnd)
@@ -450,7 +455,7 @@ def test_forest_message_announces_the_smallest_foreign_labels(case):
         if labels[w] != labels[node]:
             smallest[labels[w]] = min(smallest.get(labels[w], w), w)
     expected = tuple(sorted(smallest[lbl] for lbl in sorted(smallest)[:cap]))
-    msg = _SpanningForestProtocol(n, cap, 1).message(node, row, (labels, ()))
+    msg = _SpanningForestProtocol(n, cap, 1, n - 1).message(node, row, (labels, ()))
     assert msg.ids == expected
     assert msg.bits == message_bits(msg, n)
 
@@ -461,7 +466,7 @@ def test_forest_message_singletons_shortcut_matches_general_path(case):
     # round 0's knowledge is None and takes the shortcut; singleton labels
     # passed as knowledge go through the per-label dict
     n, node, row, _, cap = case
-    proto = _SpanningForestProtocol(n, cap, 1)
+    proto = _SpanningForestProtocol(n, cap, 1, n - 1)
     msg = proto.message(node, row, None)
     assert msg == proto.message(node, row, (tuple(range(n)), ()))
     assert msg.ids == row[:cap]
@@ -474,9 +479,9 @@ def test_forest_message_without_foreign_neighbors_is_empty(case):
     labels = list(labels)
     for w in row:
         labels[w] = labels[node]
-    proto = _SpanningForestProtocol(n, cap, 1)
+    proto = _SpanningForestProtocol(n, cap, 1, n - 1)
     msg = proto.message(node, row, (tuple(labels), ()))
-    assert msg == NeighborList((), proto.head)
+    assert msg == NeighborList((), proto.sizes[0])
     assert msg == NeighborList((), message_bits(NeighborList((), 0), n))
 
 
@@ -496,11 +501,11 @@ def test_spanning_forest_counts_its_empty_messages():
     eps = Fraction(1, 3)
     for g, count in ((interleaved_cliques(3, 12), 33), (disjoint_cliques(2, 6), 12)):
         proto = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps),
-                                        forest_round_budget(eps))
+                                        forest_round_budget(eps), g.max_degree)
         _, transcript = run_protocol(proto, g.rows)
         empty = [m for rnd in transcript.rounds for m in rnd if not m.ids]
         assert len(empty) == count
-        assert all(m == NeighborList((), proto.head) for m in empty)
+        assert all(m == NeighborList((), proto.sizes[0]) for m in empty)
 
 
 def test_spanning_forest_final_round_is_all_empty():
@@ -511,7 +516,7 @@ def test_spanning_forest_final_round_is_all_empty():
     _, _, transcript = spanning_forest_multiround(g, eps)
     assert transcript.rounds_used == 2
     head = _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps),
-                                   forest_round_budget(eps)).head
+                                   forest_round_budget(eps), g.max_degree).sizes[0]
     assert all(m == NeighborList((), head) for m in transcript.rounds[-1])
 
 
@@ -522,7 +527,8 @@ def test_spanning_forest_ignores_evaluation_order(g, eps):
     n = g.n
 
     def proto():
-        return _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps))
+        return _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), forest_round_budget(eps),
+                                       g.max_degree)
 
     known, transcript = run_protocol(proto(), g.rows)
     for seed in (4, 5):
@@ -533,9 +539,9 @@ def test_spanning_forest_ignores_evaluation_order(g, eps):
 
 @pytest.mark.parametrize("make, g", [
     # eps 1/3 on 36 nodes: two rounds, and round 1 merges supernode labels
-    (lambda g: _SpanningForestProtocol(g.n, 4, 3), interleaved_cliques(3, 12)),
+    (lambda g: _SpanningForestProtocol(g.n, 4, 3, g.max_degree), interleaved_cliques(3, 12)),
     # one round at cap 1 that ends at its budget without proving the run done
-    (lambda g: _SpanningForestProtocol(g.n, 1, 1), disjoint_cliques(2, 3)),
+    (lambda g: _SpanningForestProtocol(g.n, 1, 1, g.max_degree), disjoint_cliques(2, 3)),
     (lambda g: protocols._PruneProtocol(cached_params(g.n, 2)),
      gen_graph("random_degenerate", 30, seed=3, d=2)),
 ], ids=["forest_two_rounds", "forest_at_budget", "prune"])
@@ -551,25 +557,48 @@ def test_protocols_hold_no_run_state(make, g):
 
 
 def test_forest_ok_rejects_messages_above_the_bit_bound():
-    # the bound is the analytic length field plus ceil(n**eps) ids, not the
-    # message_bits formula that sized the messages
+    # the bound is the length field plus the rank of at most cap ids, which
+    # C(n, min(cap, n // 2)) bounds, not the size table that sized the
+    # messages; on the 9-path cap is 3 at eps 1/2 and 9 at eps 1, where
+    # C(9, k) peaks at k = 4
     g = gen_graph("path", 9)
-    eps = Fraction(1, 2)
-    labels, forest, transcript = spanning_forest_multiround(g, eps)
-    assert verify.forest_ok(g, eps, labels, forest, transcript)
-    bound = ceil_log2(9 + 1) + pow_ceil(9, eps) * ceil_log2(9)
-    (first, *rest), *later = transcript.rounds
-    assert first.bits <= bound
-    at_bound = Transcript(((first._replace(bits=bound), *rest), *later))
-    assert verify.forest_ok(g, eps, labels, forest, at_bound)
-    above = Transcript(((first._replace(bits=bound + 1), *rest), *later))
-    assert above.per_node_bits == bound + 1
-    assert not verify.forest_ok(g, eps, labels, forest, above)
+    for eps, k in ((Fraction(1, 2), 3), (Fraction(1), 4)):
+        labels, forest, transcript = spanning_forest_multiround(g, eps)
+        assert verify.forest_ok(g, eps, labels, forest, transcript)
+        assert k == min(pow_ceil(9, eps), 9 // 2)
+        bound = ceil_log2(9 + 1) + ceil_log2(math.comb(9, k))
+        # tighter than the paper-shaped bound of cap ids of ceil(log2 n) bits
+        assert bound < ceil_log2(9 + 1) + pow_ceil(9, eps) * ceil_log2(9)
+        (first, *rest), *later = transcript.rounds
+        assert first.bits <= bound
+        at_bound = Transcript(((first._replace(bits=bound), *rest), *later))
+        assert verify.forest_ok(g, eps, labels, forest, at_bound)
+        above = Transcript(((first._replace(bits=bound + 1), *rest), *later))
+        assert above.per_node_bits == bound + 1
+        assert not verify.forest_ok(g, eps, labels, forest, above)
 
 
 def test_spanning_forest_single_node():
     labels, forest, transcript = spanning_forest_multiround(Graph.from_edges(1, []), 1)
     assert labels == (0,) and forest == () and transcript.rounds_used == 1
+
+
+def test_forest_size_table_is_bounded_by_the_longest_row(monkeypatch):
+    # at eps 1 the cap is n, but no message holds more ids than the longest
+    # row, so a sparse graph on 10**5 nodes sizes its messages from a table
+    # of 3 entries, not 10**5 + 1
+    tables = []
+    sizes = protocols.neighbor_list_sizes
+
+    def spy(n, most):
+        tables.append(sizes(n, most))
+        return tables[-1]
+
+    monkeypatch.setattr(protocols, "neighbor_list_sizes", spy)
+    g = gen_graph("path", 10**5)
+    _, _, transcript = spanning_forest_multiround(g, 1)
+    assert [len(t) for t in tables] == [g.max_degree + 1] == [3]
+    assert transcript.per_node_bits == tables[0][2] == message_bits(NeighborList((0, 1), 0), 10**5)
 
 
 # --- peel_from_messages ------------------------------------------------------------
