@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from . import verify
 from .clique import ball_inputs
-from .errors import BcliqueError, ParseError
-from .graph import gen_graph, load_graph, serialize_graph
+from .errors import BadParams, BcliqueError, ParseError
+from .graph import forest_tight, gen_graph, load_graph, serialize_graph
+from .intmath import nth_root_ceil
 from .protocols import (
     connectivity_one_round_r,
     forest_neighbor_cap,
@@ -153,19 +154,25 @@ def _finish(args, protocol: str, g, parameters: dict, transcript,
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
-    extras = {}
-    if args.q is not None:
-        extras["q"] = args.q
-    if args.d is not None:
-        extras["d"] = args.d
-    g = gen_graph(args.kind, args.n, seed=args.seed, **extras)
+    extras = {name: getattr(args, name) for name in ("q", "d", "k")
+              if getattr(args, name) is not None}
+    if args.kind == "forest_tight":
+        if args.k is None or set(extras) != {"k"}:
+            raise BadParams("forest_tight takes --k K and no other size; "
+                            "its node count is cap**k")
+        g = forest_tight(args.k)
+        extras["cap"] = nth_root_ceil(g.n, args.k)
+    elif args.n is None:
+        raise BadParams(f"{args.kind} takes --n; --k is for forest_tight")
+    else:
+        g = gen_graph(args.kind, args.n, seed=args.seed, **extras)
     text = serialize_graph(g)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return {
         "kind": args.kind,
-        "n": args.n,
+        "n": g.n,
         "seed": args.seed,
         "extras": extras,
         "edge_count": len(g.edges()),
@@ -218,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a deterministic test graph")
     p.add_argument("--kind", required=True)
-    p.add_argument("--n", type=int, required=True)
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int)
+    size.add_argument("--k", type=int, help="rounds for forest_tight, which has cap**k nodes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q", type=float, default=None, help="edge probability for gnp")
     p.add_argument("--d", type=int, default=None, help="back-degree for random_degenerate")

@@ -14,10 +14,18 @@ radius-r Ball (ball_inputs), the mask of the nodes within distance r over
 the neighbor masks that all balls of the graph share.  The engine passes
 inputs[v] to node v, so the position is the node id.
 
-A NeighborList of k ids takes ceil(log2(n+1)) + ceil(log2 C(n, k)) bits: a
-length field, then the rank of the id set in the combinatorial number
-system, since the ids are a set and their ascending order carries nothing.
-A DegreeAndSketch takes ceil(log2 n) + ceil(log2 p) bits.  pack and unpack
+A NeighborList of k ids takes ceil(log2(f + C(n, k))) bits, where f is
+the index of the first k-set: the id sets of 0..n-1 are indexed one size
+class after another, smallest class first (k = 0, n, 1, n - 1, 2, ...),
+and by colex rank in the combinatorial number system within a class, since
+the ids are a set and their ascending order carries nothing.  The index is
+a bijection onto 0..2**n - 1.  For 2k < n, f is twice C(n, 0) + ... +
+C(n, k - 1), which is at most C(n, k) for 4k <= n + 1, so a short list
+takes at most one bit above ceil(log2 C(n, k)) and usually none above
+ceil(log2(C(n, 0) + ... + C(n, k))); a list of n - k ids takes no more
+bits than one of k + 1 ids, so the empty list and the full one take 0 and
+1 bits, and only the classes near n / 2 take n.  A
+DegreeAndSketch takes ceil(log2 n) + ceil(log2 p) bits.  pack and unpack
 are the encoding that meets these sizes: every record packs into a word
 below 2**bits, from which n and p alone read it back.
 """
@@ -83,12 +91,13 @@ def message_bits(record: Message, n: int, p: int | None = None) -> int:
     """Exact encoded size of a message, from its kind and fields alone (the
     stored bits are ignored).
 
-    NeighborList of k ids: a length field of ceil(log2(n+1)) bits plus
-    ceil(log2 C(n, k)) bits for the colex rank of the id set, so the ids
-    cost about k * ((1 - eps) * log2 n + 1.44) bits at k = n**eps, not
-    k * log2 n; more than n ids raise BadParams.  DegreeAndSketch:
-    ceil(log2 n) bits for the degree plus ceil(log2 p) bits for the field
-    element.
+    NeighborList of k ids: ceil(log2(f + C(n, k))) bits, where f is the
+    index of the first k-set (see _id_set_classes).  For 4k <= n + 1 that
+    is at most one bit above ceil(log2 C(n, k)), about
+    k * ((1 - eps) * log2 n + 1.44) bits at k = n**eps, not k * log2 n, and
+    n - k ids take no more than k + 1 ids; more than n ids raise BadParams.
+    DegreeAndSketch: ceil(log2 n) bits for the degree plus ceil(log2 p)
+    bits for the field element.
     """
     if n < 1:
         raise BadParams("node count must be >= 1")
@@ -96,7 +105,8 @@ def message_bits(record: Message, n: int, p: int | None = None) -> int:
         k = len(record.ids)
         if k > n:
             raise BadParams(f"a NeighborList on {n} nodes holds at most {n} ids, not {k}")
-        return ceil_log2(n + 1) + ceil_log2(comb(n, k))
+        c, first = _id_set_class(n, k)
+        return ceil_log2(first + c)
     if isinstance(record, DegreeAndSketch):
         if p is None:
             raise BadParams("DegreeAndSketch sizing needs the modulus p")
@@ -104,25 +114,49 @@ def message_bits(record: Message, n: int, p: int | None = None) -> int:
     raise TypeError(f"unknown message {record!r}")
 
 
+def _id_set_classes(n: int):
+    """(k, C(n, k), the index of the first k-set) for each id count k, in
+    index order: the classes of the id sets of 0..n-1 by size, smallest
+    first, k = 0, n, 1, n - 1, 2, ..., each binomial from the last by
+    C(n, j+1) = C(n, j) (n - j) / (j + 1).  The last class ends at 2**n."""
+    first, c = 0, 1
+    for j in range(n // 2 + 1):
+        yield j, c, first
+        first += c
+        if 2 * j != n:
+            yield n - j, c, first
+            first += c
+        c = c * (n - j) // (j + 1)
+
+
+def _id_set_class(n: int, k: int) -> tuple[int, int]:
+    """(C(n, k), the index of the first k-set), for 0 <= k <= n, after
+    min(k, n - k) + 1 steps of _id_set_classes."""
+    return next((c, first) for j, c, first in _id_set_classes(n) if j == k)
+
+
 @lru_cache(maxsize=None)
 def neighbor_list_sizes(n: int, most: int) -> tuple[int, ...]:
     """message_bits of a NeighborList of k ids on n nodes, for k in
     0..most, so that a protocol sizes each message by one lookup.
 
-    The binomials come from C(n, k+1) = C(n, k) * (n - k) / (k + 1), one
-    step per entry, and the table has most + 1 entries, so a caller bounds
-    most by the longest list it can send, never by n alone.
+    The walk over _id_set_classes stops once it has met every k in
+    0..most, after 2 * most + 1 classes for 2 * most < n and n + 1 at most,
+    so a caller bounds most by the longest list it can send, never by n
+    alone.
     """
     if n < 1:
         raise BadParams("node count must be >= 1")
     if not 0 <= most <= n:
         raise BadParams(f"id counts 0..{most} do not fit n = {n}")
-    head = ceil_log2(n + 1)
-    sizes = []
-    c = 1
-    for k in range(most + 1):
-        sizes.append(head + ceil_log2(c))
-        c = c * (n - k) // (k + 1)
+    sizes = [0] * (most + 1)
+    left = most + 1
+    for k, c, first in _id_set_classes(n):
+        if k <= most:
+            sizes[k] = ceil_log2(first + c)
+            left -= 1
+            if not left:
+                break
     return tuple(sizes)
 
 
@@ -175,19 +209,19 @@ def _id_unrank(rank: int, k: int, n: int) -> tuple[int, ...]:
 def pack(record: Message, n: int, p: int | None = None) -> int:
     """The record as one word below 2**record.bits.
 
-    NeighborList: the id count in the low ceil(log2(n+1)) bits, the colex
-    rank of the ids above it.  DegreeAndSketch: the degree in the low
-    ceil(log2 n) bits, the sketch above it.  Ids that are not strictly
-    ascending ints in 0..n-1, more ids than n, a degree outside 0..n-1, a
-    sketch outside 0..p-1, or stored bits other than message_bits raise
-    BadParams.
+    NeighborList of k ids: the index of the first k-set (see
+    _id_set_classes) plus the colex rank of the ids among the k-sets.
+    DegreeAndSketch: the degree in the low ceil(log2 n) bits, the sketch
+    above it.  Ids that are not strictly ascending ints in 0..n-1, more ids
+    than n, a degree outside 0..n-1, a sketch outside 0..p-1, or stored
+    bits other than message_bits raise BadParams.
     """
     bits = message_bits(record, n, p)
     if record.bits != bits:
         raise BadParams(f"record stores {record.bits} bits, its encoding takes {bits}")
     if isinstance(record, NeighborList):
         ids = record.ids
-        return len(ids) | _id_rank(ids, n) << ceil_log2(n + 1)
+        return _id_set_class(n, len(ids))[1] + _id_rank(ids, n)
     degree, sketch = record.degree, record.sketch
     if type(degree) is not int or not 0 <= degree < n:
         raise BadParams(f"degree {degree!r} outside 0..{n - 1}")
@@ -200,24 +234,25 @@ def unpack(word: int, kind: type, n: int, p: int | None = None) -> Message:
     """The record of the given kind (NeighborList or DegreeAndSketch) that
     pack turned into word, read from word, n and p alone.
 
-    A word that is not an int, is negative or is not below 2**bits of the
-    record it heads, a length field above n, a rank at or above C(n, k), a
-    degree at or above n and a sketch at or above p raise BadParams.
+    A NeighborList word holds k ids when it falls in the k-sets' run of
+    indices, found by walking the classes of _id_set_classes; the rest
+    above the run's start is the colex rank of the ids.  A word that is not
+    an int, is negative or is not below 2**bits of the record it heads
+    (2**n for a NeighborList), a degree at or above n and a sketch at or
+    above p raise BadParams.
     """
     if type(word) is not int or word < 0:
         raise BadParams(f"word {word!r} is not a nonnegative int")
     if n < 1:
         raise BadParams("node count must be >= 1")
     if kind is NeighborList:
-        width = ceil_log2(n + 1)
-        k, rank = word & ((1 << width) - 1), word >> width
-        if k > n:
-            raise BadParams(f"length field {k} exceeds n = {n}")
-        count = comb(n, k)
-        # rank < count implies word < 2**bits, so one check refuses both
-        if rank >= count:
-            raise BadParams(f"rank {rank} of {k} ids is not below C({n}, {k})")
-        return new_record(NeighborList, (_id_unrank(rank, k, n), width + ceil_log2(count)))
+        if word >> n:
+            raise BadParams(f"word {word} is not below 2**{n}, the number of id sets")
+        # the classes end at 2**n, so some run holds the word
+        for k, c, first in _id_set_classes(n):
+            if word < first + c:
+                return new_record(NeighborList,
+                                  (_id_unrank(word - first, k, n), ceil_log2(first + c)))
     if kind is DegreeAndSketch:
         bits = message_bits(DegreeAndSketch(0, 0, 0), n, p)
         if word >> bits:

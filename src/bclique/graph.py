@@ -8,6 +8,7 @@ rule that produces the short-cycle-free subgraph).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,22 +95,40 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """The graph on nodes 0..n-1 with the given (u, v) edges, in any
+        order and orientation.  The first edge in input order that has an
+        endpoint outside 0..n-1, is a self-loop or repeats an earlier edge
+        raises InvalidEdge, which names it."""
+        edges = list(edges)
+        return Graph._from_endpoints(n, [u for u, _ in edges], [v for _, v in edges])
+
+    @staticmethod
+    def _from_endpoints(n: int, us: list, vs: list) -> "Graph":
+        """from_edges for the edges (us[i], vs[i]).
+
+        The rows are built with no test per edge: an endpoint outside
+        -n..n-1, or not an int, fails the row lookup; a negative one in -n..-1
+        indexes a row from the end, and the other endpoint's row then
+        holds it; a self-loop or a repeated edge puts an id twice in a
+        row.  So the sorted rows, checked for a negative first id and for
+        a repeat, show whether any edge is bad, and only then does
+        _refuse_edges walk the edges in order to name the first.
+        """
         if n < 0:
             raise BadParams("node count must be >= 0")
         rows: list[list[int]] = [[] for _ in range(n)]
-        seen: set[Edge] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidEdge(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
-            if u == v:
-                raise InvalidEdge(f"self-loop at node {u}")
-            e = normalize_edge(u, v)
-            if e in seen:
-                raise InvalidEdge(f"duplicate edge {e}")
-            seen.add(e)
-            rows[u].append(v)
-            rows[v].append(u)
-        return Graph(n, tuple(tuple(sorted(r)) for r in rows))
+        try:
+            for u, v in zip(us, vs):
+                rows[u].append(v)
+                rows[v].append(u)
+        except (IndexError, TypeError):
+            _refuse_edges(n, zip(us, vs))
+            raise  # an id that is no index and passes the range test, such as 1.0
+        for row in rows:
+            row.sort()
+        if any(row and (row[0] < 0 or len(set(row)) < len(row)) for row in rows):
+            _refuse_edges(n, zip(us, vs))
+        return Graph(n, tuple(map(tuple, rows)))
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges, normalized and already in ascending edge order."""
@@ -122,6 +141,21 @@ class Graph:
     def max_degree(self) -> int:
         """Length of the longest row, 0 for no nodes, read once per graph."""
         return max(map(len, self.rows), default=0)
+
+
+def _refuse_edges(n: int, edges) -> None:
+    """Raise InvalidEdge for the first edge, in order, with an endpoint
+    outside 0..n-1, a self-loop or a repeat of an earlier edge."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidEdge(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+        if u == v:
+            raise InvalidEdge(f"self-loop at node {u}")
+        e = normalize_edge(u, v)
+        if e in seen:
+            raise InvalidEdge(f"duplicate edge {e}")
+        seen.add(e)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,39 +219,73 @@ def _decimal(field: str) -> int:
     return int(field)
 
 
+def _plain_endpoints(lines: list[str]):
+    """(us, vs) of edge lines that are each two unsigned ASCII decimals
+    with one space between them and nothing else, as serialize_graph
+    writes them, read in bulk: one split of all lines, and one int() per
+    distinct id rather than per token.  None when any line has another
+    form, for the line-by-line parse, which also names the line at fault.
+    """
+    if not lines:
+        return [], []
+    if set(map(str.count, lines, itertools.repeat(" "))) != {1}:
+        return None
+    # each line holds one space, so its two fields are consecutive tokens;
+    # a line that starts or ends with the space leaves an empty one
+    tokens = " ".join(lines).split(" ")
+    ids = dict.fromkeys(tokens)
+    try:
+        for token in ids:
+            if not (token.isascii() and token.isdigit()):
+                return None
+            ids[token] = int(token)
+    except ValueError:  # past int()'s limit on digits
+        return None
+    ends = list(map(ids.__getitem__, tokens))
+    return ends[0::2], ends[1::2]
+
+
 def load_graph(text: str) -> Graph:
     """Parse the edge-list format: first payload line is n, then "u v" lines.
 
     '#' starts a comment, blank lines are skipped, duplicate edges and
-    self-loops are rejected.
+    self-loops are rejected.  The first line at fault is named; edges are
+    checked only once every line has parsed.
     """
+    lines = text.splitlines()
     n = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        payload = raw.split("#", 1)[0].strip()
-        if not payload:
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = payload.split()
-        if n is None:
-            if len(fields) != 1:
-                raise ParseError(f"line {lineno}: expected a single node count")
-            try:
-                n = _decimal(fields[0])
-            except ValueError:
-                raise ParseError(f"line {lineno}: node count is not an integer") from None
-            if not 0 <= n <= MAX_NODES:
-                raise ParseError(f"line {lineno}: node count must be in 0..{MAX_NODES}")
-            continue
-        if len(fields) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v'")
+        if len(fields) != 1:
+            raise ParseError(f"line {lineno}: expected a single node count")
         try:
-            u, v = _decimal(fields[0]), _decimal(fields[1])
+            n = _decimal(fields[0])
         except ValueError:
-            raise ParseError(f"line {lineno}: endpoints are not integers") from None
-        edges.append((u, v))
+            raise ParseError(f"line {lineno}: node count is not an integer") from None
+        if not 0 <= n <= MAX_NODES:
+            raise ParseError(f"line {lineno}: node count must be in 0..{MAX_NODES}")
+        break
     if n is None:
         raise ParseError("missing node count line")
-    return Graph.from_edges(n, edges)
+    body = lines[lineno:]
+    ends = _plain_endpoints(body)
+    if ends is None:
+        ends = [], []
+        for lineno, raw in enumerate(body, start=lineno + 1):
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise ParseError(f"line {lineno}: expected 'u v'")
+            try:
+                u, v = _decimal(fields[0]), _decimal(fields[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: endpoints are not integers") from None
+            ends[0].append(u)
+            ends[1].append(v)
+    return Graph._from_endpoints(n, *ends)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -534,6 +602,65 @@ _GENERATORS = {
     "random_forest": _gen_random_forest,
     "random_degenerate": _gen_random_degenerate,
 }
+
+
+def forest_tight(k: int) -> Graph:
+    """A graph on n = cap**k nodes on which spanning_forest_multiround at
+    eps = 1/k, whose neighbor cap is then ceil(n**(1/k)) = cap, uses all k
+    rounds: the round budget ceil(1/eps) is tight.
+
+    Blocks: Block_1 is a clique of cap + 1 core nodes plus a port joined to
+    each of them; Block_j is a hub Block_{j-1} plus cap child Block_{j-1}s,
+    the hub's root port joined to each child's root port; the graph joins
+    two Block_{k-1}s by one bridge between their root ports, and pads with
+    isolated nodes to cap**k.  A clique's address is its place in each
+    block, innermost first: a digit 0..cap-1 for child i and cap for the
+    hub at each level, then the side of the bridge.  Cliques take their
+    core ids in ascending address order and all cores come before all
+    ports.  So every port's cap smallest neighbors are cores of its own
+    clique, and round 0 merges each Block_1.  A supernode's label is its
+    smallest core id, so in round t the cap smallest foreign labels beside
+    a hub port are those of its children at level t + 1: round t merges
+    exactly the Block_{t+1}s, and the last round announces the bridge
+    alone.
+
+    cap is the smallest at which the 2 (cap+1)**(k-2) (cap+2) block nodes
+    fit in cap**k; k must be an int >= 2, and a cap**k above MAX_NODES
+    raises BadParams before anything is built.
+    """
+    if type(k) is not int or k < 2:
+        raise BadParams(f"forest_tight needs an int k >= 2, not {k!r}")
+    if k >= MAX_NODES.bit_length():  # then cap**k >= 2**k > MAX_NODES
+        raise BadParams(f"forest_tight with k = {k} needs more than {MAX_NODES} nodes")
+
+    def block_nodes(c):
+        return 2 * (c + 1) ** (k - 2) * (c + 2)
+
+    cap = 2
+    while block_nodes(cap) > cap**k:
+        cap += 1
+    n = cap**k
+    if n > MAX_NODES:
+        raise BadParams(f"forest_tight with k = {k}, cap = {cap} has {n} nodes, "
+                        f"more than {MAX_NODES}")
+    hub = cap
+    # itertools.product yields the addresses in ascending order
+    cliques = list(itertools.product(*[range(cap + 1)] * (k - 2), range(2)))
+    index = {a: i for i, a in enumerate(cliques)}
+    ports = len(cliques) * (cap + 1)
+    edges = []
+    for i, a in enumerate(cliques):
+        core = range(i * (cap + 1), (i + 1) * (cap + 1))
+        edges.extend(itertools.combinations(core, 2))
+        edges.extend((u, ports + i) for u in core)
+        # the first child digit names the level at which a's port is a
+        # child's root port, joined to that block's hub root port
+        p = next((p for p, digit in enumerate(a[:-1]) if digit != hub), None)
+        if p is not None:
+            edges.append((ports + i, ports + index[(hub,) * (p + 1) + a[p + 1:]]))
+    top = (hub,) * (k - 2)
+    edges.append((ports + index[top + (0,)], ports + index[top + (1,)]))
+    return Graph.from_edges(n, edges)
 
 
 def gen_graph(kind: str, n: int, seed: int = 0, **params) -> Graph:

@@ -10,7 +10,6 @@ commands of the command line call them for `oracle_agreement`.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -164,16 +163,29 @@ def prune_ok(g: Graph, d: int, result, transcript) -> bool:
 def forest_ok(g: Graph, eps, labels, forest, transcript) -> bool:
     """Whether one spanning_forest_multiround run on g at eps found the
     components and a spanning forest of them within ceil(1/eps) rounds of
-    capped neighbor lists: a length field of ceil(log2(n+1)) bits plus the
-    rank of at most cap = ceil(n**eps) ids, which takes at most
-    ceil(log2 C(n, min(cap, n // 2))) bits, since C(n, k) grows with k up
-    to n / 2.  The bound is computed here with math.comb, without the size
-    table or the message_bits formula that sized the messages, and it
-    implies the paper's cap * ceil(log2 n) bits for the ids, since
-    C(n, k) <= n**k."""
+    capped neighbor lists, each of at most k = min(cap, longest row) ids,
+    cap = ceil(n**eps), since no node announces more ids than its row
+    holds.  The id sets are indexed one size class after another, smallest
+    first (0, n, 1, n - 1, ...), so for 2k < n every set of at most k ids
+    has an index below 2 (C(n, 0) + ... + C(n, k - 1)) + C(n, k), and the
+    bound is ceil(log2) of that; for 2k >= n the classes near n / 2 end at
+    2**n, and the bound is n.  The count is at most 2 (k + 1) n**k <=
+    (n + 1) n**k for 2k < n, so the bound implies the paper-shaped length
+    field of ceil(log2(n+1)) bits plus cap * ceil(log2 n) bits for the ids.
+    It is computed here by its own binomial recurrence, one step per id
+    count below k, without the size table or the message_bits formula that
+    sized the messages."""
     eps = Fraction(eps)
-    k = min(forest_neighbor_cap(g.n, eps), g.n // 2)
-    bound = ceil_log2(g.n + 1) + ceil_log2(math.comb(g.n, k))
+    n = g.n
+    k = min(forest_neighbor_cap(n, eps), g.max_degree)
+    if 2 * k >= n:
+        bound = n
+    else:
+        below, c = 0, 1  # C(n, 0) + ... + C(n, j - 1) and C(n, j), from j = 0
+        for j in range(k):
+            below += c
+            c = c * (n - j) // (j + 1)
+        bound = ceil_log2(2 * below + c)
     return (labels == components_and_forest(g)[0]
             and forest_is_valid(g, labels, forest)
             and transcript.rounds_used <= forest_round_budget(eps)

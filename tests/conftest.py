@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -12,8 +13,9 @@ from fractions import Fraction
 import networkx as nx
 
 from bclique.clique import NeighborList, Transcript, run_protocol
-from bclique.errors import BadParams, NotDecodable, WeightMismatch
-from bclique.graph import Graph, _UnionFind, gen_graph, normalize_edge
+from bclique import graph
+from bclique.errors import BadParams, InvalidEdge, NotDecodable, ParseError, WeightMismatch
+from bclique.graph import Graph, _decimal, _UnionFind, gen_graph, normalize_edge
 from bclique.intmath import ceil_log2
 from bclique.protocols import _SpanningForestProtocol, forest_neighbor_cap, forest_round_budget
 from bclique.sketch import FieldElement, SketchParams
@@ -68,6 +70,68 @@ def forest_ok(g: Graph, labels, forest) -> bool:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(forest)
     return nx.is_forest(h) and len(forest) == g.n - len(set(labels))
+
+
+def reference_from_edges(n: int, edges) -> Graph:
+    """Graph.from_edges as it was before it built rows with no test per
+    edge: each edge checked in order, repeats found with a set of all
+    normalized edges."""
+    if n < 0:
+        raise BadParams("node count must be >= 0")
+    rows: list[list[int]] = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidEdge(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
+        if u == v:
+            raise InvalidEdge(f"self-loop at node {u}")
+        e = normalize_edge(u, v)
+        if e in seen:
+            raise InvalidEdge(f"duplicate edge {e}")
+        seen.add(e)
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(n, tuple(tuple(sorted(r)) for r in rows))
+
+
+def reference_load_graph(text: str) -> Graph:
+    """load_graph as it was before it read plain edge lines in bulk: every
+    line parsed on its own, then reference_from_edges."""
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        payload = raw.split("#", 1)[0].strip()
+        if not payload:
+            continue
+        fields = payload.split()
+        if n is None:
+            if len(fields) != 1:
+                raise ParseError(f"line {lineno}: expected a single node count")
+            try:
+                n = _decimal(fields[0])
+            except ValueError:
+                raise ParseError(f"line {lineno}: node count is not an integer") from None
+            if not 0 <= n <= graph.MAX_NODES:
+                raise ParseError(f"line {lineno}: node count must be in 0..{graph.MAX_NODES}")
+            continue
+        if len(fields) != 2:
+            raise ParseError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = _decimal(fields[0]), _decimal(fields[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: endpoints are not integers") from None
+        edges.append((u, v))
+    if n is None:
+        raise ParseError("missing node count line")
+    return reference_from_edges(n, edges)
+
+
+def outcome(build, *args):
+    """build(*args), or the type and message of the package error it raised."""
+    try:
+        return build(*args)
+    except (BadParams, InvalidEdge, ParseError) as exc:
+        return type(exc), str(exc)
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -153,10 +217,19 @@ def former_neighbor_list_bits(n: int, k: int) -> int:
     return ceil_log2(n + 1) + k * ceil_log2(n)
 
 
-def resized_by_former_formula(transcript: Transcript, n: int) -> Transcript:
-    """The transcript with each NeighborList re-sized by the former formula."""
+def length_field_neighbor_list_bits(n: int, k: int) -> int:
+    """Size of a NeighborList of k ids by the length-field formula that came
+    between the former one and the index over all id sets: ceil(log2(n+1))
+    bits for the id count, then ceil(log2 C(n, k)) bits for the colex rank."""
+    return ceil_log2(n + 1) + ceil_log2(math.comb(n, k))
+
+
+def resized_by_former_formula(transcript: Transcript, n: int,
+                              bits_of=former_neighbor_list_bits) -> Transcript:
+    """The transcript with each NeighborList re-sized by bits_of(n, k),
+    the former formula unless another is given."""
     return Transcript(tuple(
-        tuple(m._replace(bits=former_neighbor_list_bits(n, len(m.ids)))
+        tuple(m._replace(bits=bits_of(n, len(m.ids)))
               if isinstance(m, NeighborList) else m for m in rnd)
         for rnd in transcript.rounds))
 

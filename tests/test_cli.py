@@ -231,6 +231,23 @@ def test_gen_inline_graph(capsys):
     assert load_graph(doc["graph"]) == gen_graph("cycle", 5)
 
 
+def test_gen_forest_tight(capsys):
+    code, doc = run_json(capsys, ["gen", "--kind", "forest_tight", "--k", "3"])
+    assert code == 0
+    assert doc["n"] == 64 and doc["extras"] == {"k": 3, "cap": 4}
+    assert load_graph(doc["graph"]) == graph.forest_tight(3)
+    for argv in (["--kind", "forest_tight", "--n", "64"],          # n is cap**k
+                 ["--kind", "forest_tight", "--k", "3", "--q", "0.1"],
+                 ["--kind", "forest_tight", "--k", "20"],          # above MAX_NODES
+                 ["--kind", "path", "--k", "3"]):
+        code, doc = run_json(capsys, ["gen", *argv])
+        assert code == 1 and doc["error"]["type"] == "BadParams", argv
+    # a size is a usage matter: exactly one of --n and --k
+    for argv in (["--kind", "path"], ["--kind", "path", "--n", "3", "--k", "3"]):
+        assert run_command(["gen", *argv]) == 2
+        capsys.readouterr()
+
+
 def test_verify_small_suite(capsys):
     code, doc = run_json(capsys, ["verify", "--suite", "small"])
     assert code == 0

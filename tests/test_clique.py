@@ -24,6 +24,7 @@ from bclique.clique import (
 )
 from bclique.errors import BadParams
 from bclique.graph import gen_graph
+from bclique.intmath import ceil_log2
 from bclique.protocols import _PruneProtocol
 from bclique.sketch import cached_params
 
@@ -37,13 +38,15 @@ def test_adjacency_inputs_are_the_graph():
 
 
 def test_message_bits_examples():
-    # a length field of ceil(log2 10) = 4 bits, then ceil(log2 C(9, k))
-    assert message_bits(NeighborList((1, 4, 7), 0), n=9) == 4 + 7  # C(9, 3) = 84
-    assert message_bits(NeighborList((), 0), n=9) == 4
-    assert message_bits(NeighborList(tuple(range(9)), 0), n=9) == 4  # C(9, 9) = 1
+    # ceil(log2) of the end of the k-sets' run of indices, the classes
+    # smallest first: k = 0, 9, 1, 8, 2, 7, 3, 6, 4, 5
+    assert message_bits(NeighborList((1, 4, 7), 0), n=9) == 8  # 2 (1 + 9 + 36) + 84 = 176
+    assert message_bits(NeighborList((), 0), n=9) == 0  # the one empty set
+    assert message_bits(NeighborList(tuple(range(9)), 0), n=9) == 1  # second, after it
+    assert message_bits(NeighborList(tuple(range(5)), 0), n=9) == 9  # the last class
     assert message_bits(DegreeAndSketch(2, 10, 0), n=4, p=101) == 9
     # the stored bits are not read
-    assert message_bits(NeighborList((), 99), n=9) == 4
+    assert message_bits(NeighborList((), 99), n=9) == 0
 
 
 def test_message_bits_argument_checks():
@@ -132,7 +135,7 @@ def test_transcript_json_serialization():
     assert doc["rounds_used"] == 1
     assert doc["per_node_bits"] == transcript.per_node_bits
     first, second = doc["rounds"][0]
-    assert first == {"kind": "neighbor_list", "ids": [3, 5], "bits": 4 + 6}  # C(9, 2) = 36
+    assert first == {"kind": "neighbor_list", "ids": [3, 5], "bits": 6}  # 2 (1 + 9) + 36 = 56
     assert second["kind"] == "degree_and_sketch"
     assert second["sketch"] == "12345678901234567890"  # decimal string
     json.dumps(doc)  # structure is JSON-clean
@@ -185,27 +188,42 @@ def colex_rank(ids) -> int:
     return sum(math.comb(c, i) for i, c in enumerate(ids, start=1))
 
 
+def first_index(n: int, k: int) -> int:
+    """The index that pack gives the first k-set of 0..n-1: the size
+    classes come smallest first, k = 0, n, 1, n - 1, ..., k before n - k."""
+    order = sorted(range(n + 1), key=lambda j: (min(j, n - j), j))
+    return sum(math.comb(n, j) for j in order[:order.index(k)])
+
+
 def test_rank_is_a_bijection_onto_the_binomial_range():
-    # every k-set of 0..n-1 packs to its colex rank above the length field,
-    # the ranks fill 0..C(n, k) - 1 in colex order, and unpack inverts pack
+    # every k-set of 0..n-1 packs to the first index of its size class
+    # plus its colex rank, the ranks fill 0..C(n, k) - 1 in colex order, the words
+    # of all subsets fill 0..2**n - 1, and unpack inverts pack
     for n in range(1, 11):
-        width = math.ceil(math.log2(n + 1))
+        every_word = []
         for k in range(n + 1):
             sets = list(itertools.combinations(range(n), k))
             words = [pack(make_message(NeighborList(ids, 0), n), n) for ids in sets]
-            assert [w & ((1 << width) - 1) for w in words] == [k] * len(sets)
-            ranks = [w >> width for w in words]
+            ranks = [w - first_index(n, k) for w in words]
             assert ranks == [colex_rank(ids) for ids in sets]
             assert sorted(ranks) == list(range(math.comb(n, k)))
             assert sorted(sets, key=colex_rank) == sorted(sets, key=lambda ids: ids[::-1])
             assert [unpack(w, NeighborList, n).ids for w in words] == sets
+            every_word += words
+        assert sorted(every_word) == list(range(2**n))
 
 
 def test_pack_layout_examples():
-    # NeighborList: id count in the low ceil(log2(n+1)) bits, rank above;
-    # DegreeAndSketch: degree in the low ceil(log2 n) bits, sketch above
+    # NeighborList: the C(9, 0) + C(9, 9) + C(9, 1) + C(9, 8) sets of the
+    # classes before the 2-sets, plus the colex rank C(3, 1) + C(5, 2);
+    # DegreeAndSketch: degree in the low
+    # ceil(log2 n) bits, sketch above
     m = make_message(NeighborList((3, 5), 0), n=9)
-    assert pack(m, 9) == 2 | (3 + 10) << 4
+    assert pack(m, 9) == 1 + 1 + 9 + 9 + 3 + 10
+    m = make_message(NeighborList((0, 1, 2, 4, 5, 6, 7, 8), 0), n=9)
+    # colex rank C(4, 4) + C(5, 5) + ... + C(8, 8)
+    assert pack(m, 9) == 1 + 1 + 9 + 5 and unpack(16, NeighborList, 9) == m
+    assert m.bits == 5  # the 8-sets end at 20
     m = make_message(DegreeAndSketch(2, 10, 0), n=4, p=101)
     assert pack(m, 4, 101) == 2 | 10 << 2
     assert unpack(2 | 10 << 2, DegreeAndSketch, 4, 101) == m
@@ -246,11 +264,30 @@ def test_neighbor_list_sizes_match_message_bits():
         assert sizes == tuple(message_bits(NeighborList(tuple(range(k)), 0), n)
                               for k in range(n + 1))
         assert neighbor_list_sizes(n, n // 3) == sizes[:n // 3 + 1]
-    assert neighbor_list_sizes(10**5, 2) == (17, 17 + 17, 17 + 33)
+    assert neighbor_list_sizes(10**5, 2) == (0, 17, 33)
     assert neighbor_list_sizes(40, 5) is neighbor_list_sizes(40, 5)  # cached
     for n, most in ((0, 0), (5, 6), (5, -1)):
         with pytest.raises(BadParams):
             neighbor_list_sizes(n, most)
+
+
+def test_neighbor_list_sizes_match_a_comb_sum():
+    # each entry, and message_bits at the longest list, against the end of
+    # the k-sets' run of indices summed with math.comb
+    for n, most in ((1, 1), (9, 9), (64, 64), (65, 65), (256, 40), (3000, 60), (10**5, 40)):
+        expect = tuple(ceil_log2(first_index(n, k) + math.comb(n, k)) for k in range(most + 1))
+        assert neighbor_list_sizes(n, most) == expect
+        assert message_bits(NeighborList(tuple(range(most)), 0), n) == expect[most]
+
+
+def test_long_lists_cost_what_short_ones_do():
+    # n - k ids take no more bits than k + 1 ids: at eps 1 on K_2000 every
+    # node sends 1,999 ids in 12 bits, not the 2,000 that an index with
+    # the size classes in the order of k would take
+    for n in (9, 10, 2000):
+        sizes = neighbor_list_sizes(n, n)
+        assert all(sizes[n - k] <= sizes[k + 1] for k in range(n // 2))
+    assert neighbor_list_sizes(2000, 2000)[1999] == ceil_log2(1 + 1 + 2000 + 2000) == 12
 
 
 def _neighbor_list(ids, n=9):
@@ -279,9 +316,9 @@ def test_pack_refuses_bad_records(record, n, p):
 
 
 @pytest.mark.parametrize("word, kind, n, p", [
-    (2 | 64 << 4, NeighborList, 9, None),      # word >= 2**10, the bits of 2 ids
-    (2 | 36 << 4, NeighborList, 9, None),      # rank C(9, 2) = 36 fits 6 bits
-    (10, NeighborList, 9, None),               # length field 10 > n
+    (2 | 64 << 4, NeighborList, 9, None),      # word 1026 >= 2**9
+    (2 | 36 << 4, NeighborList, 9, None),      # word 578 >= 2**9
+    (1 << 9, NeighborList, 9, None),           # 2**9, one past the last set
     (1 << 11, DegreeAndSketch, 9, 101),        # word >= 2**11
     (9, DegreeAndSketch, 9, 101),              # degree 9 >= n
     (1 | 101 << 4, DegreeAndSketch, 9, 101),   # sketch >= p

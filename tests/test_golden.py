@@ -9,13 +9,17 @@ Both were re-pinned when the forest protocol began to halt in the round
 whose merge proves it done, not one all-empty round later; that took the
 confirming round off forest transcripts, among them the CLI's
 `components --eps 1/3`.  They were re-pinned again when a NeighborList
-came to be sized by the rank of its id set, ceil(log2 C(n, k)) bits, not
-ceil(log2 n) bits per id; that changed the bits of forest messages and
-nothing else.  REFERENCE_PROTOCOL_DIGEST is the digest as pinned before
-both, and a test rebuilds it with the former halting rule and sizes
-(conftest.reference_spanning_forest) and checks that every forest line
-differs from the reference's only by its trailing empty rounds and its bit
-counts, and every other line not at all.
+came to be sized by the rank of its id set, ceil(log2 C(n, k)) bits after
+a length field, not ceil(log2 n) bits per id, and once more when the
+length field went into one index over all id sets, size class by size
+class, smallest first; each changed the bits of forest messages and
+nothing else.  REFERENCE_PROTOCOL_DIGEST is the digest as
+pinned before all three, and a test rebuilds it with the former halting
+rule and sizes (conftest.reference_spanning_forest) and checks that every
+forest line differs from the reference's only by its trailing empty
+rounds and its bit counts, and every other line not at all.
+LENGTH_FIELD_PROTOCOL_DIGEST is the digest as pinned with the length
+field, and a test rebuilds it by re-sizing the forest messages alone.
 """
 
 import hashlib
@@ -29,11 +33,13 @@ from bclique.protocols import (connectivity_one_round_r, prune_one_round,
 from bclique.sketch import cached_params
 from bclique.verify import one_round_corpus, protocol_corpus
 
-from conftest import reference_spanning_forest
+from conftest import (length_field_neighbor_list_bits, reference_spanning_forest,
+                      resized_by_former_formula)
 
-PROTOCOL_DIGEST = "a993a4cf0492c25c61d291d3ba04295d63ed0155618983ab579be6232711334e"
+PROTOCOL_DIGEST = "617f84637494a9a127febb6e820ce54b17bbfd2d4a2281483449b2913d43fa22"
 REFERENCE_PROTOCOL_DIGEST = "ca317d45a35ed9cacd14b78a615b128296e968e44e0788821a11d4d5a55e467d"
-CLI_DIGEST = "77fb7b1872974132aaedca39080133c18c06c31654fc758348f0f6dcf3d73ae3"
+LENGTH_FIELD_PROTOCOL_DIGEST = "a993a4cf0492c25c61d291d3ba04295d63ed0155618983ab579be6232711334e"
+CLI_DIGEST = "088b739a919c0b48e34a5ba990d4183c3c9d526273c56f145468d77c7f12586a"
 
 
 def _prune_doc(result):
@@ -103,6 +109,17 @@ def test_former_halting_rule_rebuilds_the_former_digest():
         assert not any(m["ids"] for rnd in dropped[len(kept):] for m in rnd)
         ref["transcript"]["rounds_used"] = len(kept)
         assert doc == ref
+
+
+def test_length_field_sizes_rebuild_the_length_field_digest():
+    # re-sizing each forest message by the length-field formula, and
+    # nothing else, gives back every line as it was pinned with that formula
+    lines = []
+    for kind, tag, param, output, transcript, n, _ in _protocol_runs(spanning_forest_multiround):
+        if kind == "forest":
+            transcript = resized_by_former_formula(transcript, n, length_field_neighbor_list_bits)
+        lines.append(_line(kind, tag, param, output, transcript))
+    assert _digest(lines) == LENGTH_FIELD_PROTOCOL_DIGEST
 
 
 def test_every_golden_message_packs_into_its_bits():

@@ -1,6 +1,7 @@
 """Graph representation, file format, generators, and brute-force oracles."""
 
 import math
+import re
 from typing import NamedTuple
 
 import networkx as nx
@@ -37,6 +38,9 @@ from conftest import (
     dropped_edges,
     forest_ok,
     girth_leq,
+    outcome,
+    reference_from_edges,
+    reference_load_graph,
     relabel,
     residual_core,
     seeded_graph,
@@ -84,6 +88,52 @@ def test_load_graph_refuses_fields_beyond_ascii_decimals(field):
 def test_load_graph_invalid_edges(text):
     with pytest.raises(InvalidEdge):
         load_graph(text)
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-list texts near the plain form that load_graph reads in bulk:
+    lines of two unsigned ids with one space between them, some out of
+    range, self-loops or repeats of an earlier line, and now and then a
+    line of another form."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    ids = st.integers(min_value=0, max_value=n + 1).map(str)
+    lines = draw(st.lists(st.tuples(ids, ids).map(" ".join), max_size=30))
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if draw(st.integers(0, 3)) == 0:
+        odd = st.sampled_from(["", "1  2", "1\t2", " 1 2", "1 2 ", "# c", "1 2 # c", "1 2 3", "1",
+                               "-1 2", "-0 1", "00 1", "x 1", "1 \u0663", "1 " + "9" * 5000])
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    return "\n".join([str(n), *lines]) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(edge_files())
+@settings(max_examples=400, deadline=None)
+def test_load_graph_matches_the_line_by_line_reference(text):
+    # the same graph, or the same error naming the same line or edge: the
+    # first line at fault, else the first bad edge in input order
+    assert outcome(load_graph, text) == outcome(reference_load_graph, text)
+
+
+@given(st.integers(min_value=0, max_value=8),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=20))
+@settings(max_examples=400, deadline=None)
+def test_from_edges_matches_the_reference(n, edges):
+    # rows built with no test per edge find the same bad edge first
+    assert outcome(Graph.from_edges, n, edges) == outcome(reference_from_edges, n, edges)
+
+
+def test_from_edges_names_the_first_bad_edge_in_input_order():
+    for edges, message in (([(0, 1), (2, 1), (1, 2), (3, 3)], "duplicate edge (1, 2)"),
+                           ([(0, 1), (3, 3), (1, 0)], "self-loop at node 3"),
+                           ([(0, -1), (1, 0), (0, 1)], "edge (0, -1) references"),
+                           ([(0, 1), (1, 0), (0, 4)], "duplicate edge (0, 1)"),
+                           ([(0, 4), (1, 0), (0, 1)], "edge (0, 4) references")):
+        with pytest.raises(InvalidEdge, match=re.escape(message)):
+            Graph.from_edges(4, edges)
+        with pytest.raises(InvalidEdge, match=re.escape(message)):
+            load_graph("4\n" + "".join(f"{u} {v}\n" for u, v in edges))
 
 
 def test_node_counts_above_the_bound_are_refused(monkeypatch):

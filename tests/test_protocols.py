@@ -1,7 +1,9 @@
 """The three protocols against their oracles, plus the shared peel machinery."""
 
 import heapq
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from bclique.graph import (
     Graph,
     components_and_forest,
     core_peel,
+    forest_tight,
     gen_graph,
     tilde_global,
 )
@@ -293,6 +296,52 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
         spanning_forest_multiround(g, Fraction(1, 2))
 
 
+# --- forest_tight: inputs that use every round ------------------------------------
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_forest_tight_uses_every_round(k):
+    # n = cap**k, so eps = 1/k gives the generator's cap and k rounds
+    g = forest_tight(k)
+    eps = Fraction(1, k)
+    labels, forest, transcript = spanning_forest_multiround(g, eps)
+    assert forest_neighbor_cap(g.n, eps) ** k == g.n
+    assert transcript.rounds_used == k == forest_round_budget(eps)
+    assert verify.forest_ok(g, eps, labels, forest, transcript)
+    # the last round announces the bridge between the two halves, from both ends
+    announced = {tuple(sorted((u, w))) for u, m in enumerate(transcript.rounds[-1]) for w in m.ids}
+    assert len(announced) == 1
+    (u, w), = announced
+    halves = Graph(g.n, tuple(tuple(x for x in row if {v, x} != {u, w})
+                              for v, row in enumerate(g.rows)))
+    assert len(set(components_and_forest(halves)[0])) == len(set(labels)) + 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_forest_tight_overruns_one_round_less(k, monkeypatch):
+    # the same run with a budget of k - 1 rounds stops with nodes unfinished
+    monkeypatch.setattr(protocols, "forest_round_budget", lambda eps: k - 1)
+    with pytest.raises(RoundBudgetExceeded, match=f"unfinished after {k - 1} round"):
+        spanning_forest_multiround(forest_tight(k), Fraction(1, k))
+
+
+def test_forest_tight_sizes(monkeypatch):
+    # cap is the smallest whose 2 (cap+1)**(k-2) (cap+2) block nodes fit
+    # in cap**k
+    assert [forest_tight(k).n for k in (2, 3, 4, 5)] == [4**2, 4**3, 5**4, 5**5]
+    for k in (1, 2.0, True):
+        with pytest.raises(BadParams):
+            forest_tight(k)
+
+    def no_build(*args):
+        raise AssertionError("built before the size check")
+
+    # refused before any clique is built
+    monkeypatch.setattr(itertools, "product", no_build)
+    for k in (9, 20, 10**9):
+        with pytest.raises(BadParams, match="nodes"):
+            forest_tight(k)
+
+
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])
 @pytest.mark.parametrize("rows, node, bad", [
     ([(1,), (0, 2)], 1, 2),
@@ -557,16 +606,21 @@ def test_protocols_hold_no_run_state(make, g):
 
 
 def test_forest_ok_rejects_messages_above_the_bit_bound():
-    # the bound is the length field plus the rank of at most cap ids, which
-    # C(n, min(cap, n // 2)) bounds, not the size table that sized the
-    # messages; on the 9-path cap is 3 at eps 1/2 and 9 at eps 1, where
-    # C(9, k) peaks at k = 4
-    g = gen_graph("path", 9)
-    for eps, k in ((Fraction(1, 2), 3), (Fraction(1), 4)):
+    # the bound is the end of the index run of the sets of at most
+    # k = min(cap, longest row) ids, counted with math.comb, not with the
+    # size table that sized the messages: classes come smallest first, so
+    # for 2k < 9 it is 2 (C(9, 0) + ... + C(9, k - 1)) + C(9, k), and for
+    # 2k >= 9 all 2**9 sets; cap is 3 at eps 1/2 and 9 at eps 1, the
+    # 9-star's center holds 8 ids and the 9-path's rows 2
+    for g, eps, k, bound in ((gen_graph("star", 9), Fraction(1, 2), 3, 8),
+                             (gen_graph("star", 9), Fraction(1), 8, 9),
+                             (gen_graph("path", 9), Fraction(1), 2, 6)):
         labels, forest, transcript = spanning_forest_multiround(g, eps)
         assert verify.forest_ok(g, eps, labels, forest, transcript)
-        assert k == min(pow_ceil(9, eps), 9 // 2)
-        bound = ceil_log2(9 + 1) + ceil_log2(math.comb(9, k))
+        assert k == min(pow_ceil(9, eps), g.max_degree)
+        if 2 * k < 9:
+            assert bound == ceil_log2(2 * sum(math.comb(9, j) for j in range(k))
+                                      + math.comb(9, k))
         # tighter than the paper-shaped bound of cap ids of ceil(log2 n) bits
         assert bound < ceil_log2(9 + 1) + pow_ceil(9, eps) * ceil_log2(9)
         (first, *rest), *later = transcript.rounds
@@ -576,6 +630,21 @@ def test_forest_ok_rejects_messages_above_the_bit_bound():
         above = Transcript(((first._replace(bits=bound + 1), *rest), *later))
         assert above.per_node_bits == bound + 1
         assert not verify.forest_ok(g, eps, labels, forest, above)
+
+
+@pytest.mark.parametrize("center_degree", [10**5 - 1, 10**5 // 2 - 1])
+def test_forest_ok_bound_is_quick_on_long_rows(center_degree):
+    # at eps 1 on 10**5 nodes k is the longest row: the whole star's
+    # 99,999 ids take the bound n with no binomial, and 49,999, the most
+    # below n / 2, one recurrence step per id count; a math.comb call per
+    # id count took minutes here
+    n = 10**5
+    g = Graph.from_edges(n, [(0, v) for v in range(1, center_degree + 1)])
+    labels, forest = components_and_forest(g)
+    transcript = Transcript(((NeighborList((), 0),) * n,))
+    start = time.perf_counter()
+    assert verify.forest_ok(g, 1, labels, forest, transcript)
+    assert time.perf_counter() - start < 10
 
 
 def test_spanning_forest_single_node():
