@@ -463,13 +463,14 @@ def _closes_short_cycle(nbrs, u: int, w: int, hops: int, members: int) -> bool:
 def has_short_cycle(g: Graph, length_bound: int) -> bool:
     """True iff g contains a simple cycle of length <= length_bound.
 
-    Girth BFS from every root, sharing no code with the short-cycle search
-    behind tilde_row_local and tilde_global.  An edge (a, b) outside the BFS
-    tree closes a walk of length dist[a] + dist[b] + 1 through the root,
-    which contains a cycle; from a root on a shortest cycle, one such walk
-    is no longer than that cycle.  A node at depth k closes no walk shorter than 2k, so the
-    search stops past depth length_bound // 2.  A simple graph has no cycle
-    shorter than 3, and the search returns False for any bound below 3.
+    Girth BFS from every root, sharing no code with the short-cycle
+    searches behind tilde_row_local and tilde_global.  An edge (a, b)
+    outside the BFS tree closes a walk of length dist[a] + dist[b] + 1
+    through the root, which contains a cycle; from a root on a shortest
+    cycle, one such walk is no longer than that cycle.  A node at depth k
+    closes no walk shorter than 2k, so the search stops past depth
+    length_bound // 2.  A simple graph has no cycle shorter than 3, and
+    the search returns False for any bound below 3.
     """
     for root in range(g.n):
         dist = {root: 0}
@@ -497,16 +498,39 @@ def tilde_global(g: Graph, r: int) -> Graph:
     Edge (u, w) is dropped exactly when u reaches w in at most 2r-1 steps
     over edges smaller than (u, w).  The result has no cycle of length
     <= 2r and the same connected components as g.
+
+    Each edge gets its own plain breadth-first search over g.rows, which
+    compares normalized edge tuples and stops on reaching w.  It shares no
+    code with the mask search behind tilde_row_local, so the self-check that
+    holds the local rows against this graph tests one search by another.
     """
     if r < 1:
         raise BadParams("radius must be >= 1")
-    nbrs = neighbor_masks(g)
-    everyone = (1 << g.n) - 1
-    return Graph.from_edges(
-        g.n, (e for e in g.edges() if not _closes_short_cycle(nbrs, *e, 2 * r - 1, everyone)))
+    rows = g.rows
+    hops = 2 * r - 1
+
+    def closes_short_cycle(u: int, w: int) -> bool:
+        top = (u, w)
+        seen = {u}
+        frontier = [u]
+        for _ in range(hops):
+            nxt = []
+            for a in frontier:
+                for b in rows[a]:
+                    if b not in seen and normalize_edge(a, b) < top:
+                        if b == w:
+                            return True
+                        seen.add(b)
+                        nxt.append(b)
+            if not nxt:
+                break
+            frontier = nxt
+        return False
+
+    return Graph.from_edges(g.n, (e for e in g.edges() if not closes_short_cycle(*e)))
 
 
-def tilde_row_local(b: Ball) -> tuple[int, ...]:
+def tilde_row_local(b: Ball, *, upper: bool = False) -> tuple[int, ...]:
     """Row of the short-cycle-free subgraph at b's center, computed from
     that node's radius-r ball only.
 
@@ -518,6 +542,13 @@ def tilde_row_local(b: Ball) -> tuple[int, ...]:
     knowledge.  The row is read off the bits of nbrs[v] in ascending order,
     and the search reads only the masks of ball members, although the ball
     shares the whole graph's mask tuple.
+
+    upper=True decides only the neighbors above the center: the mask of
+    nbrs[v] is cut below v + 1, and the result is the full row's part above
+    v.  The same argument run from u shows that u's ball also finds such a
+    cycle, so both ends of an edge get tilde_global's bit, and a caller that
+    holds every ball of one graph can decide each edge once, at its lower
+    end, and copy the bit into the upper end's row.
     """
     if b.radius < 1:
         raise BadParams("radius must be >= 1")
@@ -525,6 +556,8 @@ def tilde_row_local(b: Ball) -> tuple[int, ...]:
     hops = 2 * b.radius - 1
     row = []
     mask = nbrs[v]
+    if upper:
+        mask = mask >> (v + 1) << (v + 1)
     while mask:
         low = mask & -mask
         u = low.bit_length() - 1

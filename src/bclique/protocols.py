@@ -17,7 +17,10 @@
   radius-r ball, the pruning round at the sparsity bound s = ceil(n**(1/r))
   peels that subgraph to empty, so every node holds all its edges, and every
   node reads the same spanning forest off the peel with merge_step, the
-  forest protocol's merge.
+  forest protocol's merge.  Both ends of an edge reach the same bit from
+  their own balls, so the simulator searches each edge once, from its
+  lower end's ball, and copies the bit to the upper end; it refuses balls
+  that do not all come from one graph, where that copy would be wrong.
 
 The adjacency entry points take a Graph, whose rows its constructors have
 validated (raw rows enter through Graph.from_rows), and the engine hands
@@ -467,8 +470,8 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     """Connected components and a spanning forest from radius-r views in a
     single broadcast round of (degree, sketch) messages.
 
-    Each node derives its row of the short-cycle-free subgraph from its own
-    ball, without communication; prune_one_round at s = sparsity_parameter(n, r)
+    Each node's row of the short-cycle-free subgraph is decided from the
+    balls, without communication; prune_one_round at s = sparsity_parameter(n, r)
     then peels that subgraph to empty, so every node holds it whole and reads
     the forest off it.  The read-off is merge_step on singleton labels with
     each node's residual neighborhood from the peel, ascending as
@@ -478,6 +481,23 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     is checked against.  It reads only the peel's sequence, so it never
     builds the graph.
 
+    Each edge is searched once, from its lower end's ball: the centers are
+    taken in ascending order, tilde_row_local(b, upper=True) decides the
+    center's neighbors above it, and each kept edge (v, u) is copied into
+    row u.  That is the bit u's own ball gives: both ends' searches find
+    exactly the cycles of length <= 2r whose largest edge is (v, u), which
+    lie within distance r of either end, so both equal tilde_global's
+    rule.  Row u receives its lower neighbors in ascending order before
+    its own call appends the upper ones, so every row comes out ascending
+    with no sort.
+
+    A row thus reads other nodes' balls, and that argument holds only for
+    balls of one graph, so the balls must share one n-entry neighbor-mask
+    tuple (ball_inputs hands every ball the same one; the test is by
+    identity first, then by equality) or BadParams is raised before any
+    search runs.  Balls of two graphs would otherwise give each edge the
+    lower end's graph's bit and return wrong labels without an error.
+
     The short-cycle-free rows go to the prune engine without Graph.from_rows
     or a Graph: each is part of a validated graph's row, cut by
     tilde_global's rule, which keeps or drops an edge at both of its ends.
@@ -486,15 +506,27 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     """
     if type(r) is not int or r < 1:
         raise BadParams(f"r must be an int >= 1, not {r!r}")
+    n = len(balls)
+    masks = balls[0].nbrs if n else ()
+    if len(masks) != n:
+        raise BadParams(f"ball 0 is from a graph on {len(masks)} nodes, not {n}")
     for v, b in enumerate(balls):
         if b.center != v or b.radius != r:
             raise BadParams(f"input {v} is not the radius-{r} ball of node {v}")
-    s = sparsity_parameter(len(balls), r)
-    peel, transcript = _prune_rows([tilde_row_local(b) for b in balls], s)
+        if b.nbrs is not masks and b.nbrs != masks:
+            raise BadParams(f"ball {v} is from another graph than ball 0")
+    s = sparsity_parameter(n, r)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for v, b in enumerate(balls):
+        upper = tilde_row_local(b, upper=True)
+        rows[v].extend(upper)
+        for u in upper:
+            rows[u].append(v)
+    peel, transcript = _prune_rows(rows, s)
     if peel.remaining:
         raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")
-    ids_of: list[tuple[int, ...]] = [()] * len(balls)
+    ids_of: list[tuple[int, ...]] = [()] * n
     for k, nbrs in peel.sequence:
         ids_of[k] = nbrs
-    labels, forest = merge_step(tuple(range(len(balls))), (), ids_of)
+    labels, forest = merge_step(tuple(range(n)), (), ids_of)
     return labels, forest, transcript

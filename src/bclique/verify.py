@@ -196,8 +196,10 @@ def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:
     """Whether one connectivity_one_round_r run on g at radius r found the
     components and a spanning forest of the short-cycle-free subgraph in one
     round of (degree, sketch) messages within the analytic bound; also checks
-    each node's local row against the global subgraph, which must keep the
-    components and have no cycle of length <= 2r."""
+    each node's local row, and the degree its message announced, against
+    the global subgraph, which must keep the components and have no cycle
+    of length <= 2r.  tilde_global finds that subgraph by its own search,
+    which shares no code with the one behind tilde_row_local."""
     oracle_labels, _ = components_and_forest(g)
     tilde = tilde_global(g, r)
     local_rows = tuple(map(tilde_row_local, ball_inputs(g, r)))
@@ -205,6 +207,7 @@ def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:
     return (labels == oracle_labels
             and transcript.rounds_used == 1
             and transcript.per_node_bits <= ceil_log2(g.n) + sketch.sketch_bits_bound(g.n, s)
+            and [m.degree for m in transcript.rounds[0]] == list(map(len, tilde.rows))
             and local_rows == tilde.rows
             and components_and_forest(tilde)[0] == oracle_labels
             and forest_is_valid(g, labels, forest)

@@ -502,23 +502,45 @@ def test_has_short_cycle_matches_girth(idx, bound):
     assert has_short_cycle(g, bound) == girth_leq(g, bound)
 
 
-def test_verify_catches_a_short_cycle_search_one_hop_short(monkeypatch):
-    # the shipped self-check must not trust the search it checks: with the
-    # search behind tilde_row_local and tilde_global cut one hop short, the
-    # independent girth BFS in has_short_cycle still finds the kept cycles
+def mutate_short_cycle_search(monkeypatch, extra_hops):
+    """Patch the mask search behind tilde_row_local to search
+    extra_hops more (or, below 0, fewer) steps than it is asked to."""
     real = graph._closes_short_cycle
     monkeypatch.setattr(graph, "_closes_short_cycle",
-                        lambda nbrs, u, w, hops, members: real(nbrs, u, w, hops - 1, members))
-    # both tilde functions look the search up by module global, so the cut
-    # reaches them: the 4-cycle keeps its largest edge (2, 3)
+                        lambda nbrs, u, w, hops, members:
+                        real(nbrs, u, w, hops + extra_hops, members))
+
+
+def test_verify_catches_a_short_cycle_search_one_hop_short(monkeypatch):
+    # the shipped self-check must not trust the search it checks: with the
+    # search behind tilde_row_local cut one hop short, the 4-cycle keeps
+    # its largest edge (2, 3) in the local rows, while tilde_global, whose
+    # own search is untouched, drops it
+    mutate_short_cycle_search(monkeypatch, -1)
     c4 = gen_graph("cycle", 4)
-    assert tilde_global(c4, 2) == c4
+    assert dropped_edges(c4, tilde_global(c4, 2)) == {(2, 3)}
     assert tilde_row_local(ball_inputs(c4, 2)[2]) == (1, 3)
     assert verify.run_suite("small")["passed"] is False
 
 
-# Reference for the search behind both tilde functions: a plain BFS of
+def test_verify_catches_a_short_cycle_search_one_hop_long(monkeypatch):
+    # one hop too long, the local rows drop the largest edge of a cycle one
+    # longer than 2r, which keeps the components and leaves no short cycle;
+    # only the comparison with tilde_global's own search sees it
+    mutate_short_cycle_search(monkeypatch, 1)
+    c5 = gen_graph("cycle", 5)
+    assert tilde_global(c5, 2) == c5
+    assert tilde_row_local(ball_inputs(c5, 2)[4]) == (0,)
+    report = verify.run_suite("small")
+    assert report["passed"] is False
+    failed = {c["name"] for c in report["cases"] if not c["ok"]}
+    assert "one_round_r2" in failed
+
+
+# Reference for the searches behind both tilde functions: a plain BFS of
 # `hops` levels that compares normalized edge tuples and stops on reaching w.
+# tilde_global runs the same rule in code of its own; this copy checks both
+# it and the mask search behind tilde_row_local.
 def reference_closes_short_cycle(adj, u, w, hops):
     top = normalize_edge(u, w)
     seen = {u}
@@ -556,6 +578,26 @@ def test_short_cycle_search_matches_reference(idx, r):
     assert dropped_edges(g, tilde_global(g, r)) == reference_removed(g, r)
     for v, b in enumerate(ball_inputs(g, r)):
         assert tilde_row_local(b) == reference_row(g, v, r)
+
+
+def assert_upper_rows_cut_the_full_rows(g: Graph, r: int) -> None:
+    """tilde_row_local(b, upper=True), which decides only the neighbors
+    above the center, is the full row's part above it at every node."""
+    for v, b in enumerate(ball_inputs(g, r)):
+        full = tilde_row_local(b)
+        assert tilde_row_local(b, upper=True) == tuple(u for u in full if u > v), (v, r)
+
+
+@given(graph_indices, st.integers(min_value=1, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_upper_row_is_the_full_row_above_the_center(idx, r):
+    assert_upper_rows_cut_the_full_rows(seeded_graph(idx), r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_upper_row_is_the_full_row_above_the_center_on_the_corpus(r):
+    for tag, g in verify.one_round_corpus(r, 14):
+        assert_upper_rows_cut_the_full_rows(g, r)
 
 
 # The row-based search that the mask search replaced, copied whole; only its

@@ -28,6 +28,7 @@ from bclique.graph import (
     forest_tight,
     gen_graph,
     tilde_global,
+    tilde_row_local,
 )
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
@@ -1126,6 +1127,77 @@ def test_one_round_argument_checks():
         connectivity_one_round_r(balls[1:] + balls[:1], 2)  # ball v centered elsewhere
     with pytest.raises(ValueError):
         connectivity_one_round_r(ball_inputs(g, 2), 0)
+
+
+def mixed_balls(seed: int, r: int = 2):
+    """The balls of nodes 0..14 of one gnp graph on 30 nodes and of nodes
+    15..29 of another."""
+    g = gen_graph("gnp", 30, seed=seed, q=0.08)
+    h = gen_graph("gnp", 30, seed=seed + 1000, q=0.08)
+    return ball_inputs(g, r)[:15] + ball_inputs(h, r)[15:]
+
+
+def test_one_round_refuses_balls_of_two_graphs(monkeypatch):
+    # an edge is searched from its lower end's ball alone, which speaks for
+    # the upper end only when both balls come from one graph; the refusal
+    # comes before any search
+    searched = []
+    monkeypatch.setattr(protocols, "tilde_row_local",
+                        lambda *args, **kwargs: searched.append(args) or ())
+    for seed in range(20):
+        with pytest.raises(BadParams, match="another graph"):
+            connectivity_one_round_r(mixed_balls(seed), 2)
+    balls = ball_inputs(gen_graph("gnp", 30, seed=1, q=0.08), 2)
+    with pytest.raises(BadParams, match="30 nodes"):
+        connectivity_one_round_r(balls[:20], 2)  # 20 of the graph's 30 balls
+    assert searched == []
+
+
+def test_one_round_accepts_balls_of_one_graph_built_twice():
+    # two ball_inputs calls on one graph build equal mask tuples that are
+    # not the same object; the test by equality accepts them
+    g = gen_graph("gnp", 30, seed=4, q=0.08)
+    first, second = ball_inputs(g, 2), ball_inputs(g, 2)
+    assert first[0].nbrs == second[0].nbrs and first[0].nbrs is not second[0].nbrs
+    labels, forest, transcript = connectivity_one_round_r(first[:15] + second[15:], 2)
+    assert (labels, forest, transcript) == connectivity_one_round_r(first, 2)
+    assert labels == bfs_component_labels(g)
+
+
+def per_node_one_round(balls, r: int):
+    """The one-round protocol with every node's whole row searched from its
+    own ball, each edge twice: the reference for connectivity_one_round_r,
+    which searches each edge once, from its lower end."""
+    n = len(balls)
+    peel, transcript = protocols._prune_rows([tilde_row_local(b) for b in balls],
+                                             sparsity_parameter(n, r))
+    assert not peel.remaining
+    ids_of = [()] * n
+    for k, nbrs in peel.sequence:
+        ids_of[k] = nbrs
+    labels, forest = merge_step(tuple(range(n)), (), ids_of)
+    return labels, forest, transcript
+
+
+def assert_one_round_matches_per_node(g: Graph, r: int, tag=None) -> None:
+    balls = ball_inputs(g, r)
+    labels, forest, transcript = connectivity_one_round_r(balls, r)
+    ref_labels, ref_forest, ref_transcript = per_node_one_round(balls, r)
+    assert labels == ref_labels, (tag, r)
+    assert forest == ref_forest, (tag, r)
+    assert transcript.to_json_dict() == ref_transcript.to_json_dict(), (tag, r)
+
+
+@given(st.integers(min_value=0, max_value=400), st.integers(min_value=1, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_one_round_matches_the_per_node_path(idx, r):
+    assert_one_round_matches_per_node(seeded_graph(idx), r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_one_round_matches_the_per_node_path_on_the_corpus(r):
+    for tag, g in one_round_corpus(r, 14):
+        assert_one_round_matches_per_node(g, r, tag)
 
 
 def test_one_round_below_the_sparsity_bound_raises(monkeypatch):
