@@ -134,9 +134,6 @@ class Graph:
         """All edges, normalized and already in ascending edge order."""
         return tuple((u, w) for u in range(self.n) for w in self.rows[u] if w > u)
 
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
-
     @cached_property
     def max_degree(self) -> int:
         """Length of the longest row, 0 for no nodes, read once per graph."""

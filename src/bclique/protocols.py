@@ -6,9 +6,10 @@
   most ceil(n**eps) ids.  Each round's merge is merge_step, one Kruskal pass
   over the announced edges.  The run halts in the round whose merge leaves
   all full senders (nodes that announced the full cap of ids) in one
-  supernode, which proves no edge joins two supernodes.  A round with no
-  full sender also merges without merge_step's search for edges announced
-  by their upper end alone, none of which Kruskal would take.
+  supernode, which proves no edge joins two supernodes.  merge_step looks
+  for edges announced by their upper end alone only below the full
+  senders, since Kruskal takes none whose lower end is not full; a round
+  with no full sender skips that search.
 * prune_one_round: one broadcast of (degree, sketched neighbor row) per node,
   then everyone peels low-degree nodes locally, editing the remaining
   sketches through linearity.
@@ -37,7 +38,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import sketch
 from .clique import (DegreeAndSketch, NeighborList, Protocol, message_bits,
@@ -72,7 +73,7 @@ SCAN_MAX = 16
 
 
 def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
-               ids_of: Sequence[Sequence[int]], find_upper_only: bool = True):
+               ids_of: Sequence[Sequence[int]], hiding: Collection[int] | None = None):
     """Merge supernodes joined by announced edges and return the new
     (labels, forest).
 
@@ -86,43 +87,49 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     member id of v's supernode; forest holds the original-graph edges
     whose announcement caused a merge, so it stays acyclic.  Edges are
     processed in ascending edge order; each one joining two distinct
-    supernodes goes into the forest.  From singleton labels and every edge
-    of a graph, this is Kruskal's algorithm in ascending edge order: the
+    supernodes goes into the forest, so one call from an empty forest
+    returns it ascending.  From singleton labels and every edge of a
+    graph, this is Kruskal's algorithm in ascending edge order: the
     graph's components and canonical spanning forest.
 
     Ascending edge order is the order of one sweep over the senders u in
     ascending order, each with its ids above u in ascending order, so the
     edges need no sort.  Only the edges announced by their upper end alone
-    are missing from that sweep.
-    A first pass finds them: a sender x and an id w < x form one when x is
-    not among w's ids, tested by a scan of a list of at most SCAN_MAX ids
-    and through a set of the ids of a longer one.  It buckets x under w,
-    in ascending order since the senders are taken in order, and the
-    sweep merges w's bucket into w's ids.  Each announced id is read a
-    bounded number of times, so the cost is linear in the announced ids.
+    are missing from that sweep.  A first pass finds those whose lower end
+    is in hiding (every node when hiding is None): a sender x and an id
+    w < x in hiding form one when x is not among w's ids, tested by a scan
+    of a list of at most SCAN_MAX ids and through a set of the ids of a
+    longer one.  It buckets x under w, in ascending order since the senders
+    are taken in order, and the sweep merges w's bucket into w's ids.  Each
+    announced id is read a bounded number of times, so the cost is linear
+    in the announced ids; an empty hiding skips the pass.
 
-    find_upper_only=False skips that pass, which is exact when Kruskal over
-    all the announced edges takes none of the edges it would find.  That
-    holds in a forest round with no full sender (one that announced cap
-    ids).  Say x alone announced (w, x), w < x, and w is not full.  A
-    sender that is not full announced its smallest neighbor in every
-    foreign supernode its row meets, and x is such a neighbor of w (x
-    announced w, so their labels differ), so w announced some x' in x's
-    supernode with x' <= x, and x' != x since w did not announce x.  Edge
-    {w, x'} comes before (w, x) in ascending edge order, and x' and x share
-    a label, so Kruskal finds w and x joined and never takes (w, x).
-    Dropping edges that Kruskal never takes changes neither labels nor
-    forest: every edge it does take meets the same union-find state.  In
-    round 0 such edges do not occur at all, since a sender that is not
-    full announced its whole row.  The one-round read-off keeps the pass:
-    its neighborhoods hold each edge once, from its earlier-peeled end.
+    The rule holds per edge: Kruskal over all the announced edges of a
+    forest round never takes an edge that only its upper end announced
+    when its lower end is not full (has not announced cap ids), so the
+    forest's deliver passes the round's full senders.  Say x alone announced
+    (w, x), w < x, and w is not full.  A sender that is not full announced
+    its smallest neighbor in every foreign supernode its row meets, and x
+    is such a neighbor of w (x announced w, so their labels differ), so w
+    announced some x' in x's supernode with x' <= x, and x' != x since w
+    did not announce x.  Edge {w, x'} comes before (w, x) in ascending edge
+    order, and x' and x share a label, so Kruskal finds w and x joined and
+    never takes (w, x).  Dropping edges that Kruskal never takes changes
+    neither labels nor forest: every edge it does take meets the same
+    union-find state.  In round 0 such edges do not occur at all, since a
+    sender that is not full announced its whole row.  The one-round
+    read-off passes None: its neighborhoods hold each edge once, from its
+    earlier-peeled end, so any node's list can leave out an edge that
+    Kruskal takes.
 
     The union-find runs over the labels themselves: parent is indexed by
     label, finds halve their paths, and a union links the larger root under
     the smaller.  So parent[x] <= x throughout, and the root of each merged
-    set is its smallest label, which is the new minimum member id.  One
-    ascending pass then points every entry straight at its root, and the
-    new label of v is parent[labels[v]].
+    set is its smallest label, which is the new minimum member id.  The
+    sweep finds each sender's root once and keeps the smaller root after a
+    union, which is the root of the merged set.  One ascending pass then
+    points every entry straight at its root, and the new label of v is
+    parent[labels[v]].
     """
     try:
         per_node = len(ids_of) == len(labels)
@@ -135,11 +142,19 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
         forest = list(forest)
         upper_only: dict[int, list[int]] = {}
         id_sets: dict[int, set[int]] = {}
-        if find_upper_only:
+        if hiding is None or hiding:
+            if hiding is None:
+                looked = [True] * len(labels)
+            else:
+                looked = [False] * len(labels)
+                for w in hiding:
+                    looked[w] = True
             for x, ids in enumerate(ids_of):
                 for w in ids:
                     if w >= x:
                         break
+                    if not looked[w]:
+                        continue
                     row = ids_of[w]
                     if len(row) > SCAN_MAX:
                         row = id_sets.get(w)
@@ -150,19 +165,20 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
         for u, ids in enumerate(ids_of):
             if u in upper_only:
                 ids = sorted([*ids, *upper_only[u]])  # two ascending runs
+            a = labels[u]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
             for v in ids:
                 if v <= u:
                     continue
-                a, b = labels[u], labels[v]
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
+                b = labels[v]
                 while parent[b] != b:
                     parent[b] = b = parent[parent[b]]
                 if a != b:
                     if a < b:
                         parent[b] = a
                     else:
-                        parent[a] = b
+                        parent[a] = a = b
                     forest.append((u, v))
         for x in range(len(parent)):  # parent[x] <= x already points at its root
             parent[x] = parent[parent[x]]
@@ -191,7 +207,7 @@ class _SpanningForestProtocol(Protocol):
         supernode, so the message is row[:cap].
         """
         if known is None:
-            ids = tuple(row[: self.cap])
+            ids = row[: self.cap]  # rows are tuples, so the slice is one
         else:
             labels = known[0]
             # Rows are sorted, so first holds the smallest neighbor per
@@ -207,16 +223,17 @@ class _SpanningForestProtocol(Protocol):
         """Merge the announced edges; halt when the merged labels prove
         that no edge joins two supernodes (proved_done).
 
-        The full senders are found once, for both uses.  In a round with
-        none, an edge that only its upper end announced has a lower end
-        that is not full, so Kruskal never takes it, and merge_step skips
-        the pass that looks for such edges (see merge_step for the proof).
+        The full senders are found once, for both uses.  merge_step gets
+        them as the senders whose lists can hide an edge that Kruskal
+        takes: an edge that only its upper end announced, below a lower end
+        that is not full, is never taken (see merge_step for the proof), so
+        the pass that looks for such edges tests only ids of full senders,
+        and a round with none skips it.
         """
         if known is None:
             known = tuple(range(len(messages))), ()
         full = self.full_senders(messages)
-        labels, forest = merge_step(*known, [m.ids for m in messages],
-                                    find_upper_only=bool(full))
+        labels, forest = merge_step(*known, [m.ids for m in messages], full)
         return (labels, forest), self.proved_done(labels, messages, full)
 
     def full_senders(self, messages) -> list[int]:
@@ -234,10 +251,10 @@ class _SpanningForestProtocol(Protocol):
         meets, so the merge joins all of them to its own.  Hence an edge
         between two supernodes after the merge joins two full senders (rows
         are symmetric), and the run is done when every full sender has the
-        same merged label, or when no sender is full.  The same fact lets a
-        round with no full sender merge without looking for edges that only
-        their upper end announced: each has a lower end that is not full,
-        which announced an earlier edge into the upper end's supernode.
+        same merged label, or when no sender is full.  The same fact lets
+        deliver's merge look for edges that only their upper end announced
+        below full senders alone: a lower end that is not full announced an
+        earlier edge into the upper end's supernode.
         """
         if full is None:
             full = self.full_senders(messages)
@@ -294,7 +311,9 @@ def spanning_forest_multiround(g: Graph, eps):
         if unfinished:
             raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
                                       f"unfinished after {budget} round(s)")
-    return labels, tuple(sorted(forest)), transcript
+    if transcript.rounds_used > 1:  # one merge_step call already returns it ascending
+        forest = tuple(sorted(forest))
+    return labels, forest, transcript
 
 
 @dataclass(frozen=True)
@@ -478,8 +497,9 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     decode_support returns it, which holds every edge once, from its
     earlier-peeled end: Kruskal in ascending edge order, the same merge the
     forest protocol runs, and no call to the components_and_forest oracle it
-    is checked against.  It reads only the peel's sequence, so it never
-    builds the graph.
+    is checked against.  It passes hiding=None, so merge_step looks for
+    edges announced by their upper end alone below every node.  It reads
+    only the peel's sequence, so it never builds the graph.
 
     Each edge is searched once, from its lower end's ball: the centers are
     taken in ascending order, tilde_row_local(b, upper=True) decides the
@@ -528,5 +548,5 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     ids_of: list[tuple[int, ...]] = [()] * n
     for k, nbrs in peel.sequence:
         ids_of[k] = nbrs
-    labels, forest = merge_step(tuple(range(n)), (), ids_of)
+    labels, forest = merge_step(tuple(range(n)), (), ids_of, hiding=None)
     return labels, forest, transcript

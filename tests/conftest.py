@@ -64,7 +64,8 @@ def bfs_component_labels(g: Graph) -> tuple[int, ...]:
 
 def forest_ok(g: Graph, labels, forest) -> bool:
     """Maximal-spanning-forest validity via networkx."""
-    if any(e not in g.edge_set() for e in forest):
+    edges = frozenset(g.edges())
+    if any(e not in edges for e in forest):
         return False
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
@@ -173,7 +174,7 @@ def short_cycle_top_edges(g: Graph, bound: int) -> frozenset:
 
 def dropped_edges(g: Graph, tilde: Graph) -> frozenset:
     """Edges of g that the short-cycle-free subgraph tilde does not keep."""
-    return g.edge_set() - tilde.edge_set()
+    return frozenset(g.edges()) - frozenset(tilde.edges())
 
 
 def shuffled_run(proto, inputs, seed):

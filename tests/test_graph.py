@@ -296,7 +296,7 @@ def test_max_degree_is_the_longest_row_read_once():
 def _forest_is_valid_by_edge_set(g, labels, forest):
     """forest_is_valid as it was, with a set of every edge of g: the
     reference for its bisection."""
-    edge_set = g.edge_set()
+    edge_set = frozenset(g.edges())
     if any(e not in edge_set for e in forest):
         return False
     uf = graph._UnionFind(g.n)
@@ -788,7 +788,7 @@ def test_local_row_ignores_edges_beyond_the_ball(idx, r, data):
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(far), st.sampled_from(far)),
                                max_size=10))
     toggled = {normalize_edge(a, b) for a, b in pairs if a != b}
-    h = Graph.from_edges(g.n, g.edge_set() ^ toggled)
+    h = Graph.from_edges(g.n, frozenset(g.edges()) ^ toggled)
     row = tilde_row_local(ball_inputs(g, r)[v])
     assert tilde_row_local(ball_inputs(h, r)[v]) == row
     assert row == tilde_global(h, r).rows[v]
@@ -827,7 +827,7 @@ def test_tilde_properties(idx, r):
     tilde = tilde_global(g, r)
     # a subgraph on the same nodes
     assert tilde.n == g.n
-    assert tilde.edge_set() <= g.edge_set()
+    assert frozenset(tilde.edges()) <= frozenset(g.edges())
     # short-cycle-free at the stated bound
     if 2 * r >= 3:
         assert not girth_leq(tilde, 2 * r)

@@ -174,22 +174,28 @@ class _SweepOnly(_NoScan):
 
 def test_merge_step_without_the_first_pass_reads_each_list_once():
     # the forest's deliver at eps 1 on a complete graph: every node
-    # announces its whole row, below the cap, so no sender is full and the
-    # first pass is skipped; each list is read once, by the sweep, and never
-    # tested for membership or copied into a set
+    # announces its whole row, below the cap, so no sender is full, the
+    # deliver passes no sender as hiding, and the first pass is skipped;
+    # each list is read once, by the sweep, and never tested for membership
+    # or copied into a set
     n = 2 * SCAN_MAX
     rows = gen_graph("complete", n).rows
     ids_of = [_SweepOnly(row) for row in rows]
     singletons = (tuple(range(n)), ())
     pairs = [(u, w) for u, row in enumerate(rows) for w in row]
-    assert (merge_step(*singletons, ids_of, find_upper_only=False)
-            == reference_merge_step(*singletons, pairs))
+    assert merge_step(*singletons, ids_of, []) == reference_merge_step(*singletons, pairs)
     assert [ids.passes for ids in ids_of] == [1] * n
-    # with the pass, each list is read by it and by the sweep, and the list
-    # of every lower end, longer than SCAN_MAX, once more into a set
+    # with every node hiding (None), each list is read by the pass and by
+    # the sweep, and the list of every lower end, longer than SCAN_MAX, once
+    # more into a set
     ids_of = [_SweepOnly(row) for row in rows]
-    assert merge_step(*singletons, ids_of) == reference_merge_step(*singletons, pairs)
+    assert merge_step(*singletons, ids_of, None) == reference_merge_step(*singletons, pairs)
     assert [ids.passes for ids in ids_of] == [3] * (n - 1) + [2]
+    # with node 0 alone hiding, the pass still walks every list, but only
+    # node 0's list goes into a set
+    ids_of = [_SweepOnly(row) for row in rows]
+    assert merge_step(*singletons, ids_of, [0]) == reference_merge_step(*singletons, pairs)
+    assert [ids.passes for ids in ids_of] == [3] + [2] * (n - 1)
 
 
 def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeypatch):
@@ -199,16 +205,18 @@ def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeyp
     # edge announced by its upper end alone, which the skip leaves out
     calls = []
 
-    def spy(labels, forest, ids_of, find_upper_only=True):
-        calls.append((labels, forest, ids_of, find_upper_only))
-        return merge_step(labels, forest, ids_of, find_upper_only=find_upper_only)
+    def spy(labels, forest, ids_of, hiding=None):
+        calls.append((labels, forest, ids_of, hiding))
+        return merge_step(labels, forest, ids_of, hiding)
 
     monkeypatch.setattr(protocols, "merge_step", spy)
     g = gen_graph("gnp", 15, seed=19, q=0.2)
     proto = _SpanningForestProtocol(g.n, 2, 6, g.max_degree)
     merged, transcript = run_protocol(proto, g.rows)
     assert [len(proto.full_senders(rnd)) > 0 for rnd in transcript.rounds] == [True, False]
-    assert [call[3] for call in calls] == [True, False]
+    # each round's merge looks below the round's full senders alone
+    assert [call[3] for call in calls] == [proto.full_senders(rnd) for rnd in transcript.rounds]
+    assert calls[1][3] == []
     labels, forest, ids_of, _ = calls[1]
     assert len(set(labels)) == 3 and labels[6] == labels[13]
     upper_only = [(w, x) for x, ids in enumerate(ids_of) for w in ids
@@ -217,6 +225,112 @@ def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeyp
     pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
     assert merged == reference_merge_step(labels, forest, pairs)
     assert merged == merge_step(labels, forest, ids_of)
+
+
+def _forest_proto(g, eps):
+    return _SpanningForestProtocol(g.n, forest_neighbor_cap(g.n, eps), forest_round_budget(eps),
+                                   g.max_degree)
+
+
+def _forest_rounds(proto, g):
+    """(known, message vector, full senders) of each round of proto's run
+    on g, known as merge_step takes it."""
+    _, transcript = run_protocol(proto, g.rows)
+    known = tuple(range(g.n)), ()
+    for rnd in transcript.rounds:
+        yield known, rnd, proto.full_senders(rnd)
+        known = proto.deliver(known, rnd)[0]
+
+
+def _merge_below_full_senders_is_the_reference(proto, g) -> int:
+    """Check every round of proto's run on g: merge_step looking below the
+    full senders alone equals reference_merge_step over every announced
+    pair.  Returns the number of edges announced by their upper end alone
+    whose lower end is not full, which merge_step leaves out."""
+    left_out = 0
+    for known, rnd, full in _forest_rounds(proto, g):
+        ids_of = [m.ids for m in rnd]
+        pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
+        assert merge_step(*known, ids_of, full) == reference_merge_step(*known, pairs)
+        left_out += sum(w < x and x not in ids_of[w] and w not in full
+                        for x, ids in enumerate(ids_of) for w in ids)
+    return left_out
+
+
+def _small_gnp_graphs():
+    return [gen_graph("gnp", n, seed=seed, q=q)
+            for n in (15, 30, 60) for q in (0.05, 0.1, 0.2, 0.35) for seed in range(20)]
+
+
+def test_merge_below_full_senders_matches_reference_on_gnp():
+    left_out = multi = 0
+    for g in _small_gnp_graphs():
+        for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)):
+            proto = _forest_proto(g, eps)
+            left_out += _merge_below_full_senders_is_the_reference(proto, g)
+            multi += run_protocol(proto, g.rows)[1].rounds_used > 1
+    # the corpus has later rounds, and edges that the pass leaves out
+    assert multi and left_out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_merge_below_full_senders_matches_reference_on_forest_tight(k):
+    g = forest_tight(k)
+    proto = _forest_proto(g, Fraction(1, k))
+    _merge_below_full_senders_is_the_reference(proto, g)
+    # after round 0 some senders are not full and still leave out ids of
+    # their rows, so the merge looks below fewer senders than announce
+    later = [rnd for _, rnd, _ in _forest_rounds(proto, g)][1:]
+    assert len(later) == k - 1
+    assert all(any(0 < len(m.ids) < proto.cap and len(m.ids) < len(g.rows[u])
+                   for u, m in enumerate(rnd)) for rnd in later[:-1])
+
+
+@pytest.mark.parametrize("k, m, eps", [(2, 30, Fraction(3, 4)), (3, 40, Fraction(3, 4))])
+def test_merge_below_full_senders_matches_reference_on_long_rows(k, m, eps):
+    # rows of m - 1 ids and a cap past SCAN_MAX: the full senders' lists are
+    # tested through a set
+    g = interleaved_cliques(k, m)
+    proto = _forest_proto(g, eps)
+    assert SCAN_MAX < proto.cap < m - 1
+    _merge_below_full_senders_is_the_reference(proto, g)
+
+
+@pytest.mark.parametrize("n, eps", [(9, Fraction(1, 2)), (27, Fraction(1, 3))])
+def test_merge_looks_below_the_only_full_sender(n, eps):
+    # a star at cap 3: the hub, node 0, is the only full sender and
+    # announces leaves 1..3; every leaf announces the hub, so each leaf past
+    # the cap gives an edge announced by its upper end alone that Kruskal
+    # takes.  A merge that looked below the senders that are not full, or
+    # that skipped the pass for a single full sender, would lose them
+    g = gen_graph("star", n)
+    proto = _forest_proto(g, eps)
+    assert proto.cap == 3
+    (known, rnd, full), = _forest_rounds(proto, g)
+    assert full == [0]
+    assert [m.ids for m in rnd] == [(1, 2, 3)] + [(0,)] * (n - 1)
+    _merge_below_full_senders_is_the_reference(proto, g)
+    labels, forest, transcript = spanning_forest_multiround(g, eps)
+    assert (labels, forest) == components_and_forest(g)
+    assert forest == tuple((0, x) for x in range(1, n)) and transcript.rounds_used == 1
+
+
+def test_one_round_forests_come_out_ascending():
+    # one merge_step call from an empty forest appends edges in ascending
+    # edge order, so a one-round run needs no sort; later rounds append
+    # edges below earlier ones, so a longer run's forest is sorted
+    out_of_order = 0
+    graphs = _small_gnp_graphs() + [forest_tight(k) for k in (2, 3, 4)]
+    for g in graphs:
+        for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)):
+            (_, merged), transcript = run_protocol(_forest_proto(g, eps), g.rows)
+            _, forest, _ = spanning_forest_multiround(g, eps)
+            assert forest == tuple(sorted(merged))
+            if transcript.rounds_used == 1:
+                assert merged == forest
+            else:
+                out_of_order += merged != forest
+    assert out_of_order
 
 
 def test_merge_step_from_singletons_is_the_oracle_forest():
@@ -291,7 +405,7 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # and the run stops at its budget with nodes unfinished; in K5 at cap 3
     # every node is full, so no round proves the run done
     monkeypatch.setattr(protocols, "merge_step",
-                        lambda labels, forest, ids_of, find_upper_only=True: (labels, forest))
+                        lambda labels, forest, ids_of, hiding=None: (labels, forest))
     g = gen_graph("complete", 5)
     with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
         spanning_forest_multiround(g, Fraction(1, 2))
