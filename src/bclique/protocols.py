@@ -38,13 +38,14 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Collection, Sequence
 
 from . import sketch
 from .clique import (DegreeAndSketch, NeighborList, Protocol, message_bits,
                      neighbor_list_sizes, new_record, run_protocol)
 from .errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
-                     RoundBudgetExceeded, WeightMismatch)
+                     RoundBudgetExceeded)
 from .graph import Ball, Edge, Graph, tilde_row_local
 from .intmath import nth_root_ceil, pow_ceil
 
@@ -369,6 +370,14 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
     communication.  Any inconsistency (undecodable sketch, dead or
     self-referential neighbor, negative degree) raises InvalidTranscript.
 
+    The decoder is params.walk, bound once per call: the top-down walk that
+    decode_support runs, which refuses a sketch that is not an int or no
+    encoding.  decode_support's own checks are not repeated per node: every
+    residual sketch stays in 0..p-1 once the entries passed the range
+    check, and the peel compares the decoded weight with the residual
+    degree itself, which also refuses a weight above d, since the degree
+    of an eligible node is at most d.
+
     Eligible nodes wait in a min-heap (the bucket idea of Matula & Beck's
     smallest-last ordering).  Residual degrees only fall, so a node stays
     eligible once it is; each node enters the heap once, at the start or
@@ -405,15 +414,19 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
     eligible = [v for v in range(n) if degrees[v] <= d]  # ascending, so a heap
     sequence: list[tuple[int, tuple[int, ...]]] = []
     heappop, heappush = heapq.heappop, heapq.heappush
-    decode_support = sketch.decode_support
+    walk = params.walk
     powers = params.powers
     while eligible:
         k = heappop(eligible)
-        if degrees[k]:
+        degree = degrees[k]
+        if degree:
             try:
-                nbrs = decode_support(params, values[k], degrees[k])
-            except (NotDecodable, WeightMismatch) as exc:
+                nbrs = walk(values[k])
+            except NotDecodable as exc:
                 raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
+            if len(nbrs) != degree:
+                raise InvalidTranscript(f"sketch of node {k} is inconsistent: decoded "
+                                        f"weight {len(nbrs)} but {degree} was announced")
         elif values[k]:
             raise InvalidTranscript(f"sketch of node {k} is inconsistent: "
                                     f"{values[k]} is nonzero at residual degree 0")
@@ -434,19 +447,34 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
             v = values[j] - basis_k
             values[j] = v + p if v < 0 else v
         sequence.append((k, nbrs))
-    remaining = tuple(v for v in range(n) if live[v])
+    remaining = tuple(compress(range(n), live))
     residual = tuple((v, degrees[v]) for v in remaining)
     return PruningResult(tuple(sequence), remaining, residual)
 
 
 class _PruneProtocol(Protocol):
+    """One round of (degree, sketch) messages, then the peel.  The object
+    binds the sketch parameters, their powers and modulus, and the message
+    size when it is built.
+
+    A message's sketch is encode_support of the row, summed in place: the
+    powers of the row's ids, reduced mod p once.  It runs no range check
+    per id, since every row is a validated Graph's row or the one-round
+    cut of one (see _prune_rows), whose ids all lie in 0..n-1.
+    """
+
     def __init__(self, params: sketch.SketchParams):
         self.params = params
+        self.powers = params.powers
+        self.p = params.p
         self.bits = message_bits(DegreeAndSketch(0, 0, 0), params.n, params.p)
 
     def message(self, node, row, known):
-        return new_record(DegreeAndSketch,
-                          (len(row), sketch.encode_support(self.params, row), self.bits))
+        powers = self.powers
+        total = 0
+        for i in row:
+            total += powers[i]
+        return new_record(DegreeAndSketch, (len(row), total % self.p, self.bits))
 
     def deliver(self, known, messages):
         return peel_from_messages(messages, self.params), True

@@ -367,3 +367,49 @@ def reference_decode_support(params: SketchParams, y: FieldElement,
 
 def edges_of_sequence(sequence):
     return {normalize_edge(k, j) for k, nbrs in sequence for j in nbrs}
+
+
+# graph.core_peel as it was, verbatim but for its name: a scan from node 0
+# at every step.  The reference for the eligible-mask peel.
+def reference_core_peel(g: Graph, d: int):
+    """Greedy low-degree peel: repeatedly delete the smallest-id node of
+    residual degree <= d, recording its residual neighborhood.
+
+    Returns (sequence, remaining).  The remaining set is the maximal
+    subgraph of minimum degree > d and does not depend on the peel order.
+    """
+    if d < 0:
+        raise BadParams("degree bound must be >= 0")
+    adj = [set(row) for row in g.rows]
+    live = [True] * g.n
+    sequence: list[tuple[int, tuple[int, ...]]] = []
+    while True:
+        k = next((v for v in range(g.n) if live[v] and len(adj[v]) <= d), None)
+        if k is None:
+            break
+        nbrs = tuple(sorted(adj[k]))
+        sequence.append((k, nbrs))
+        live[k] = False
+        for j in nbrs:
+            adj[j].discard(k)
+        adj[k].clear()
+    remaining = tuple(v for v in range(g.n) if live[v])
+    return tuple(sequence), remaining
+
+
+# graph.components_and_forest as it was, verbatim but for its name: a
+# union over every edge of g.edges().  The reference for the row walk that
+# stops once the forest spans.
+def reference_components_and_forest(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Connected components plus a maximal spanning forest.
+
+    Labels are the minimum node id of each component.  The forest is built
+    by union-find over edges in ascending edge order, so it is canonical.
+    """
+    uf = _UnionFind(g.n)
+    forest = [e for e in g.edges() if uf.union(*e)]
+    label_of_root: dict[int, int] = {}
+    labels = []
+    for v in range(g.n):
+        labels.append(label_of_root.setdefault(uf.find(v), v))
+    return tuple(labels), tuple(forest)

@@ -39,6 +39,8 @@ from conftest import (
     forest_ok,
     girth_leq,
     outcome,
+    reference_components_and_forest,
+    reference_core_peel,
     reference_from_edges,
     reference_load_graph,
     relabel,
@@ -282,6 +284,44 @@ def test_components_match_bfs_and_networkx(idx):
     assert forest_ok(g, labels, forest)
 
 
+def _component_cases():
+    """Corpus graphs, complete graphs and stars, whose forests span after
+    their first row, and gnp graphs in several components."""
+    yield from verify.protocol_corpus(40, (1, 2, 5, 9, 16, 30), base_seed=7)
+    for n in (1, 2, 3, 10, 60):
+        yield f"complete(n={n})", gen_graph("complete", n)
+        yield f"star(n={n})", gen_graph("star", n)
+    for seed in range(12):
+        g = gen_graph("gnp", 80, seed=seed, q=0.02)
+        yield f"gnp(n=80, seed={seed}, q=0.02)", g
+    yield "edgeless(n=0)", Graph.from_edges(0, [])
+
+
+def test_components_match_the_all_edges_reference():
+    components = 0
+    for tag, g in _component_cases():
+        labels, forest = components_and_forest(g)
+        assert (labels, forest) == reference_components_and_forest(g), tag
+        components = max(components, len(set(labels)))
+    assert components >= 10  # some gnp graph falls apart, so no early stop
+
+
+def test_components_stop_once_the_forest_spans():
+    # on K_n the forest is row 0's edges, and only row 1 is reached after it
+    read = []
+
+    class Rows(tuple):
+        def __iter__(self):
+            for u, row in enumerate(tuple.__iter__(self)):
+                read.append(u)
+                yield row
+
+    g = Graph(50, Rows(gen_graph("complete", 50).rows))
+    labels, forest = components_and_forest(g)
+    assert labels == (0,) * 50 and forest == tuple((0, v) for v in range(1, 50))
+    assert read == [0, 1]
+
+
 def test_max_degree_is_the_longest_row_read_once():
     assert gen_graph("star", 6).max_degree == 5
     assert gen_graph("path", 1).max_degree == 0
@@ -370,6 +410,19 @@ def test_core_peel_remaining_is_permutation_invariant(idx, d, rng):
     _, remaining = core_peel(g, d)
     _, remaining_perm = core_peel(relabel(g, perm), d)
     assert sorted(perm[v] for v in remaining) == sorted(remaining_perm)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_core_peel_matches_the_rescanning_reference_on_the_corpus(d):
+    for tag, g in verify.protocol_corpus(60, (1, 3, 6, 12, 25, 40), base_seed=20 + d):
+        assert core_peel(g, d) == reference_core_peel(g, d), tag
+
+
+@given(graph_indices, st.integers(min_value=0, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_core_peel_matches_the_rescanning_reference(idx, d):
+    g = seeded_graph(idx)
+    assert core_peel(g, d) == reference_core_peel(g, d)
 
 
 # --- balls ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from bclique.clique import (
     message_bits,
     run_protocol,
 )
-from bclique.errors import (BadParams, DegeneracyExceeded, InvalidTranscript, NotDecodable,
+from bclique.errors import (BadParams, BcliqueError, DegeneracyExceeded, InvalidTranscript, NotDecodable,
                             RoundBudgetExceeded, WeightMismatch)
 from bclique.graph import (
     Graph,
@@ -48,7 +49,7 @@ from bclique.sketch import build_params, cached_params, encode, encode_support, 
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, forest_ok,
-                      reference_merge_step, reference_spanning_forest, resized_by_former_formula,
+                      reference_decode_support, reference_merge_step, reference_spanning_forest, resized_by_former_formula,
                       seeded_graph, shuffled_run)
 
 
@@ -1011,6 +1012,99 @@ def test_peel_from_messages_nonzero_sketch_at_degree_zero(shape):
     for peel in (peel_from_messages, reference_peel_from_messages):
         with pytest.raises(InvalidTranscript, match="node 1"):
             peel(msgs, params)
+
+
+@pytest.mark.parametrize("shape", FUZZ_SHAPES, ids=("table", "binary", "d0", "binary-d3"))
+def test_prune_messages_are_the_rows_encodings(shape):
+    # the message sums the row's powers in place; encode_support, with its
+    # range check per index, is the reference
+    n, d = shape
+    params = cached_params(n, d)
+    bits = message_bits(DegreeAndSketch(0, 0, 0), n, params.p)
+    for seed, q in itertools.product(range(6), (0.1, 0.3, 0.6)):
+        g = gen_graph("gnp", n, seed=seed, q=q)
+        _, transcript = prune_one_round(g, d)
+        (messages,) = transcript.rounds
+        assert messages == tuple(DegreeAndSketch(len(row), encode_support(params, row), bits)
+                                 for row in g.rows), (seed, q)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_one_round_messages_are_the_cut_rows_encodings(r):
+    # the one-round rows reach the message unchecked; tilde_global is their
+    # oracle and encode_support the sketch's
+    for tag, g in one_round_corpus(r, 12, base_seed=40, max_n=40):
+        _, _, transcript = connectivity_one_round_r(ball_inputs(g, r), r)
+        params = cached_params(g.n, sparsity_parameter(g.n, r))
+        (messages,) = transcript.rounds
+        rows = tilde_global(g, r).rows
+        assert [(m.degree, m.sketch) for m in messages] == \
+            [(len(row), encode_support(params, row)) for row in rows], tag
+
+
+def _replayed_neighbourhoods(msgs, params, sequence):
+    """decode_support of each peeled node's residual sketch, replayed from
+    the messages and the earlier steps of sequence."""
+    degrees = [m[0] for m in msgs]
+    values = [m[1] for m in msgs]
+    decoded = []
+    for k, nbrs in sequence:
+        decoded.append((k, sketch.decode_support(params, values[k], degrees[k])))
+        for j in nbrs:
+            degrees[j] -= 1
+            values[j] = (values[j] - params.powers[k]) % params.p
+    return decoded
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_peel_neighbourhoods_are_decode_supports(d):
+    # the peel calls its params' walk and checks the weight itself; every
+    # neighbourhood it records is what decode_support gives at that step
+    params = cached_params(24, d)
+    steps = 0
+    for seed in range(30):
+        kind = ("random_degenerate", "gnp")[seed % 2]
+        extra = {"d": d} if kind == "random_degenerate" else {"q": 0.12}
+        g = gen_graph(kind, 24, seed=seed, **extra)
+        result, transcript = prune_one_round(g, d)
+        (msgs,) = transcript.rounds
+        assert _replayed_neighbourhoods(msgs, params, result.sequence) == list(result.sequence)
+        steps += len(result.sequence)
+    assert steps >= 300
+
+
+@given(fuzzed_messages())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_peel_neighbourhoods_are_decode_supports(case):
+    params, msgs = case
+    try:
+        result = peel_from_messages(msgs, params)
+    except InvalidTranscript:
+        return
+    assert _replayed_neighbourhoods(msgs, params, result.sequence) == list(result.sequence)
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (64, 4)], ids=("binary", "table"))
+def test_peel_refuses_exactly_the_sketches_decode_support_refuses(n, d):
+    # node 0 announces degree 1 and sketch x, node 1 is its honest
+    # neighbour; the peel decodes node 0 first, and it must name node 0
+    # exactly when the independent decoder refuses x at weight 1
+    params = cached_params(n, d)
+    basis = params.powers[1]
+    candidates = [basis, basis + 1, 2.5, float(basis), basis + 0.5, Fraction(basis),
+                  Fraction(5, 2), Decimal(basis), str(basis), None, 0]
+    for x in candidates:
+        msgs = [(1, x), (1, params.powers[0])] + [(0, 0)] * (n - 2)
+        try:
+            reference_decode_support(params, x, 1)
+            refused = False
+        except BcliqueError:
+            refused = True
+        if refused:
+            with pytest.raises(InvalidTranscript, match="node 0"):
+                peel_from_messages(msgs, params)
+        else:
+            assert peel_from_messages(msgs, params).sequence[0] == (0, (1,)), repr(x)
 
 
 @pytest.mark.parametrize("bad", [lambda p: (-1, 0), lambda p: (0, -1), lambda p: (0, p),
