@@ -15,7 +15,7 @@ import networkx as nx
 from bclique.clique import NeighborList, Transcript, run_protocol
 from bclique import graph
 from bclique.errors import BadParams, InvalidEdge, NotDecodable, ParseError, WeightMismatch
-from bclique.graph import Graph, _decimal, _UnionFind, gen_graph, normalize_edge
+from bclique.graph import Edge, Graph, _decimal, _UnionFind, gen_graph, normalize_edge
 from bclique.intmath import ceil_log2
 from bclique.protocols import _SpanningForestProtocol, forest_neighbor_cap, forest_round_budget
 from bclique.sketch import FieldElement, SketchParams
@@ -400,7 +400,7 @@ def reference_core_peel(g: Graph, d: int):
 # graph.components_and_forest as it was, verbatim but for its name: a
 # union over every edge of g.edges().  The reference for the row walk that
 # stops once the forest spans.
-def reference_components_and_forest(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def reference_components_and_forest(g: Graph) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
     """Connected components plus a maximal spanning forest.
 
     Labels are the minimum node id of each component.  The forest is built

@@ -20,8 +20,8 @@ from bclique.clique import (
     message_bits,
     run_protocol,
 )
-from bclique.errors import (BadParams, BcliqueError, DegeneracyExceeded, InvalidTranscript, NotDecodable,
-                            RoundBudgetExceeded, WeightMismatch)
+from bclique.errors import (BadParams, BcliqueError, DegeneracyExceeded, InvalidTranscript,
+                            NotDecodable, RoundBudgetExceeded, WeightMismatch)
 from bclique.graph import (
     Graph,
     components_and_forest,
@@ -49,8 +49,8 @@ from bclique.sketch import build_params, cached_params, encode, encode_support, 
 from bclique.verify import one_round_corpus, protocol_corpus
 
 from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, forest_ok,
-                      reference_decode_support, reference_merge_step, reference_spanning_forest, resized_by_former_formula,
-                      seeded_graph, shuffled_run)
+                      reference_decode_support, reference_merge_step, reference_spanning_forest,
+                      resized_by_former_formula, seeded_graph, shuffled_run)
 
 
 # --- merge_step -----------------------------------------------------------------
@@ -1071,17 +1071,6 @@ def test_peel_neighbourhoods_are_decode_supports(d):
         assert _replayed_neighbourhoods(msgs, params, result.sequence) == list(result.sequence)
         steps += len(result.sequence)
     assert steps >= 300
-
-
-@given(fuzzed_messages())
-@settings(max_examples=100, deadline=None)
-def test_fuzzed_peel_neighbourhoods_are_decode_supports(case):
-    params, msgs = case
-    try:
-        result = peel_from_messages(msgs, params)
-    except InvalidTranscript:
-        return
-    assert _replayed_neighbourhoods(msgs, params, result.sequence) == list(result.sequence)
 
 
 @pytest.mark.parametrize("n, d", [(3, 1), (64, 4)], ids=("binary", "table"))
