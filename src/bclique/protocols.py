@@ -67,12 +67,6 @@ def forest_neighbor_cap(n: int, eps: Fraction) -> int:
     return max(1, pow_ceil(n, eps))
 
 
-# Longest id list that merge_step tests for a sender by scanning it; a longer
-# list is tested through a set of its ids, built at most once per call, so a
-# dense row costs linear time, not time quadratic in its length.
-SCAN_MAX = 16
-
-
 def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
                ids_of: Sequence[Sequence[int]], hiding: Collection[int] | None = None):
     """Merge supernodes joined by announced edges and return the new
@@ -96,13 +90,14 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     Ascending edge order is the order of one sweep over the senders u in
     ascending order, each with its ids above u in ascending order, so the
     edges need no sort.  Only the edges announced by their upper end alone
-    are missing from that sweep.  A first pass finds those whose lower end
-    is in hiding (every node when hiding is None): a sender x and an id
-    w < x in hiding form one when x is not among w's ids, tested by a scan
-    of a list of at most SCAN_MAX ids and through a set of the ids of a
-    longer one.  It buckets x under w, in ascending order since the senders
-    are taken in order, and the sweep merges w's bucket into w's ids.  Each
-    announced id is read a bounded number of times, so the cost is linear
+    are missing from that sweep.  A first pass buckets each sender x under
+    every id w < x it announced that is in hiding (every node when hiding
+    is None), in ascending order since the senders are taken in order, and
+    the sweep merges w's bucket into w's ids.  No membership test asks
+    whether w announced x too: an edge announced from both ends then
+    reaches the sweep twice, side by side, and its second copy finds both
+    ends under one root, so it changes nothing (Kruskal ignores a repeated
+    edge).  Each announced id is read at most twice, so the cost is linear
     in the announced ids; an empty hiding skips the pass.
 
     The rule holds per edge: Kruskal over all the announced edges of a
@@ -142,26 +137,15 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
         parent = list(range(len(labels)))
         forest = list(forest)
         upper_only: dict[int, list[int]] = {}
-        id_sets: dict[int, set[int]] = {}
         if hiding is None or hiding:
-            if hiding is None:
-                looked = [True] * len(labels)
-            else:
-                looked = [False] * len(labels)
-                for w in hiding:
-                    looked[w] = True
+            looked = [hiding is None] * len(labels)
+            for w in hiding or ():
+                looked[w] = True
             for x, ids in enumerate(ids_of):
                 for w in ids:
                     if w >= x:
                         break
-                    if not looked[w]:
-                        continue
-                    row = ids_of[w]
-                    if len(row) > SCAN_MAX:
-                        row = id_sets.get(w)
-                        if row is None:
-                            row = id_sets[w] = set(ids_of[w])
-                    if x not in row:
+                    if looked[w]:
                         upper_only.setdefault(w, []).append(x)
         for u, ids in enumerate(ids_of):
             if u in upper_only:
@@ -221,44 +205,34 @@ class _SpanningForestProtocol(Protocol):
         return new_record(NeighborList, (ids, self.sizes[len(ids)]))
 
     def deliver(self, known, messages):
-        """Merge the announced edges; halt when the merged labels prove
-        that no edge joins two supernodes (proved_done).
-
-        The full senders are found once, for both uses.  merge_step gets
-        them as the senders whose lists can hide an edge that Kruskal
-        takes: an edge that only its upper end announced, below a lower end
-        that is not full, is never taken (see merge_step for the proof), so
-        the pass that looks for such edges tests only ids of full senders,
-        and a round with none skips it.
+        """Merge the announced edges, looking for those that only their
+        upper end announced below the round's full senders alone (see
+        merge_step for why no other lower end hides one), and halt when the
+        merged labels prove that no edge joins two supernodes (proved_done).
         """
         if known is None:
             known = tuple(range(len(messages))), ()
         full = self.full_senders(messages)
         labels, forest = merge_step(*known, [m.ids for m in messages], full)
-        return (labels, forest), self.proved_done(labels, messages, full)
+        return (labels, forest), self.proved_done(labels, full)
 
     def full_senders(self, messages) -> list[int]:
         """The nodes whose message holds cap ids, ascending."""
         cap = self.cap
         return [u for u, m in enumerate(messages) if len(m.ids) == cap]
 
-    def proved_done(self, labels, messages, full=None) -> bool:
-        """Whether labels, merged from the announcements in messages, prove
-        that no edge joins two supernodes.  full, when given, is
-        full_senders(messages), already found.
+    def proved_done(self, labels, full) -> bool:
+        """Whether labels, merged from a round's announcements, prove that
+        no edge joins two supernodes.  full is full_senders of that round's
+        messages.
 
         Call a sender full when its message holds cap ids.  A sender that
         is not full announced a neighbor in every foreign supernode its row
         meets, so the merge joins all of them to its own.  Hence an edge
         between two supernodes after the merge joins two full senders (rows
         are symmetric), and the run is done when every full sender has the
-        same merged label, or when no sender is full.  The same fact lets
-        deliver's merge look for edges that only their upper end announced
-        below full senders alone: a lower end that is not full announced an
-        earlier edge into the upper end's supernode.
+        same merged label, or when no sender is full.
         """
-        if full is None:
-            full = self.full_senders(messages)
         return len({labels[u] for u in full}) <= 1
 
 
@@ -296,7 +270,7 @@ def spanning_forest_multiround(g: Graph, eps):
         raise TypeError("pass eps as Fraction, int, or string, not float")
     try:
         eps = Fraction(eps)
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):  # TypeError: None or a complex
         raise BadParams(f"cannot parse eps {eps!r}") from None
     if not 0 < eps <= 1:
         raise BadParams("eps must be in (0, 1]")
@@ -306,7 +280,8 @@ def spanning_forest_multiround(g: Graph, eps):
     budget = forest_round_budget(eps)
     proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget, g.max_degree)
     (labels, forest), transcript = run_protocol(proto, rows)
-    if transcript.rounds_used == budget and not proto.proved_done(labels, transcript.rounds[-1]):
+    if (transcript.rounds_used == budget
+            and not proto.proved_done(labels, proto.full_senders(transcript.rounds[-1]))):
         # a run that spent its budget without that proof may have unfinished nodes
         unfinished = [v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
         if unfinished:
@@ -368,7 +343,9 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
     decodes its residual neighborhood from its sketch, and subtracts its
     basis encoding from each live neighbor's sketch.  Needs no further
     communication.  Any inconsistency (undecodable sketch, dead or
-    self-referential neighbor, negative degree) raises InvalidTranscript.
+    self-referential neighbor, negative degree, or a survivor whose residual
+    degree is not below the number of survivors, as every degree >= n is
+    not) raises InvalidTranscript, as does a vector with no length.
 
     The decoder is params.walk, bound once per call: the top-down walk that
     decode_support runs, which refuses a sketch that is not an int or no
@@ -392,8 +369,13 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
     n = params.n
     d = params.d
     p = params.p
-    if len(msgs) != n:
-        raise InvalidTranscript(f"expected {n} messages, got {len(msgs)}")
+    try:
+        count = len(msgs)
+    except TypeError:  # an iterator, or None
+        raise InvalidTranscript(f"expected a vector of {n} messages, "
+                                f"not {type(msgs).__name__}") from None
+    if count != n:
+        raise InvalidTranscript(f"expected {n} messages, got {count}")
     try:
         degrees = [m[0] for m in msgs]
         values = [m[1] for m in msgs]
@@ -449,6 +431,10 @@ def peel_from_messages(msgs, params: sketch.SketchParams) -> PruningResult:
         sequence.append((k, nbrs))
     remaining = tuple(compress(range(n), live))
     residual = tuple((v, degrees[v]) for v in remaining)
+    for v, degree in residual:
+        if degree >= len(remaining):
+            raise InvalidTranscript(f"node {v} survived at residual degree {degree}, "
+                                    f"more than the other {len(remaining) - 1} survivors")
     return PruningResult(tuple(sequence), remaining, residual)
 
 

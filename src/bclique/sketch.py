@@ -126,9 +126,10 @@ def _binary_low(n: int, x: int, p: int) -> int:
 
 
 def _injective_at(n: int, d: int, x: int, p: int, low: int):
-    """Return the value->top-index table of the supports with top index
-    >= low if x separates the whole sparse Boolean family, or None on the
-    first collision.
+    """Return (table, powers) if x separates the whole sparse Boolean
+    family, or None on the first collision: table maps the value of each
+    support with top index >= low to that index, and powers is the tuple
+    of x**i mod p, computed as a running product.
 
     low is _binary_low(n, x, p): a support below it encodes to its own
     binary value, which needs no entry.  A stored value therefore collides
@@ -146,10 +147,13 @@ def _injective_at(n: int, d: int, x: int, p: int, low: int):
     allocates no int besides its key.
     """
     table = {}
+    powers = [1 % p] * n
+    for i in range(1, n):
+        powers[i] = powers[i - 1] * x % p
+    powers = tuple(powers)
     if low >= n:
         # every support is binary: distinct values below 2**n <= p
-        return table
-    powers = [pow(x, i, p) for i in range(n)]
+        return table, powers
     binary = 1 << low
     layer = [(0, -1)]
     for w in range(1, d + 1):
@@ -170,7 +174,7 @@ def _injective_at(n: int, d: int, x: int, p: int, low: int):
                 if w < d:
                     grown.append((s, i))
         layer = grown
-    return table
+    return table, powers
 
 
 def _check_table_cap(n: int, d: int, domain_size: int) -> None:
@@ -221,12 +225,12 @@ def build_params(n: int, d: int) -> SketchParams:
         _check_table_cap(n, d, domain_size)
     for xbar in range(p):
         low = _binary_low(n, xbar, p)
-        table = _injective_at(n, d, xbar, p, low)
-        if table is not None:
+        found = _injective_at(n, d, xbar, p, low)
+        if found is not None:
             break
     else:  # impossible by the counting argument above
         raise RuntimeError(f"no separating point below p for n={n}, d={d}")
-    powers = tuple(pow(xbar, i, p) for i in range(n))
+    table, powers = found
     return SketchParams(n, d, p, xbar, powers, domain_size,
                         1 << low, d if low < n else n, table)
 

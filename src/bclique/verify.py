@@ -145,6 +145,11 @@ def check_sketch_grid(max_n: int, max_d: int, extra_shapes=()):
     return ok, detail
 
 
+def _sketch_message_bound(n: int, d: int) -> int:
+    """Analytic bits of one (degree, sketch) message: degree, then sketch."""
+    return ceil_log2(n) + sketch.sketch_bits_bound(n, d)
+
+
 def prune_ok(g: Graph, d: int, result, transcript) -> bool:
     """Whether one prune_one_round run on g at bound d met the paper's
     guarantee: the greedy peel's sequence and survivors, the whole graph
@@ -154,7 +159,7 @@ def prune_ok(g: Graph, d: int, result, transcript) -> bool:
     ok = (result.sequence == seq
           and result.remaining == remaining
           and transcript.rounds_used == 1
-          and transcript.per_node_bits <= ceil_log2(g.n) + sketch.sketch_bits_bound(g.n, d))
+          and transcript.per_node_bits <= _sketch_message_bound(g.n, d))
     if ok and not remaining:
         ok = result.fully_reconstructed and result.reconstructed == g
     return ok
@@ -206,7 +211,7 @@ def one_round_ok(g: Graph, r: int, labels, forest, transcript) -> bool:
     s = sparsity_parameter(g.n, r)
     return (labels == oracle_labels
             and transcript.rounds_used == 1
-            and transcript.per_node_bits <= ceil_log2(g.n) + sketch.sketch_bits_bound(g.n, s)
+            and transcript.per_node_bits <= _sketch_message_bound(g.n, s)
             and [m.degree for m in transcript.rounds[0]] == list(map(len, tilde.rows))
             and local_rows == tilde.rows
             and components_and_forest(tilde)[0] == oracle_labels

@@ -33,7 +33,6 @@ from bclique.graph import (
 )
 from bclique.intmath import ceil_log2, pow_ceil
 from bclique.protocols import (
-    SCAN_MAX,
     PruningResult,
     _SpanningForestProtocol,
     connectivity_one_round_r,
@@ -98,13 +97,14 @@ def merge_chains(draw):
 
     Each vector draws a set of edges and, for each edge, the ends that
     announce it: the lower, the upper or both.  One hub node announces a
-    list drawn around SCAN_MAX long, below, at or above it, and up to 40
-    long, so both of merge_step's membership tests run; the vectors after
-    the first merge under the labels of the step before."""
+    list drawn 15 to 17 long or up to 40 long, with each of its ids
+    announcing it back or not, so long lists meet edges announced from one
+    end and from both; the vectors after the first merge under the labels
+    of the step before."""
     n = draw(st.integers(min_value=2, max_value=60))
     node = st.integers(min_value=0, max_value=n - 1)
     pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
-    near = st.sampled_from((SCAN_MAX - 1, SCAN_MAX, SCAN_MAX + 1))
+    near = st.sampled_from((15, 16, 17))
     steps = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         ids_of: list[set[int]] = [set() for _ in range(n)]
@@ -129,8 +129,7 @@ def merge_chains(draw):
 @given(merge_chains())
 @settings(max_examples=300, deadline=None)
 @example((40, [[tuple(w for w in range(40) if w != u) for u in range(40)]]))
-@example((SCAN_MAX + 2, [[tuple(range(1, SCAN_MAX + 1))] + [(0,)] * (SCAN_MAX + 1),
-                         [(SCAN_MAX + 1,)] + [()] * (SCAN_MAX + 1)]))
+@example((18, [[tuple(range(1, 17))] + [(0,)] * 17, [(17,)] + [()] * 17]))
 def test_merge_step_matches_reference(case):
     n, steps = case
     known = (tuple(range(n)), ())
@@ -144,18 +143,44 @@ def test_merge_step_matches_reference(case):
         known = merged
 
 
+@st.composite
+def merge_chains_hiding(draw):
+    """merge_chains with a random subset of the nodes as each vector's
+    hiding."""
+    n, steps = draw(merge_chains())
+    hiding = [sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1)))) for _ in steps]
+    return n, steps, hiding
+
+
+@given(merge_chains_hiding())
+@settings(max_examples=300, deadline=None)
+def test_merge_step_below_a_random_hiding_matches_reference(case):
+    # merge_step takes every pair its lower end announced, and the pairs
+    # only the upper end announced whose lower end is in hiding
+    n, steps, hidings = case
+    known = (tuple(range(n)), ())
+    for ids_of, hiding in zip(steps, hidings):
+        lower = [(u, w) for u, ids in enumerate(ids_of) for w in ids if u < w]
+        upper_only = [(w, x) for x, ids in enumerate(ids_of) for w in ids
+                      if w < x and w in hiding and x not in ids_of[w]]
+        merged = merge_step(*known, ids_of, hiding)
+        assert merged == reference_merge_step(*known, lower + upper_only)
+        known = merged
+
+
 class _NoScan(tuple):
     """An id tuple that refuses to be scanned for membership."""
 
     def __contains__(self, x):
-        raise AssertionError("a long id list was scanned")
+        raise AssertionError("an id list was scanned")
 
 
-@pytest.mark.parametrize("size", [SCAN_MAX + 1, 2 * SCAN_MAX])
-def test_merge_step_tests_long_lists_through_a_set(size):
+@pytest.mark.parametrize("size", [17, 32])
+def test_merge_step_runs_no_membership_test_on_a_long_list(size):
     # node 0 announces 1..size; nodes 1..size + 4 announce 0, so the upper
-    # ends in 0's list are found there and the four beyond it are not.  A
-    # scan of 0's long list would make the test quadratic in its length
+    # ends in 0's list repeat edges of 0's list and the four beyond it do
+    # not.  A scan of 0's long list would make the merge quadratic in its
+    # length
     n = size + 5
     ids_of = [_NoScan(range(1, size + 1))] + [(0,)] * (n - 1)
     pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
@@ -163,7 +188,7 @@ def test_merge_step_tests_long_lists_through_a_set(size):
     assert merge_step(*singletons, ids_of) == reference_merge_step(*singletons, pairs)
 
 
-class _SweepOnly(_NoScan):
+class _CountedReads(_NoScan):
     """A _NoScan tuple that counts the passes over its ids."""
 
     passes = 0
@@ -173,30 +198,19 @@ class _SweepOnly(_NoScan):
         return super().__iter__()
 
 
-def test_merge_step_without_the_first_pass_reads_each_list_once():
-    # the forest's deliver at eps 1 on a complete graph: every node
-    # announces its whole row, below the cap, so no sender is full, the
-    # deliver passes no sender as hiding, and the first pass is skipped;
-    # each list is read once, by the sweep, and never tested for membership
-    # or copied into a set
-    n = 2 * SCAN_MAX
+@pytest.mark.parametrize("hiding", [[], [0], None], ids=["none-hiding", "node-0", "every-node"])
+def test_merge_step_reads_each_list_at_most_twice(hiding):
+    # on a complete graph every node announces its whole row, so each edge
+    # comes from both ends.  The first pass reads a list once and the sweep
+    # once, and neither tests a list for membership; with no node hiding
+    # the pass is skipped, and the sweep reads each list once
+    n = 32
     rows = gen_graph("complete", n).rows
-    ids_of = [_SweepOnly(row) for row in rows]
+    ids_of = [_CountedReads(row) for row in rows]
     singletons = (tuple(range(n)), ())
     pairs = [(u, w) for u, row in enumerate(rows) for w in row]
-    assert merge_step(*singletons, ids_of, []) == reference_merge_step(*singletons, pairs)
-    assert [ids.passes for ids in ids_of] == [1] * n
-    # with every node hiding (None), each list is read by the pass and by
-    # the sweep, and the list of every lower end, longer than SCAN_MAX, once
-    # more into a set
-    ids_of = [_SweepOnly(row) for row in rows]
-    assert merge_step(*singletons, ids_of, None) == reference_merge_step(*singletons, pairs)
-    assert [ids.passes for ids in ids_of] == [3] * (n - 1) + [2]
-    # with node 0 alone hiding, the pass still walks every list, but only
-    # node 0's list goes into a set
-    ids_of = [_SweepOnly(row) for row in rows]
-    assert merge_step(*singletons, ids_of, [0]) == reference_merge_step(*singletons, pairs)
-    assert [ids.passes for ids in ids_of] == [3] + [2] * (n - 1)
+    assert merge_step(*singletons, ids_of, hiding) == reference_merge_step(*singletons, pairs)
+    assert [ids.passes for ids in ids_of] == [1 if hiding == [] else 2] * n
 
 
 def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeypatch):
@@ -289,11 +303,12 @@ def test_merge_below_full_senders_matches_reference_on_forest_tight(k):
 
 @pytest.mark.parametrize("k, m, eps", [(2, 30, Fraction(3, 4)), (3, 40, Fraction(3, 4))])
 def test_merge_below_full_senders_matches_reference_on_long_rows(k, m, eps):
-    # rows of m - 1 ids and a cap past SCAN_MAX: the full senders' lists are
-    # tested through a set
+    # rows of m - 1 ids and a cap of more than 16 ids, below the row
+    # length: every sender is full, and the pass buckets the ids of long
+    # lists, most of them edges announced from both ends
     g = interleaved_cliques(k, m)
     proto = _forest_proto(g, eps)
-    assert SCAN_MAX < proto.cap < m - 1
+    assert 16 < proto.cap < m - 1
     _merge_below_full_senders_is_the_reference(proto, g)
 
 
@@ -393,7 +408,7 @@ def test_spanning_forest_argument_checks():
             spanning_forest_multiround(g, eps)
 
 
-@pytest.mark.parametrize("eps", ["abc", "1/0", "", "1/"])
+@pytest.mark.parametrize("eps", ["abc", "1/0", "", "1/", None, 1j])
 def test_spanning_forest_refuses_unparsable_eps(eps):
     # BadParams is a ValueError, so callers catching ValueError still work
     g = gen_graph("path", 3)
@@ -498,7 +513,7 @@ def test_forest_deliver_halts_in_the_round_that_proves_the_run_done():
         (labels, _), transcript = run_protocol(proto, rows)
         assert transcript.rounds_used == 1
         assert all(m.ids for m in transcript.rounds[0])
-        assert proto.proved_done(labels, transcript.rounds[0])
+        assert proto.proved_done(labels, proto.full_senders(transcript.rounds[0]))
     # two triangles at cap 1: every node is full and the merge leaves two
     # labels, so round 0 proves nothing and a one-round run ends at its budget
     proto = _SpanningForestProtocol(6, 1, 1, 2)
@@ -506,7 +521,7 @@ def test_forest_deliver_halts_in_the_round_that_proves_the_run_done():
     assert labels == (0, 0, 0, 3, 3, 3)
     forest = ((0, 1), (0, 2), (3, 4), (3, 5))
     assert proto.deliver(None, transcript.rounds[0]) == ((labels, forest), False)
-    assert not proto.proved_done(labels, transcript.rounds[0])
+    assert not proto.proved_done(labels, proto.full_senders(transcript.rounds[0]))
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -852,6 +867,28 @@ def test_peel_from_messages_rejects_bad_vector_shape():
         peel_from_messages([(1, p4_params().p)] + P4_MESSAGES[1:], p4_params())
 
 
+@pytest.mark.parametrize("msgs", [None, iter(P4_MESSAGES), (m for m in P4_MESSAGES)],
+                         ids=["none", "iterator", "generator"])
+def test_peel_from_messages_refuses_a_vector_with_no_length(msgs):
+    with pytest.raises(InvalidTranscript, match="expected a vector of 4 messages"):
+        peel_from_messages(msgs, p4_params())
+
+
+@pytest.mark.parametrize("q", [0.1, 0.2], ids=["rest-peels", "rest-stalls"])
+@pytest.mark.parametrize("degree", [20, 10**6])
+def test_peel_from_messages_refuses_a_degree_of_n_or_more(q, degree):
+    # node 0 of an honest gnp transcript announces degree n or more, so it
+    # is never eligible and survives at a residual degree that no survivor
+    # can have: at q = 0.1 every other node peels, at q = 0.2 several stall
+    g = gen_graph("gnp", 20, seed=1, q=q)
+    result, transcript = prune_one_round(g, 2)
+    assert bool(result.remaining) == (q == 0.2)
+    msgs = [(m.degree, m.sketch) for m in transcript.rounds[0]]
+    msgs[0] = (degree, msgs[0][1])
+    with pytest.raises(InvalidTranscript, match="node 0 survived at residual degree"):
+        peel_from_messages(msgs, cached_params(20, 2))
+
+
 @pytest.mark.parametrize("bad", [(1,), (), None, ("1", 2), (0, "2"), 7, (None, None), {"degree": 0}],
                          ids=["short", "empty", "none", "str-degree", "str-sketch", "int",
                               "none-fields", "dict"])
@@ -975,6 +1012,10 @@ def reference_peel_from_messages(msgs, params: sketch.SketchParams):
         sequence.append((k, nbrs))
     remaining = tuple(v for v in range(n) if live[v])
     residual = tuple((v, degrees[v]) for v in remaining)
+    # a survivor's residual degree counts live neighbors, all of them other
+    # survivors
+    if any(deg > len(remaining) - 1 for _, deg in residual):
+        raise InvalidTranscript("a survivor has more neighbors than there are other survivors")
     reconstructed = (None if remaining else
                      Graph.from_edges(n, ((k, j) for k, nbrs in sequence for j in nbrs)))
     return PruningResult(tuple(sequence), remaining, residual), reconstructed

@@ -527,7 +527,8 @@ def test_layered_table_matches_enumeration(n, d):
     low = binary_low(n, params.xbar, p)
     assert sketch._binary_low(n, params.xbar, p) == low
     assert params._binary == 1 << low
-    table = sketch._injective_at(n, d, params.xbar, p, low)
+    table, powers = sketch._injective_at(n, d, params.xbar, p, low)
+    assert powers == params.powers
     # the oracle's masks in the decode table's layout, each value mapped to
     # its support's top index, restricted to the tops the table stores
     expected = stored_part(n, d, params.xbar, p, low)
@@ -537,6 +538,17 @@ def test_layered_table_matches_enumeration(n, d):
     for x in range(params.xbar):
         assert sketch._injective_at(n, d, x, p, binary_low(n, x, p)) is None, x
         assert enumerated_table(n, d, x, p) is None, x
+
+
+@pytest.mark.parametrize("n, d", [(5, 0), (1, 1), (2, 2), (12, 1), (64, 4), (112, 3),
+                                  (100000, 1)])
+def test_powers_are_those_of_xbar(n, d):
+    # the point search computes each candidate's powers as a running
+    # product and returns the chosen one's; (5, 0) and (1, 1) separate at
+    # x = 0, whose zeroth power is 1, and (100000, 1) at x = 2 after x = 0
+    # and x = 1 collide
+    params = build_params(n, d)
+    assert params.powers == tuple(pow(params.xbar, i, params.p) for i in range(n))
 
 
 def test_table_at_two_separates_exactly_when_the_family_does():
@@ -550,12 +562,12 @@ def test_table_at_two_separates_exactly_when_the_family_does():
         for n in range(1, 11):
             low = binary_low(n, 2, q)
             for d in range(min(n, 4) + 1):
-                table = sketch._injective_at(n, d, 2, q, low)
+                found = sketch._injective_at(n, d, 2, q, low)
                 full = enumerated_table(n, d, 2, q)
-                assert (table is None) == (full is None), (q, n, d)
+                assert (found is None) == (full is None), (q, n, d)
                 if full is not None:
                     accepted += 1
-                    assert table == stored_part(n, d, 2, q, low), (q, n, d)
+                    assert found[0] == stored_part(n, d, 2, q, low), (q, n, d)
                     continue
                 refused += 1
                 stored = [sum(pow(2, i, q) for i in s) % q
@@ -614,14 +626,15 @@ def broken_decode_table(monkeypatch):
     real = sketch._injective_at
 
     def broken(n, d, x, p, low):
-        table = real(n, d, x, p, low)
+        found = real(n, d, x, p, low)
+        table = found[0] if found else None
         if table:
             keys = list(table)
             y = keys[-1]
             z = next((k for k in reversed(keys) if table[k] != table[y]), None)
             if z is not None:
                 table[y], table[z] = table[z], table[y]
-        return table
+        return found
 
     monkeypatch.setattr(sketch, "_injective_at", broken)
     sketch.cached_params.cache_clear()
