@@ -26,15 +26,12 @@ from .errors import (
     BcliqueError,
     CapExceeded,
     DegeneracyExceeded,
-    DimensionMismatch,
-    IndexOutOfRange,
     InvalidEdge,
     InvalidTranscript,
     NotDecodable,
     ParseError,
     RoundBudgetExceeded,
     UnknownKind,
-    WeightMismatch,
 )
 from .graph import (
     Ball,

@@ -126,7 +126,7 @@ def _cmd_one_round(args) -> tuple[dict, int]:
         p=str(params.p),
         xbar=params.xbar,
         component_count=len(set(labels)),
-        removed_edge_count=len(g.edges()) - kept_edges,
+        removed_edge_count=sum(map(len, g.rows)) // 2 - kept_edges,
     )
 
 
@@ -175,7 +175,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
         "n": g.n,
         "seed": args.seed,
         "extras": extras,
-        "edge_count": len(g.edges()),
+        "edge_count": sum(map(len, g.rows)) // 2,
         "out": args.out,
         "graph": None if args.out else text,
     }, 0

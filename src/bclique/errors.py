@@ -9,20 +9,8 @@ class CapExceeded(BcliqueError):
     """Sketch parameters would require enumerating more sparse vectors than the cap allows."""
 
 
-class DimensionMismatch(BcliqueError):
-    """Vector length does not match the sketch dimension."""
-
-
 class NotDecodable(BcliqueError):
     """No sparse Boolean preimage exists for the given field element."""
-
-
-class WeightMismatch(BcliqueError):
-    """Decoded vector weight differs from the weight announced alongside it."""
-
-
-class IndexOutOfRange(BcliqueError):
-    """Node or coordinate index outside 0..n-1."""
 
 
 class ParseError(BcliqueError):

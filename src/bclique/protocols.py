@@ -68,7 +68,7 @@ def forest_neighbor_cap(n: int, eps: Fraction) -> int:
 
 
 def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
-               ids_of: Sequence[Sequence[int]], hiding: Collection[int] | None = None):
+               ids_of: Sequence[Sequence[int]], hiding: Collection[int]):
     """Merge supernodes joined by announced edges and return the new
     (labels, forest).
 
@@ -91,9 +91,9 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     ascending order, each with its ids above u in ascending order, so the
     edges need no sort.  Only the edges announced by their upper end alone
     are missing from that sweep.  A first pass buckets each sender x under
-    every id w < x it announced that is in hiding (every node when hiding
-    is None), in ascending order since the senders are taken in order, and
-    the sweep merges w's bucket into w's ids.  No membership test asks
+    every id w < x it announced that is in hiding, in ascending order
+    since the senders are taken in order, and the sweep merges w's bucket
+    into w's ids.  No membership test asks
     whether w announced x too: an edge announced from both ends then
     reaches the sweep twice, side by side, and its second copy finds both
     ends under one root, so it changes nothing (Kruskal ignores a repeated
@@ -114,8 +114,8 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     neither labels nor forest: every edge it does take meets the same
     union-find state.  In round 0 such edges do not occur at all, since a
     sender that is not full announced its whole row.  The one-round
-    read-off passes None: its neighborhoods hold each edge once, from its
-    earlier-peeled end, so any node's list can leave out an edge that
+    read-off passes range(n): its neighborhoods hold each edge once, from
+    its earlier-peeled end, so any node's list can leave out an edge that
     Kruskal takes.
 
     The union-find runs over the labels themselves: parent is indexed by
@@ -137,9 +137,9 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
         parent = list(range(len(labels)))
         forest = list(forest)
         upper_only: dict[int, list[int]] = {}
-        if hiding is None or hiding:
-            looked = [hiding is None] * len(labels)
-            for w in hiding or ():
+        if hiding:
+            looked = [False] * len(labels)
+            for w in hiding:
                 looked[w] = True
             for x, ids in enumerate(ids_of):
                 for w in ids:
@@ -253,7 +253,8 @@ def spanning_forest_multiround(g: Graph, eps):
 
     eps is an exact rational in (0, 1]; pass a Fraction, an int, or a
     string such as "1/3" (floats are refused to keep round and cap counts
-    exact).  An unparsable eps or a numerator above MAX_EPS_NUMERATOR raises BadParams.
+    exact).  A bool, an unparsable eps or a numerator above
+    MAX_EPS_NUMERATOR raises BadParams.
 
     The run halts in the round that proves it is done: after that round's
     merge, every node that announced the full cap of ids holds the same
@@ -268,6 +269,8 @@ def spanning_forest_multiround(g: Graph, eps):
     _require_graph(g, "spanning_forest_multiround")
     if isinstance(eps, float):
         raise TypeError("pass eps as Fraction, int, or string, not float")
+    if isinstance(eps, bool):  # Fraction(True) would run as eps 1
+        raise BadParams(f"eps must be a Fraction, int, or string, not {eps!r}")
     try:
         eps = Fraction(eps)
     except (TypeError, ValueError, ZeroDivisionError):  # TypeError: None or a complex
@@ -511,7 +514,7 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     decode_support returns it, which holds every edge once, from its
     earlier-peeled end: Kruskal in ascending edge order, the same merge the
     forest protocol runs, and no call to the components_and_forest oracle it
-    is checked against.  It passes hiding=None, so merge_step looks for
+    is checked against.  It passes hiding=range(n), so merge_step looks for
     edges announced by their upper end alone below every node.  It reads
     only the peel's sequence, so it never builds the graph.
 
@@ -562,5 +565,5 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     ids_of: list[tuple[int, ...]] = [()] * n
     for k, nbrs in peel.sequence:
         ids_of[k] = nbrs
-    labels, forest = merge_step(tuple(range(n)), (), ids_of, hiding=None)
+    labels, forest = merge_step(tuple(range(n)), (), ids_of, range(n))
     return labels, forest, transcript

@@ -19,8 +19,12 @@ whose family C(n, <=d) exceeds ``DEFAULT_TABLE_CAP`` raise CapExceeded
 unless they are binary.
 The walk exists once, as the walk of each SketchParams: a closure bound to
 its table, powers and modulus when the parameters are built.
-decode_support wraps it in the checks of its arguments and of the weight;
-the peel calls it directly, once per peeled node of nonzero degree.
+decode_support wraps it in the checks of its arguments and of the weight
+bound d; the peel calls it directly, once per peeled node of nonzero
+degree, and compares the decoded weight with the announced degree itself.
+The module raises BadParams for arguments out of range (a dimension, an
+index or a field element), NotDecodable for a value that encodes no
+support of weight <= d, and CapExceeded for a shape too large to build.
 Building the table takes about 0.07 s at (n, d) = (112, 3), 0.13 s at
 (64, 4) and 0.6 s at (200, 3), and the built table holds about 17, 21 and
 84 MB (tracemalloc), on a 2-core host with Python 3.11.  Shapes whose
@@ -36,14 +40,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import graph
-from .errors import (
-    BadParams,
-    CapExceeded,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotDecodable,
-    WeightMismatch,
-)
+from .errors import BadParams, CapExceeded, NotDecodable
 from .intmath import ceil_log2, is_prime
 
 # Field elements are plain unbounded ints, always reduced modulo the owning
@@ -94,13 +91,6 @@ class SketchParams:
     xbar: int
     powers: tuple[int, ...] = field(repr=False)
     domain_size: int = field(repr=False)
-    # 2**low, with low = min(n, p.bit_length() - 1) at xbar == 2 and 0
-    # otherwise: a support whose indices all lie below low encodes to its
-    # own binary value, below 2**low <= p.  A residue below _binary with at
-    # most _binary_ones ones is such a value: _binary_ones is d, or n on a
-    # binary shape (low == n), whose table is empty.
-    _binary: int = field(repr=False)
-    _binary_ones: int = field(repr=False)
     _table: dict[int, int] = field(repr=False)
     # the decode walk, bound once to the fields above (see _decode_walk)
     walk: Callable[[FieldElement], tuple[int, ...]] = field(init=False, repr=False)
@@ -231,8 +221,7 @@ def build_params(n: int, d: int) -> SketchParams:
     else:  # impossible by the counting argument above
         raise RuntimeError(f"no separating point below p for n={n}, d={d}")
     table, powers = found
-    return SketchParams(n, d, p, xbar, powers, domain_size,
-                        1 << low, d if low < n else n, table)
+    return SketchParams(n, d, p, xbar, powers, domain_size, table)
 
 
 # Protocols share parameter sets per (n, d); building them is deterministic,
@@ -248,9 +237,12 @@ def encode(params: SketchParams, v: Sequence[int]) -> FieldElement:
     """Compress an integer n-vector to one field element.
 
     Linear: encode(u + v) == (encode(u) + encode(v)) mod p, exactly.
+    Dense encode and decode have no caller in the package; the tests and
+    the benchmark's tracer use them.  A vector of the wrong length raises
+    BadParams.
     """
     if len(v) != params.n:
-        raise DimensionMismatch(f"expected dimension {params.n}, got {len(v)}")
+        raise BadParams(f"expected dimension {params.n}, got {len(v)}")
     return sum(c * w for c, w in zip(v, params.powers) if c) % params.p
 
 
@@ -258,15 +250,15 @@ def encode_support(params: SketchParams, support: Iterable[int]) -> FieldElement
     """Encoding of the Boolean vector whose ones sit at `support`: the sum of
     powers[i] mod p, equal to encode on the dense vector and O(len(support)).
 
-    Raises IndexOutOfRange for an index outside 0..n-1; a negative index
-    must not wrap around to the end of the power table.
+    Raises BadParams for an index outside 0..n-1; a negative index must
+    not wrap around to the end of the power table.
     """
     n = params.n
     powers = params.powers
     total = 0
     for i in support:
         if not 0 <= i < n:
-            raise IndexOutOfRange(f"support index {i} outside 0..{n - 1}")
+            raise BadParams(f"support index {i} outside 0..{n - 1}")
         total += powers[i]
     return total % params.p
 
@@ -274,7 +266,7 @@ def encode_support(params: SketchParams, support: Iterable[int]) -> FieldElement
 def encode_basis(params: SketchParams, k: int) -> FieldElement:
     """Encoding of the k-th standard basis vector (just powers[k])."""
     if not 0 <= k < params.n:
-        raise IndexOutOfRange(f"basis index {k} outside 0..{params.n - 1}")
+        raise BadParams(f"basis index {k} outside 0..{params.n - 1}")
     return params.powers[k]
 
 
@@ -284,23 +276,25 @@ def _decode_walk(params: SketchParams):
     a Boolean vector that encodes to y, the unique one when its weight is
     at most d.
 
-    y - powers[top] mod p encodes the rest of the support.  A residue below
-    2**low with at most _binary_ones ones is the binary encoding of a
-    support below low, whose top is its highest set bit; on a binary shape
-    (low = n, nothing stored) every residue below 2**n is.  Any other
-    residue's top is the table's entry.  The tops must fall, so a value
-    that is no encoding raises NotDecodable, never KeyError, and never
-    loops; so does a y that is not an int, as a float that equals a key
-    could walk to a wrong support once a subtraction rounds.  The walk
-    checks neither the range of y nor the weight against d: decode_support
-    and the peel do that.
+    y - powers[top] mod p encodes the rest of the support.  With low =
+    _binary_low(n, xbar, p), a support whose indices all lie below low
+    encodes to its own binary value, below 2**low <= p, so a residue below
+    2**low with at most d ones (any number on a binary shape, low = n,
+    whose table is empty) is such a value, and its top is its highest set
+    bit.  Any other residue's top is the table's entry.  The tops must
+    fall, so a value that is no encoding raises NotDecodable, never
+    KeyError, and never loops; so does a y that is not an int, as a float
+    that equals a key could walk to a wrong support once a subtraction
+    rounds.  The walk checks neither the range of y nor the weight against
+    d: decode_support and the peel do that.
     """
     get = params._table.get
     powers = params.powers
     p = params.p
     n = params.n
-    binary = params._binary
-    ones = params._binary_ones
+    low = _binary_low(n, params.xbar, p)
+    binary = 1 << low
+    ones = params.d if low < n else n
 
     def walk(y: FieldElement) -> tuple[int, ...]:
         if not isinstance(y, int):
@@ -324,18 +318,16 @@ def _decode_walk(params: SketchParams):
     return walk
 
 
-def decode_support(params: SketchParams, y: FieldElement,
-                   expected_weight: int | None = None) -> tuple[int, ...]:
+def decode_support(params: SketchParams, y: FieldElement) -> tuple[int, ...]:
     """Sorted support of the unique Boolean vector of weight <= d encoding
     to y, found without building the dense n-vector: params.walk(y), the
-    top-down walk of _decode_walk, between the checks of its arguments and
-    of the weight.
+    top-down walk of _decode_walk, between the checks of its argument and
+    of the weight bound.  A caller that expects a weight compares the
+    length of the support.
 
     Raises NotDecodable when y is not an int (a float that equals a key
     could walk to a wrong support once a subtraction rounds) or when no
-    such vector exists, BadParams when y is an int outside the field and
-    WeightMismatch when the vector exists but its weight differs from
-    expected_weight.
+    such vector exists, and BadParams when y is an int outside the field.
     """
     # a y that is not an int is refused by the walk, as NotDecodable
     if isinstance(y, int) and not 0 <= y < params.p:
@@ -344,21 +336,16 @@ def decode_support(params: SketchParams, y: FieldElement,
     weight = len(support)
     if weight > params.d:
         raise NotDecodable(f"{y} encodes a vector of weight {weight} > d={params.d}")
-    if expected_weight is not None and weight != expected_weight:
-        raise WeightMismatch(
-            f"decoded weight {weight} but {expected_weight} was announced"
-        )
     return support
 
 
-def decode(params: SketchParams, y: FieldElement,
-           expected_weight: int | None = None) -> tuple[int, ...]:
+def decode(params: SketchParams, y: FieldElement) -> tuple[int, ...]:
     """Recover the unique Boolean vector of weight <= d encoding to y, as a
     dense n-tuple of 0/1 entries.
 
     Raises what decode_support raises.
     """
     bits = [0] * params.n
-    for i in decode_support(params, y, expected_weight):
+    for i in decode_support(params, y):
         bits[i] = 1
     return tuple(bits)

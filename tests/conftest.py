@@ -14,7 +14,7 @@ import networkx as nx
 
 from bclique.clique import NeighborList, Transcript, run_protocol
 from bclique import graph
-from bclique.errors import BadParams, InvalidEdge, NotDecodable, ParseError, WeightMismatch
+from bclique.errors import BadParams, InvalidEdge, NotDecodable, ParseError
 from bclique.graph import Edge, Graph, _decimal, _UnionFind, gen_graph, normalize_edge
 from bclique.intmath import ceil_log2
 from bclique.protocols import _SpanningForestProtocol, forest_neighbor_cap, forest_round_budget
@@ -314,16 +314,13 @@ def enumerated_tops(n: int, d: int, x: int, p: int) -> dict[int, int]:
 # The decode_support of the full decode table, verbatim but for its name
 # and its table: binary shapes by low-bit extraction, other shapes by the
 # top-down walk over every support of the family, enumerated here.
-def reference_decode_support(params: SketchParams, y: FieldElement,
-                             expected_weight: int | None = None) -> tuple[int, ...]:
+def reference_decode_support(params: SketchParams, y: FieldElement) -> tuple[int, ...]:
     """Sorted support of the unique Boolean vector of weight <= d encoding
     to y, found without building the dense n-vector.
 
     Raises NotDecodable when y is not an int (a float that equals a key
     could walk to a wrong support once a subtraction rounds) or when no
-    such vector exists, BadParams when y is an int outside the field and
-    WeightMismatch when the vector exists but its weight differs from
-    expected_weight.
+    such vector exists, and BadParams when y is an int outside the field.
     """
     if not isinstance(y, int):
         raise NotDecodable(f"{y!r} is not an int")
@@ -358,10 +355,6 @@ def reference_decode_support(params: SketchParams, y: FieldElement,
     weight = len(support)
     if weight > params.d:
         raise NotDecodable(f"{y} encodes a vector of weight {weight} > d={params.d}")
-    if expected_weight is not None and weight != expected_weight:
-        raise WeightMismatch(
-            f"decoded weight {weight} but {expected_weight} was announced"
-        )
     return tuple(support)
 
 

@@ -21,7 +21,7 @@ from bclique.clique import (
     run_protocol,
 )
 from bclique.errors import (BadParams, BcliqueError, DegeneracyExceeded, InvalidTranscript,
-                            NotDecodable, RoundBudgetExceeded, WeightMismatch)
+                            NotDecodable, RoundBudgetExceeded)
 from bclique.graph import (
     Graph,
     components_and_forest,
@@ -56,26 +56,28 @@ from conftest import (bfs_component_labels, dropped_edges, edges_of_sequence, fo
 
 def test_merge_step_examples():
     singletons = ((0, 1, 2), ())
-    merged = merge_step(*singletons, [(), (0, 2), ()])
+    every = range(3)
+    merged = merge_step(*singletons, [(), (0, 2), ()], every)
     assert merged == ((0, 0, 0), ((0, 1), (1, 2)))
 
-    assert merge_step(*singletons, [(), (), ()]) == singletons
-    assert merge_step(*singletons, ((), (), ())) == singletons
+    assert merge_step(*singletons, [(), (), ()], every) == singletons
+    assert merge_step(*singletons, ((), (), ()), every) == singletons
 
-    again = merge_step(*merged, [(1,), (), ()])  # cycle edge changes nothing
+    again = merge_step(*merged, [(1,), (), ()], every)  # cycle edge changes nothing
     assert again == merged
 
     # edges go in ascending order whichever end announced them: (0, 3)
     # first, although only node 3 announced it, after node 1 announced (1, 3)
-    assert merge_step((0, 1, 2, 3), (), [(), (3,), (), (0, 1, 2)]) == (
+    every = range(4)
+    assert merge_step((0, 1, 2, 3), (), [(), (3,), (), (0, 1, 2)], every) == (
         (0, 0, 0, 0), ((0, 3), (1, 3), (2, 3)))
     # two edges with no end in common leave two supernodes
-    assert merge_step((0, 1, 2, 3), (), [(1,), (), (3,), ()]) == (
+    assert merge_step((0, 1, 2, 3), (), [(1,), (), (3,), ()], every) == (
         (0, 0, 2, 2), ((0, 1), (2, 3)))
     # an edge announced by its upper end alone goes in among the lower end's
     # own ids: (0, 1) before (0, 2), which closes a cycle through the
     # supernode {1, 2}, and (0, 3) after it
-    assert merge_step((0, 1, 1, 3), (), [(2,), (0,), (), (0,)]) == (
+    assert merge_step((0, 1, 1, 3), (), [(2,), (0,), (), (0,)], every) == (
         (0, 0, 0, 0), ((0, 1), (0, 3)))
 
 
@@ -88,7 +90,7 @@ def test_merge_step_examples():
 def test_merge_step_refuses_a_vector_not_one_id_sequence_per_node(ids_of):
     rows = [(1,), (0, 2), (1,)]
     with pytest.raises(BadParams, match="merge_step takes"):
-        merge_step((0, 1, 2), (), ids_of(rows))
+        merge_step((0, 1, 2), (), ids_of(rows), range(3))
 
 
 @st.composite
@@ -134,7 +136,7 @@ def test_merge_step_matches_reference(case):
     n, steps = case
     known = (tuple(range(n)), ())
     for ids_of in steps:
-        merged = merge_step(*known, ids_of)
+        merged = merge_step(*known, ids_of, range(n))
         pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
         assert merged == reference_merge_step(*known, pairs)
         labels = merged[0]
@@ -185,7 +187,7 @@ def test_merge_step_runs_no_membership_test_on_a_long_list(size):
     ids_of = [_NoScan(range(1, size + 1))] + [(0,)] * (n - 1)
     pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
     singletons = (tuple(range(n)), ())
-    assert merge_step(*singletons, ids_of) == reference_merge_step(*singletons, pairs)
+    assert merge_step(*singletons, ids_of, range(n)) == reference_merge_step(*singletons, pairs)
 
 
 class _CountedReads(_NoScan):
@@ -198,7 +200,7 @@ class _CountedReads(_NoScan):
         return super().__iter__()
 
 
-@pytest.mark.parametrize("hiding", [[], [0], None], ids=["none-hiding", "node-0", "every-node"])
+@pytest.mark.parametrize("hiding", [[], [0], range(32)], ids=["none-hiding", "node-0", "every-node"])
 def test_merge_step_reads_each_list_at_most_twice(hiding):
     # on a complete graph every node announces its whole row, so each edge
     # comes from both ends.  The first pass reads a list once and the sweep
@@ -220,7 +222,7 @@ def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeyp
     # edge announced by its upper end alone, which the skip leaves out
     calls = []
 
-    def spy(labels, forest, ids_of, hiding=None):
+    def spy(labels, forest, ids_of, hiding):
         calls.append((labels, forest, ids_of, hiding))
         return merge_step(labels, forest, ids_of, hiding)
 
@@ -239,7 +241,7 @@ def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeyp
     assert upper_only == [(12, 13)] and ids_of[12] == (6,)
     pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
     assert merged == reference_merge_step(labels, forest, pairs)
-    assert merged == merge_step(labels, forest, ids_of)
+    assert merged == merge_step(labels, forest, ids_of, range(len(labels)))
 
 
 def _forest_proto(g, eps):
@@ -357,12 +359,13 @@ def test_merge_step_from_singletons_is_the_oracle_forest():
         singletons = tuple(range(g.n)), ()
         # every edge once, from its upper end
         below = [tuple(w for w in row if w < v) for v, row in enumerate(g.rows)]
-        assert merge_step(*singletons, below) == oracle, tag
+        every = range(g.n)
+        assert merge_step(*singletons, below, every) == oracle, tag
         # every edge once, from its lower end
         above = [tuple(w for w in row if w > v) for v, row in enumerate(g.rows)]
-        assert merge_step(*singletons, above) == oracle, tag
+        assert merge_step(*singletons, above, every) == oracle, tag
         # every edge twice, once from each end, as whole rows
-        assert merge_step(*singletons, g.rows) == oracle, tag
+        assert merge_step(*singletons, g.rows, every) == oracle, tag
 
 
 # --- spanning forest, multi-round -------------------------------------------------
@@ -400,6 +403,11 @@ def test_spanning_forest_argument_checks():
         spanning_forest_multiround(g, Fraction(3, 2))
     with pytest.raises(BadParams):
         spanning_forest_multiround(g, 0)
+    # bools are refused, as build_params and sparsity_parameter refuse
+    # them; Fraction(True) would run as eps 1
+    for eps in (True, False):
+        with pytest.raises(BadParams):
+            spanning_forest_multiround(g, eps)
     # the neighbor cap raises n to the numerator, so a huge one would hang
     top = protocols.MAX_EPS_NUMERATOR
     assert spanning_forest_multiround(g, Fraction(top, top + 1))[0] == (0, 0, 0)
@@ -421,7 +429,7 @@ def test_spanning_forest_raises_when_the_budget_runs_out(monkeypatch):
     # and the run stops at its budget with nodes unfinished; in K5 at cap 3
     # every node is full, so no round proves the run done
     monkeypatch.setattr(protocols, "merge_step",
-                        lambda labels, forest, ids_of, hiding=None: (labels, forest))
+                        lambda labels, forest, ids_of, hiding: (labels, forest))
     g = gen_graph("complete", 5)
     with pytest.raises(RoundBudgetExceeded, match=r"nodes \[0, 1, 2, 3, 4\] unfinished after 2"):
         spanning_forest_multiround(g, Fraction(1, 2))
@@ -995,9 +1003,12 @@ def reference_peel_from_messages(msgs, params: sketch.SketchParams):
     while eligible:
         k = heapq.heappop(eligible)
         try:
-            nbrs = sketch.decode_support(params, values[k], expected_weight=degrees[k])
-        except (NotDecodable, WeightMismatch) as exc:
+            nbrs = sketch.decode_support(params, values[k])
+        except NotDecodable as exc:
             raise InvalidTranscript(f"sketch of node {k} is inconsistent: {exc}") from exc
+        if len(nbrs) != degrees[k]:
+            raise InvalidTranscript(f"sketch of node {k} is inconsistent: decoded "
+                                    f"weight {len(nbrs)} but {degrees[k]} was announced")
         live[k] = False
         basis_k = sketch.encode_basis(params, k)
         for j in nbrs:
@@ -1090,7 +1101,9 @@ def _replayed_neighbourhoods(msgs, params, sequence):
     values = [m[1] for m in msgs]
     decoded = []
     for k, nbrs in sequence:
-        decoded.append((k, sketch.decode_support(params, values[k], degrees[k])))
+        support = sketch.decode_support(params, values[k])
+        assert len(support) == degrees[k], k
+        decoded.append((k, support))
         for j in nbrs:
             degrees[j] -= 1
             values[j] = (values[j] - params.powers[k]) % params.p
@@ -1126,8 +1139,7 @@ def test_peel_refuses_exactly_the_sketches_decode_support_refuses(n, d):
     for x in candidates:
         msgs = [(1, x), (1, params.powers[0])] + [(0, 0)] * (n - 2)
         try:
-            reference_decode_support(params, x, 1)
-            refused = False
+            refused = len(reference_decode_support(params, x)) != 1
         except BcliqueError:
             refused = True
         if refused:
@@ -1413,7 +1425,7 @@ def per_node_one_round(balls, r: int):
     ids_of = [()] * n
     for k, nbrs in peel.sequence:
         ids_of[k] = nbrs
-    labels, forest = merge_step(tuple(range(n)), (), ids_of)
+    labels, forest = merge_step(tuple(range(n)), (), ids_of, range(n))
     return labels, forest, transcript
 
 

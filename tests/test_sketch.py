@@ -12,14 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclique import graph, intmath, sketch, verify
-from bclique.errors import (
-    BadParams,
-    CapExceeded,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotDecodable,
-    WeightMismatch,
-)
+from bclique.errors import BadParams, CapExceeded, NotDecodable
 from bclique.intmath import ceil_log2, is_prime, nth_root_ceil, pow_ceil
 from bclique.sketch import (
     DEFAULT_TABLE_CAP,
@@ -283,7 +276,7 @@ def test_degenerate_parameters():
     params = build_params(5, 0)
     assert params.xbar == 0
     assert decode(params, 0) == (0, 0, 0, 0, 0)
-    assert decode(params, 0, expected_weight=0) == (0, 0, 0, 0, 0)
+    assert decode_support(params, 0) == ()
     # n = 1 admits x = 0 because the constant term already separates
     params = build_params(1, 1)
     assert params.xbar == 0
@@ -300,7 +293,7 @@ def test_encode_examples():
 
 
 def test_encode_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(BadParams):
         encode(cached_params(4, 1), (1, 0, 0))
 
 
@@ -329,7 +322,7 @@ def test_encode_linearity(data):
 def test_encode_support_rejects_out_of_range_indices():
     params = cached_params(4, 1)
     for bad in (-1, 4):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(BadParams):
             encode_support(params, (0, bad))
     assert encode_support(params, ()) == 0
 
@@ -343,9 +336,9 @@ def test_encode_basis_examples():
 
 
 def test_encode_basis_out_of_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BadParams):
         encode_basis(cached_params(4, 1), 4)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BadParams):
         encode_basis(cached_params(4, 1), -1)
 
 
@@ -367,9 +360,10 @@ def test_decode_examples():
 
 
 def test_decode_weight_mismatch():
+    # the decoders check no announced weight: a caller that expects one
+    # compares the length of the support, as the peel does
     params = cached_params(4, 2)
-    with pytest.raises(WeightMismatch):
-        decode(params, 5, expected_weight=1)
+    assert decode_support(params, 5) == (0, 2)
 
 
 def test_decode_rejects_out_of_field_values():
@@ -396,7 +390,7 @@ def test_both_decode_paths_round_trip():
     for params in (table_path, binary_path):
         for k in range(16):
             e_k = tuple(1 if i == k else 0 for i in range(16))
-            assert decode(params, encode(params, e_k), expected_weight=1) == e_k
+            assert decode(params, encode(params, e_k)) == e_k
 
 
 def test_round_trip_and_injectivity_small_grid():
@@ -408,7 +402,7 @@ def test_round_trip_and_injectivity_small_grid():
                 y = encode(params, b)
                 assert y not in seen, (n, d, b)
                 seen.add(y)
-                assert decode(params, y, expected_weight=sum(b)) == b
+                assert decode(params, y) == b
 
 
 def test_support_functions_agree_with_dense_ones_on_both_paths():
@@ -422,8 +416,8 @@ def test_support_functions_agree_with_dense_ones_on_both_paths():
                     vec = tuple(1 if i in support else 0 for i in range(n))
                     y = encode(params, vec)
                     assert encode_support(params, support) == y, (n, d, support)
-                    assert decode_support(params, y, expected_weight=w) == support
-                    assert decode(params, y, expected_weight=w) == vec
+                    assert decode_support(params, y) == support
+                    assert decode(params, y) == vec
     assert paths == {True, False}
 
 
@@ -434,14 +428,11 @@ def test_decode_support_errors_match_decode():
         for fn in (decode, decode_support):
             with pytest.raises(NotDecodable):
                 fn(params, y)
-    for fn in (decode, decode_support):
-        with pytest.raises(WeightMismatch):
-            fn(binary_path, 5, expected_weight=1)
 
 
-def _decode_outcome(decoder, params, y, expected_weight=None):
+def _decode_outcome(decoder, params, y):
     try:
-        return decoder(params, y, expected_weight)
+        return decoder(params, y)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
 
@@ -468,9 +459,8 @@ def test_binary_decode_matches_the_reference(n, d):
     assert params.table_entries == 0
     assert params.xbar == 2
     for y in range(2 ** (n + 2)):
-        for w in (None, *range(d + 2)):
-            assert (_decode_outcome(decode_support, params, y, w)
-                    == _decode_outcome(reference_decode_support, params, y, w)), (y, w)
+        assert (_decode_outcome(decode_support, params, y)
+                == _decode_outcome(reference_decode_support, params, y)), y
 
 
 @pytest.mark.parametrize("n, d", [(12, 1), (24, 2), (30, 2)])
@@ -483,9 +473,8 @@ def test_table_decode_matches_the_reference(n, d):
           for delta in (-1, 0, 1)}
     ys.update(rng.randrange(params.p) for _ in range(2000))
     for y in sorted(ys):
-        for w in (None, d):
-            assert (_decode_outcome(decode_support, params, y, w)
-                    == _decode_outcome(reference_decode_support, params, y, w)), (y, w)
+        assert (_decode_outcome(decode_support, params, y)
+                == _decode_outcome(reference_decode_support, params, y)), y
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (7, 3), (12, 1), (30, 2)])
@@ -526,7 +515,6 @@ def test_layered_table_matches_enumeration(n, d):
     p = params.p
     low = binary_low(n, params.xbar, p)
     assert sketch._binary_low(n, params.xbar, p) == low
-    assert params._binary == 1 << low
     table, powers = sketch._injective_at(n, d, params.xbar, p, low)
     assert powers == params.powers
     # the oracle's masks in the decode table's layout, each value mapped to
@@ -584,7 +572,7 @@ def test_every_table_entry_decodes_to_its_enumerated_support(n, d):
     assert len(oracle) == params.domain_size
     for value, mask in oracle.items():
         support = tuple(i for i in range(n) if mask >> i & 1)
-        assert decode_support(params, value, expected_weight=len(support)) == support
+        assert decode_support(params, value) == support
 
 
 def test_float_keys_raise_only_not_decodable():
@@ -643,9 +631,40 @@ def broken_decode_table(monkeypatch):
 
 
 def test_verify_catches_a_broken_decode_table(broken_decode_table):
-    # the shipped self-check encodes with encode and tracks collisions in
-    # its own dict, so its small suite fails on a table built wrong
+    # the shipped self-check encodes by Horner's rule and tracks collisions
+    # in its own set, so its small suite fails on a table built wrong
     ok, detail = verify.check_sketch_grid(*verify._SUITES["small"]["sketch_grid"])
+    assert not ok, detail
+
+
+def test_verify_catches_a_power_table_wrong_at_its_top_index(monkeypatch):
+    # powers[n-1] off by one on every table shape, with the decode table
+    # rebuilt from the wrong powers, so encode_support and the walk agree
+    # with each other and with dense encode; only the grid's Horner
+    # evaluation at xbar, which reads no power table, tells them apart.
+    # Binary shapes are left as they are: their walk reads powers[i] as
+    # 2**i, and a wrong power there fails the round trip anyway
+    real = sketch._injective_at
+
+    def wrong_top_power(n, d, x, p, low):
+        found = real(n, d, x, p, low)
+        if found is None or low >= n:
+            return found
+        powers = (*found[1][:-1], (found[1][-1] + 1) % p)
+        table = {sum(powers[i] for i in support) % p: support[-1]
+                 for w in range(1, d + 1)
+                 for support in itertools.combinations(range(n), w) if support[-1] >= low}
+        return table, powers
+
+    monkeypatch.setattr(sketch, "_injective_at", wrong_top_power)
+    sketch.cached_params.cache_clear()
+    try:
+        params = sketch.cached_params(12, 1)
+        assert params.powers[-1] != pow(params.xbar, 11, params.p)
+        assert decode(params, encode(params, (0,) * 11 + (1,))) == (0,) * 11 + (1,)
+        ok, detail = verify.check_sketch_grid(8, 2, ((12, 1), (24, 2), (30, 2)))
+    finally:
+        sketch.cached_params.cache_clear()
     assert not ok, detail
 
 
