@@ -14,7 +14,6 @@ from .clique import (
     Protocol,
     Transcript,
     adjacency_inputs,
-    ball_inputs,
     make_message,
     message_bits,
     pack,
@@ -36,6 +35,7 @@ from .errors import (
 from .graph import (
     Ball,
     Graph,
+    ball_inputs,
     components_and_forest,
     core_peel,
     gen_graph,

@@ -15,9 +15,8 @@ import time
 from fractions import Fraction
 
 from . import verify
-from .clique import ball_inputs
 from .errors import BadParams, BcliqueError, ParseError
-from .graph import forest_tight, gen_graph, load_graph, serialize_graph
+from .graph import ball_inputs, forest_tight, gen_graph, load_graph, serialize_graph
 from .intmath import nth_root_ceil
 from .protocols import (
     connectivity_one_round_r,

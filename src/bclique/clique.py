@@ -4,14 +4,14 @@ Every round, each node computes one message (Protocol.message) from its own
 input and the public knowledge; the full ordered message vector then goes
 to every node.  Since all nodes receive the same vector, one shared step
 (Protocol.deliver) per round turns it into the next public knowledge.  The
-engine returns the final public knowledge, and each protocol entry point
-reads its answer off it.  Message sizes follow fixed encoding rules so
-protocol budgets can be checked to the bit.
+engine returns the final public knowledge, which is the protocol's answer:
+an entry point checks its arguments, runs, and returns it.  Message sizes
+follow fixed encoding rules so protocol budgets can be checked to the bit.
 
 A node's input is what its model lets it see, with no wrapper: its sorted
 neighbor row, g.rows[v] of a validated Graph (adjacency_inputs), or its
-radius-r Ball (ball_inputs), the mask of the nodes within distance r over
-the neighbor masks that all balls of the graph share.  The engine passes
+radius-r Ball (graph.ball_inputs), the mask of the nodes within distance r
+over the neighbor masks that all balls of the graph share.  The engine passes
 inputs[v] to node v, so the position is the node id.
 
 A NeighborList of k ids takes ceil(log2(f + C(n, k))) bits, where f is
@@ -38,9 +38,7 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import BadParams
-# ball_inputs sits in graph beside the Ball format it builds and the search
-# that reads it; it is re-exported here beside adjacency_inputs
-from .graph import Graph, ball_inputs  # noqa: F401
+from .graph import Graph
 from .intmath import ceil_log2
 
 
@@ -320,8 +318,9 @@ class Protocol:
     A protocol object holds only constants of the run, set when it is
     built.  deliver is a function of (known, messages) and message of
     (node, node_input, known); neither writes to the object, so a run
-    leaves it unchanged, a second run repeats the first, and replaying a
-    transcript is a fold of deliver over its rounds from None.
+    leaves it unchanged, a second run repeats the first, and a fold of
+    deliver over a transcript's rounds from None gives the run's answer,
+    since the final knowledge is the whole answer.
 
     A message is one immutable record, NeighborList(ids, bits) or
     DegreeAndSketch(degree, sketch, bits).  Its size depends only on its

@@ -6,10 +6,7 @@
   most ceil(n**eps) ids.  Each round's merge is merge_step, one Kruskal pass
   over the announced edges.  The run halts in the round whose merge leaves
   all full senders (nodes that announced the full cap of ids) in one
-  supernode, which proves no edge joins two supernodes.  merge_step looks
-  for edges announced by their upper end alone only below the full
-  senders, since Kruskal takes none whose lower end is not full; a round
-  with no full sender skips that search.
+  supernode, which proves no edge joins two supernodes.
 * prune_one_round: one broadcast of (degree, sketched neighbor row) per node,
   then everyone peels low-degree nodes locally, editing the remaining
   sketches through linearity.
@@ -23,13 +20,13 @@
   lower end's ball, and copies the bit to the upper end; it refuses balls
   that do not all come from one graph, where that copy would be wrong.
 
-The adjacency entry points take a Graph, whose rows its constructors have
+Each entry point checks its arguments, runs its protocol with run_protocol
+and returns the final public knowledge as its answer, so a replay of a
+transcript, a fold of deliver over its rounds, gives the same answer.  The
+adjacency entry points take a Graph, whose rows its constructors have
 validated (raw rows enter through Graph.from_rows), and the engine hands
 node v only g.rows[v]; connectivity_one_round_r takes the balls of
-clique.ball_inputs.  A protocol object holds only constants of the run, and
-its deliver is a function of (public knowledge, message vector), so a run
-leaves the object as it found it and a replay of a transcript is a fold of
-deliver over its rounds.
+graph.ball_inputs.
 """
 
 from __future__ import annotations
@@ -75,17 +72,18 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     ids_of[u] is the ascending sequence of ids node u announced an edge
     to, one entry per node: a forest round's message vector, or the
     peel's neighborhoods.  An edge may be announced from one end or from
-    both.  An ids_of without one entry per node (an iterator included) or
-    with an id that is not an int raises BadParams.  The order of each
-    sequence is not checked, which would cost a comparison per announced
-    id: both callers build ascending sequences.  labels[v] is the minimum
-    member id of v's supernode; forest holds the original-graph edges
-    whose announcement caused a merge, so it stays acyclic.  Edges are
-    processed in ascending edge order; each one joining two distinct
-    supernodes goes into the forest, so one call from an empty forest
-    returns it ascending.  From singleton labels and every edge of a
-    graph, this is Kruskal's algorithm in ascending edge order: the
-    graph's components and canonical spanning forest.
+    both.  An ids_of without one entry per node (an iterator included),
+    or an id that is not an int or lies at or above n, in ids_of or in
+    hiding, raises BadParams.  The order of each sequence is not checked,
+    which would cost a comparison per announced id: both callers build
+    ascending sequences.  labels[v] is the minimum member id of v's
+    supernode; forest holds the original-graph edges whose announcement
+    caused a merge, so it stays acyclic.  Edges are processed in ascending
+    edge order; each one joining two distinct supernodes goes into the
+    forest, so one call from an empty forest returns it ascending.  From
+    singleton labels and every edge of a graph, this is Kruskal's
+    algorithm in ascending edge order: the graph's components and
+    canonical spanning forest.
 
     Ascending edge order is the order of one sweep over the senders u in
     ascending order, each with its ids above u in ascending order, so the
@@ -113,10 +111,10 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
     never takes (w, x).  Dropping edges that Kruskal never takes changes
     neither labels nor forest: every edge it does take meets the same
     union-find state.  In round 0 such edges do not occur at all, since a
-    sender that is not full announced its whole row.  The one-round
-    read-off passes range(n): its neighborhoods hold each edge once, from
-    its earlier-peeled end, so any node's list can leave out an edge that
-    Kruskal takes.
+    sender that is not full announced its whole row.
+    _OneRoundProtocol.deliver passes range(n): the peel's neighborhoods
+    hold each edge once, from its earlier-peeled end, so any node's list
+    can leave out an edge that Kruskal takes.
 
     The union-find runs over the labels themselves: parent is indexed by
     label, finds halve their paths, and a union links the larger root under
@@ -167,14 +165,16 @@ def merge_step(labels: tuple[int, ...], forest: tuple[Edge, ...],
                     forest.append((u, v))
         for x in range(len(parent)):  # parent[x] <= x already points at its root
             parent[x] = parent[parent[x]]
-    except TypeError:  # an id that is not an int, such as an (id, row) pair
-        raise BadParams("merge_step takes ascending int ids in each node's sequence") from None
+    except (TypeError, IndexError):  # an (id, row) pair, or an id >= n
+        raise BadParams("merge_step takes ascending int ids below n, per node") from None
     return tuple([parent[lbl] for lbl in labels]), tuple(forest)
 
 
 class _SpanningForestProtocol(Protocol):
-    """Public knowledge is (labels, forest), as merge_step takes it, or None
-    before round 0, when every node is its own supernode.  The object holds
+    """Public knowledge is (labels, forest, done), or None before round 0,
+    when every node is its own supernode.  labels and forest are as
+    merge_step returns them, the forest ascending, and done says whether
+    the labels prove that no edge joins two supernodes.  The object holds
     constants only."""
 
     def __init__(self, n: int, cap: int, budget: int, max_degree: int):
@@ -205,35 +205,30 @@ class _SpanningForestProtocol(Protocol):
         return new_record(NeighborList, (ids, self.sizes[len(ids)]))
 
     def deliver(self, known, messages):
-        """Merge the announced edges, looking for those that only their
-        upper end announced below the round's full senders alone (see
-        merge_step for why no other lower end hides one), and halt when the
-        merged labels prove that no edge joins two supernodes (proved_done).
-        """
-        if known is None:
-            known = tuple(range(len(messages))), ()
-        full = self.full_senders(messages)
-        labels, forest = merge_step(*known, [m.ids for m in messages], full)
-        return (labels, forest), self.proved_done(labels, full)
-
-    def full_senders(self, messages) -> list[int]:
-        """The nodes whose message holds cap ids, ascending."""
-        cap = self.cap
-        return [u for u, m in enumerate(messages) if len(m.ids) == cap]
-
-    def proved_done(self, labels, full) -> bool:
-        """Whether labels, merged from a round's announcements, prove that
-        no edge joins two supernodes.  full is full_senders of that round's
-        messages.
+        """Merge the announced edges and halt once the merged labels prove
+        that no edge joins two supernodes.
 
         Call a sender full when its message holds cap ids.  A sender that
         is not full announced a neighbor in every foreign supernode its row
         meets, so the merge joins all of them to its own.  Hence an edge
         between two supernodes after the merge joins two full senders (rows
         are symmetric), and the run is done when every full sender has the
-        same merged label, or when no sender is full.
+        same merged label, or when no sender is full.  merge_step looks for
+        edges that only their upper end announced below the full senders
+        alone (see merge_step for why no other lower end hides one).  Round
+        0's merge returns the forest ascending; a later round's appends
+        edges below earlier ones, so it is sorted.
         """
-        return len({labels[u] for u in full}) <= 1
+        cap = self.cap
+        full = [u for u, m in enumerate(messages) if len(m.ids) == cap]
+        ids_of = [m.ids for m in messages]
+        if known is None:
+            labels, forest = merge_step(tuple(range(len(messages))), (), ids_of, full)
+        else:
+            labels, forest = merge_step(known[0], known[1], ids_of, full)
+            forest = tuple(sorted(forest))
+        done = len({labels[u] for u in full}) <= 1
+        return (labels, forest, done), done
 
 
 def _require_graph(g, entry: str) -> None:
@@ -256,15 +251,11 @@ def spanning_forest_multiround(g: Graph, eps):
     exact).  A bool, an unparsable eps or a numerator above
     MAX_EPS_NUMERATOR raises BadParams.
 
-    The run halts in the round that proves it is done: after that round's
-    merge, every node that announced the full cap of ids holds the same
-    label, or no node did (see _SpanningForestProtocol.proved_done).  A node
-    that announced fewer ids than the cap met every foreign supernode of
-    its row, so only two full senders can still be adjacent across
-    supernodes.  This relies on the rows being symmetric, which a Graph's
-    constructors guarantee.  If the run uses all ceil(1/eps) rounds without
-    that proof and some node still has a neighbor in another supernode, it
-    raises RoundBudgetExceeded.
+    The run halts in the round that proves it is done (see
+    _SpanningForestProtocol.deliver), which relies on the rows being
+    symmetric, as a Graph's constructors guarantee.  If the run uses all
+    ceil(1/eps) rounds without that proof and some node still has a
+    neighbor in another supernode, it raises RoundBudgetExceeded.
     """
     _require_graph(g, "spanning_forest_multiround")
     if isinstance(eps, float):
@@ -282,16 +273,12 @@ def spanning_forest_multiround(g: Graph, eps):
     n, rows = g.n, g.rows
     budget = forest_round_budget(eps)
     proto = _SpanningForestProtocol(n, forest_neighbor_cap(n, eps), budget, g.max_degree)
-    (labels, forest), transcript = run_protocol(proto, rows)
-    if (transcript.rounds_used == budget
-            and not proto.proved_done(labels, proto.full_senders(transcript.rounds[-1]))):
-        # a run that spent its budget without that proof may have unfinished nodes
+    (labels, forest, done), transcript = run_protocol(proto, rows)
+    if not done:  # the run spent its budget without that proof
         unfinished = [v for v, row in enumerate(rows) if any(labels[w] != labels[v] for w in row)]
         if unfinished:
             raise RoundBudgetExceeded(f"spanning_forest_multiround: nodes {unfinished} "
                                       f"unfinished after {budget} round(s)")
-    if transcript.rounds_used > 1:  # one merge_step call already returns it ascending
-        forest = tuple(sorted(forest))
     return labels, forest, transcript
 
 
@@ -449,7 +436,7 @@ class _PruneProtocol(Protocol):
     A message's sketch is encode_support of the row, summed in place: the
     powers of the row's ids, reduced mod p once.  It runs no range check
     per id, since every row is a validated Graph's row or the one-round
-    cut of one (see _prune_rows), whose ids all lie in 0..n-1.
+    cut of one, whose ids all lie in 0..n-1.
     """
 
     def __init__(self, params: sketch.SketchParams):
@@ -477,12 +464,32 @@ def prune_one_round(g: Graph, d: int):
     or lies outside 0..g.n, from the sketch parameters, which are keyed by
     type, so a warm cache refuses d = 2.0 as a cold one does."""
     _require_graph(g, "prune_one_round")
-    return _prune_rows(g.rows, d)
+    return run_protocol(_PruneProtocol(sketch.cached_params(g.n, d)), g.rows)
 
 
-def _prune_rows(rows, d: int):
-    """prune_one_round on rows taken on trust, with no type check."""
-    return run_protocol(_PruneProtocol(sketch.cached_params(len(rows), d)), rows)
+class _OneRoundProtocol(_PruneProtocol):
+    """The prune round at the sparsity bound, whose deliver reads the
+    components and spanning forest off the peel.  Public knowledge is
+    (labels, forest), as merge_step returns them."""
+
+    def deliver(self, known, messages):
+        """Peel, refuse a peel that stalls with DegeneracyExceeded, and read
+        the forest off the peel: merge_step on singleton labels with each
+        node's residual neighborhood, ascending as decode_support returns
+        it, which holds every edge once, from its earlier-peeled end.  That
+        is Kruskal in ascending edge order, the forest protocol's merge,
+        and no call to the components_and_forest oracle it is checked
+        against; the reconstructed graph is never built.
+        """
+        peel = peel_from_messages(messages, self.params)
+        if peel.remaining:
+            raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left "
+                                     f"at s={self.params.d}")
+        n = self.params.n
+        ids_of: list[tuple[int, ...]] = [()] * n
+        for k, nbrs in peel.sequence:
+            ids_of[k] = nbrs
+        return merge_step(tuple(range(n)), (), ids_of, range(n)), True
 
 
 def sparsity_parameter(n: int, r: int) -> int:
@@ -509,14 +516,7 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
     Each node's row of the short-cycle-free subgraph is decided from the
     balls, without communication; prune_one_round at s = sparsity_parameter(n, r)
     then peels that subgraph to empty, so every node holds it whole and reads
-    the forest off it.  The read-off is merge_step on singleton labels with
-    each node's residual neighborhood from the peel, ascending as
-    decode_support returns it, which holds every edge once, from its
-    earlier-peeled end: Kruskal in ascending edge order, the same merge the
-    forest protocol runs, and no call to the components_and_forest oracle it
-    is checked against.  It passes hiding=range(n), so merge_step looks for
-    edges announced by their upper end alone below every node.  It reads
-    only the peel's sequence, so it never builds the graph.
+    the forest off it (_OneRoundProtocol.deliver).
 
     Each edge is searched once, from its lower end's ball: the centers are
     taken in ascending order, tilde_row_local(b, upper=True) decides the
@@ -559,11 +559,6 @@ def connectivity_one_round_r(balls: Sequence[Ball], r: int):
         rows[v].extend(upper)
         for u in upper:
             rows[u].append(v)
-    peel, transcript = _prune_rows(rows, s)
-    if peel.remaining:
-        raise DegeneracyExceeded(f"peel stalled with {len(peel.remaining)} nodes left at s={s}")
-    ids_of: list[tuple[int, ...]] = [()] * n
-    for k, nbrs in peel.sequence:
-        ids_of[k] = nbrs
-    labels, forest = merge_step(tuple(range(n)), (), ids_of, range(n))
+    proto = _OneRoundProtocol(sketch.cached_params(n, s))
+    (labels, forest), transcript = run_protocol(proto, rows)
     return labels, forest, transcript

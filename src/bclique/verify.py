@@ -15,11 +15,11 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from . import sketch
-from .clique import ball_inputs
 from .errors import BcliqueError
 from .graph import (
     Graph,
     _UnionFind,
+    ball_inputs,
     components_and_forest,
     core_peel,
     gen_graph,

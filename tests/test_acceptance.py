@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 
 from bclique.cli import run_command
-from bclique.clique import ball_inputs
 from bclique.graph import (
+    ball_inputs,
     components_and_forest,
     core_peel,
     gen_graph,

@@ -1,20 +1,22 @@
 """Broadcast engine: message sizing, delivery semantics, output contracts."""
 
+import importlib.util
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bclique
 from bclique.clique import (
     DegreeAndSketch,
     NeighborList,
     Protocol,
     Transcript,
     adjacency_inputs,
-    ball_inputs,
     make_message,
     message_bits,
     neighbor_list_sizes,
@@ -23,7 +25,7 @@ from bclique.clique import (
     unpack,
 )
 from bclique.errors import BadParams
-from bclique.graph import gen_graph
+from bclique.graph import ball_inputs, gen_graph
 from bclique.intmath import ceil_log2
 from bclique.protocols import _PruneProtocol
 from bclique.sketch import cached_params
@@ -146,6 +148,22 @@ def test_ball_inputs_share_one_radius():
     inputs = ball_inputs(g, 2)
     assert [b.center for b in inputs] == list(range(6))
     assert {b.radius for b in inputs} == {2}
+
+
+def test_the_names_the_benchmark_reads_exist():
+    # the benchmark's tracer looks up every entry of its TARGETS when it is
+    # built, and the benchmark reads a message's payload and hands a Graph
+    # to adjacency_inputs; tier-1 would not see them go otherwise
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.Tracer().names) == len(tracing.TARGETS)
+    assert not tracing.wrapped_attributes()
+    assert NeighborList((), 0).payload == ((), 0)
+    g = gen_graph("path", 3)
+    assert bclique.adjacency_inputs(g) is g
+    assert bclique.ball_inputs is ball_inputs
 
 
 def test_messages_are_immutable_records():

@@ -27,9 +27,12 @@ import json
 from fractions import Fraction
 
 from bclique.cli import run_command
-from bclique.clique import ball_inputs, pack, unpack
-from bclique.protocols import (connectivity_one_round_r, prune_one_round,
-                               spanning_forest_multiround, sparsity_parameter)
+from bclique.clique import pack, unpack
+from bclique.graph import ball_inputs
+from bclique.protocols import (_OneRoundProtocol, _PruneProtocol, _SpanningForestProtocol,
+                               connectivity_one_round_r, forest_neighbor_cap,
+                               forest_round_budget, prune_one_round, spanning_forest_multiround,
+                               sparsity_parameter)
 from bclique.sketch import cached_params
 from bclique.verify import one_round_corpus, protocol_corpus
 
@@ -120,6 +123,29 @@ def test_length_field_sizes_rebuild_the_length_field_digest():
             transcript = resized_by_former_formula(transcript, n, length_field_neighbor_list_bits)
         lines.append(_line(kind, tag, param, output, transcript))
     assert _digest(lines) == LENGTH_FIELD_PROTOCOL_DIGEST
+
+
+def _golden_protocol(kind, n, param):
+    """The protocol object of a golden run of that kind, n and parameter."""
+    if kind == "prune":
+        return _PruneProtocol(cached_params(n, param))
+    if kind == "forest":  # the size table's bound does not reach deliver
+        return _SpanningForestProtocol(n, forest_neighbor_cap(n, param),
+                                       forest_round_budget(param), n - 1)
+    return _OneRoundProtocol(cached_params(n, sparsity_parameter(n, param)))
+
+
+def test_a_fold_of_deliver_over_every_golden_transcript_is_the_answer():
+    # an entry point returns its protocol's final public knowledge, so the
+    # broadcasts alone, folded through deliver from None, give its answer:
+    # the PruningResult, or the labels and the sorted forest
+    for kind, tag, param, output, transcript, n, _ in _protocol_runs(spanning_forest_multiround):
+        proto = _golden_protocol(kind, n, param)
+        known = None
+        for rnd in transcript.rounds:
+            known, _ = proto.deliver(known, rnd)
+        answer = _prune_doc(known) if kind == "prune" else [*known[:2]]
+        assert answer == output, (kind, tag, str(param))
 
 
 def test_every_golden_message_packs_into_its_bits():

@@ -16,7 +16,6 @@ from bclique.clique import (
     DegreeAndSketch,
     NeighborList,
     Transcript,
-    ball_inputs,
     message_bits,
     run_protocol,
 )
@@ -24,6 +23,7 @@ from bclique.errors import (BadParams, BcliqueError, DegeneracyExceeded, Invalid
                             NotDecodable, RoundBudgetExceeded)
 from bclique.graph import (
     Graph,
+    ball_inputs,
     components_and_forest,
     core_peel,
     forest_tight,
@@ -81,16 +81,19 @@ def test_merge_step_examples():
         (0, 0, 0, 0), ((0, 1), (0, 3)))
 
 
-@pytest.mark.parametrize("ids_of", [
-    pytest.param(lambda rows: enumerate(rows), id="iterator"),
-    pytest.param(lambda rows: list(enumerate(rows)), id="id-row-pairs"),
-    pytest.param(lambda rows: rows[:2], id="too-short"),
-    pytest.param(lambda rows: [*rows, ()], id="too-long"),
+@pytest.mark.parametrize("ids_of, hiding", [
+    pytest.param(lambda rows: enumerate(rows), range(3), id="iterator"),
+    pytest.param(lambda rows: list(enumerate(rows)), range(3), id="id-row-pairs"),
+    pytest.param(lambda rows: rows[:2], range(3), id="too-short"),
+    pytest.param(lambda rows: [*rows, ()], range(3), id="too-long"),
+    # an id at or above n, announced or hiding, as in a corrupt transcript
+    pytest.param(lambda rows: [(5,), (), ()], [], id="announced-id-above-n"),
+    pytest.param(lambda rows: [(), (0,), ()], [7], id="hiding-id-above-n"),
 ])
-def test_merge_step_refuses_a_vector_not_one_id_sequence_per_node(ids_of):
+def test_merge_step_refuses_a_vector_not_one_id_sequence_per_node(ids_of, hiding):
     rows = [(1,), (0, 2), (1,)]
     with pytest.raises(BadParams, match="merge_step takes"):
-        merge_step((0, 1, 2), (), ids_of(rows), range(3))
+        merge_step((0, 1, 2), (), ids_of(rows), hiding)
 
 
 @st.composite
@@ -128,37 +131,25 @@ def merge_chains(draw):
     return n, steps
 
 
-@given(merge_chains())
-@settings(max_examples=300, deadline=None)
-@example((40, [[tuple(w for w in range(40) if w != u) for u in range(40)]]))
-@example((18, [[tuple(range(1, 17))] + [(0,)] * 17, [(17,)] + [()] * 17]))
-def test_merge_step_matches_reference(case):
-    n, steps = case
-    known = (tuple(range(n)), ())
-    for ids_of in steps:
-        merged = merge_step(*known, ids_of, range(n))
-        pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
-        assert merged == reference_merge_step(*known, pairs)
-        labels = merged[0]
-        for v in range(n):
-            assert labels[v] == min(u for u in range(n) if labels[u] == labels[v])
-        known = merged
-
-
 @st.composite
 def merge_chains_hiding(draw):
-    """merge_chains with a random subset of the nodes as each vector's
-    hiding."""
+    """merge_chains with each vector's hiding: every node, or a random
+    subset of the nodes."""
     n, steps = draw(merge_chains())
-    hiding = [sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1)))) for _ in steps]
-    return n, steps, hiding
+    hidings = st.one_of(st.just(list(range(n))),
+                        st.sets(st.integers(min_value=0, max_value=n - 1)).map(sorted))
+    return n, steps, [draw(hidings) for _ in steps]
 
 
 @given(merge_chains_hiding())
 @settings(max_examples=300, deadline=None)
+@example((40, [[tuple(w for w in range(40) if w != u) for u in range(40)]], [list(range(40))]))
+@example((18, [[tuple(range(1, 17))] + [(0,)] * 17, [(17,)] + [()] * 17],
+           [list(range(18))] * 2))
 def test_merge_step_below_a_random_hiding_matches_reference(case):
     # merge_step takes every pair its lower end announced, and the pairs
-    # only the upper end announced whose lower end is in hiding
+    # only the upper end announced whose lower end is in hiding; with every
+    # node hiding, that is every announced pair
     n, steps, hidings = case
     known = (tuple(range(n)), ())
     for ids_of, hiding in zip(steps, hidings):
@@ -167,6 +158,9 @@ def test_merge_step_below_a_random_hiding_matches_reference(case):
                       if w < x and w in hiding and x not in ids_of[w]]
         merged = merge_step(*known, ids_of, hiding)
         assert merged == reference_merge_step(*known, lower + upper_only)
+        labels = merged[0]
+        for v in range(n):
+            assert labels[v] == min(u for u in range(n) if labels[u] == labels[v])
         known = merged
 
 
@@ -215,6 +209,11 @@ def test_merge_step_reads_each_list_at_most_twice(hiding):
     assert [ids.passes for ids in ids_of] == [1 if hiding == [] else 2] * n
 
 
+def _full_senders(proto, rnd) -> list[int]:
+    """The nodes whose message in rnd holds proto.cap ids, ascending."""
+    return [u for u, m in enumerate(rnd) if len(m.ids) == proto.cap]
+
+
 def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeypatch):
     # gnp n=15 at cap 2: round 0 leaves full senders in two supernodes; in
     # round 1 no sender is full, and node 13 announces node 12, which
@@ -229,19 +228,21 @@ def test_forest_round_without_full_senders_merges_without_the_first_pass(monkeyp
     monkeypatch.setattr(protocols, "merge_step", spy)
     g = gen_graph("gnp", 15, seed=19, q=0.2)
     proto = _SpanningForestProtocol(g.n, 2, 6, g.max_degree)
-    merged, transcript = run_protocol(proto, g.rows)
-    assert [len(proto.full_senders(rnd)) > 0 for rnd in transcript.rounds] == [True, False]
+    known, transcript = run_protocol(proto, g.rows)
+    full = [_full_senders(proto, rnd) for rnd in transcript.rounds]
+    assert [len(senders) > 0 for senders in full] == [True, False]
     # each round's merge looks below the round's full senders alone
-    assert [call[3] for call in calls] == [proto.full_senders(rnd) for rnd in transcript.rounds]
-    assert calls[1][3] == []
+    assert [call[3] for call in calls] == full
     labels, forest, ids_of, _ = calls[1]
     assert len(set(labels)) == 3 and labels[6] == labels[13]
     upper_only = [(w, x) for x, ids in enumerate(ids_of) for w in ids
                   if w < x and x not in ids_of[w]]
     assert upper_only == [(12, 13)] and ids_of[12] == (6,)
     pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
-    assert merged == reference_merge_step(labels, forest, pairs)
+    merged = reference_merge_step(labels, forest, pairs)
     assert merged == merge_step(labels, forest, ids_of, range(len(labels)))
+    # no full sender is left, so the round proves the run done
+    assert known == (merged[0], tuple(sorted(merged[1])), True)
 
 
 def _forest_proto(g, eps):
@@ -250,13 +251,14 @@ def _forest_proto(g, eps):
 
 
 def _forest_rounds(proto, g):
-    """(known, message vector, full senders) of each round of proto's run
-    on g, known as merge_step takes it."""
+    """((labels, forest), message vector, full senders) of each round of
+    proto's run on g, labels and forest as the round's merge takes them:
+    read off the knowledge of a fold of deliver."""
     _, transcript = run_protocol(proto, g.rows)
-    known = tuple(range(g.n)), ()
+    known = None
     for rnd in transcript.rounds:
-        yield known, rnd, proto.full_senders(rnd)
-        known = proto.deliver(known, rnd)[0]
+        yield known[:2] if known else (tuple(range(g.n)), ()), rnd, _full_senders(proto, rnd)
+        known, _ = proto.deliver(known, rnd)
 
 
 def _merge_below_full_senders_is_the_reference(proto, g) -> int:
@@ -335,19 +337,22 @@ def test_merge_looks_below_the_only_full_sender(n, eps):
 
 def test_one_round_forests_come_out_ascending():
     # one merge_step call from an empty forest appends edges in ascending
-    # edge order, so a one-round run needs no sort; later rounds append
-    # edges below earlier ones, so a longer run's forest is sorted
+    # edge order, so round 0's deliver needs no sort; later rounds append
+    # edges below earlier ones, so deliver sorts their forests
     out_of_order = 0
     graphs = _small_gnp_graphs() + [forest_tight(k) for k in (2, 3, 4)]
     for g in graphs:
         for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)):
-            (_, merged), transcript = run_protocol(_forest_proto(g, eps), g.rows)
-            _, forest, _ = spanning_forest_multiround(g, eps)
-            assert forest == tuple(sorted(merged))
-            if transcript.rounds_used == 1:
-                assert merged == forest
-            else:
-                out_of_order += merged != forest
+            proto = _forest_proto(g, eps)
+            for (labels, forest), rnd, full in _forest_rounds(proto, g):
+                assert forest == tuple(sorted(forest))
+                merged = merge_step(labels, forest, [m.ids for m in rnd], full)[1]
+                if forest:
+                    out_of_order += merged != tuple(sorted(merged))
+                else:
+                    assert merged == tuple(sorted(merged))
+            (_, forest, _), _ = run_protocol(proto, g.rows)
+            assert forest == tuple(sorted(forest)) == spanning_forest_multiround(g, eps)[1]
     assert out_of_order
 
 
@@ -518,18 +523,17 @@ def test_forest_deliver_halts_in_the_round_that_proves_the_run_done():
     rows = gen_graph("path", 9).rows
     for cap in (1, 3):
         proto = _SpanningForestProtocol(9, cap, 2, 2)
-        (labels, _), transcript = run_protocol(proto, rows)
+        (labels, _, done), transcript = run_protocol(proto, rows)
         assert transcript.rounds_used == 1
         assert all(m.ids for m in transcript.rounds[0])
-        assert proto.proved_done(labels, proto.full_senders(transcript.rounds[0]))
+        assert done and labels == (0,) * 9
     # two triangles at cap 1: every node is full and the merge leaves two
     # labels, so round 0 proves nothing and a one-round run ends at its budget
     proto = _SpanningForestProtocol(6, 1, 1, 2)
-    (labels, _), transcript = run_protocol(proto, disjoint_cliques(2, 3).rows)
-    assert labels == (0, 0, 0, 3, 3, 3)
+    known, transcript = run_protocol(proto, disjoint_cliques(2, 3).rows)
     forest = ((0, 1), (0, 2), (3, 4), (3, 5))
-    assert proto.deliver(None, transcript.rounds[0]) == ((labels, forest), False)
-    assert not proto.proved_done(labels, proto.full_senders(transcript.rounds[0]))
+    assert known == ((0, 0, 0, 3, 3, 3), forest, False)
+    assert proto.deliver(None, transcript.rounds[0]) == (known, False)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -559,7 +563,7 @@ def test_spanning_forest_halts_where_the_reference_confirms(idxs, eps):
     known = None
     for rnd in transcript.rounds:
         known, halt = proto.deliver(known, rnd)
-    assert known[0] == labels and tuple(sorted(known[1])) == forest
+    assert known == (labels, forest, halt)
     if halt:
         assert all(labels[w] == labels[v] for v in range(g.n) for w in g.rows[v])
 
@@ -1419,13 +1423,8 @@ def per_node_one_round(balls, r: int):
     own ball, each edge twice: the reference for connectivity_one_round_r,
     which searches each edge once, from its lower end."""
     n = len(balls)
-    peel, transcript = protocols._prune_rows([tilde_row_local(b) for b in balls],
-                                             sparsity_parameter(n, r))
-    assert not peel.remaining
-    ids_of = [()] * n
-    for k, nbrs in peel.sequence:
-        ids_of[k] = nbrs
-    labels, forest = merge_step(tuple(range(n)), (), ids_of, range(n))
+    proto = protocols._OneRoundProtocol(cached_params(n, sparsity_parameter(n, r)))
+    (labels, forest), transcript = run_protocol(proto, [tilde_row_local(b) for b in balls])
     return labels, forest, transcript
 
 
