@@ -131,6 +131,23 @@ def merge_chains(draw):
     return n, steps
 
 
+@given(merge_chains())
+@settings(max_examples=300, deadline=None)
+@example((40, [[tuple(w for w in range(40) if w != u) for u in range(40)]]))
+@example((18, [[tuple(range(1, 17))] + [(0,)] * 17, [(17,)] + [()] * 17]))
+def test_merge_step_matches_reference(case):
+    n, steps = case
+    known = (tuple(range(n)), ())
+    for ids_of in steps:
+        merged = merge_step(*known, ids_of, range(n))
+        pairs = [(u, w) for u, ids in enumerate(ids_of) for w in ids]
+        assert merged == reference_merge_step(*known, pairs)
+        labels = merged[0]
+        for v in range(n):
+            assert labels[v] == min(u for u in range(n) if labels[u] == labels[v])
+        known = merged
+
+
 @st.composite
 def merge_chains_hiding(draw):
     """merge_chains with each vector's hiding: every node, or a random
@@ -143,9 +160,6 @@ def merge_chains_hiding(draw):
 
 @given(merge_chains_hiding())
 @settings(max_examples=300, deadline=None)
-@example((40, [[tuple(w for w in range(40) if w != u) for u in range(40)]], [list(range(40))]))
-@example((18, [[tuple(range(1, 17))] + [(0,)] * 17, [(17,)] + [()] * 17],
-           [list(range(18))] * 2))
 def test_merge_step_below_a_random_hiding_matches_reference(case):
     # merge_step takes every pair its lower end announced, and the pairs
     # only the upper end announced whose lower end is in hiding; with every
